@@ -176,7 +176,9 @@ def _cmd_run(args) -> int:
         else:
             print(f"arm {arm.name}: no complete epochs")
     if result.diverged:
-        pairs = ", ".join(f"({name}, seed {seed})" for name, seed in result.diverged)
+        pairs = ", ".join(f"arm={name} seed={seed} epoch={epoch} step={step}"
+                          for (name, seed), (epoch, step) in zip(result.diverged,
+                                                                 result.diverged_at))
         print(f"diverged runs: {pairs}", file=sys.stderr)
         return 3
     return 0

@@ -4,9 +4,12 @@ An experiment is a problem, a list of algorithm arms, and a repetition
 count.  Every (arm, repetition) pair gets its own derived seed
 (sha256 of the packed (base_seed, arm_index, repetition) triple, first
 8 little-endian bytes), so no two runs ever share randomness and the
-assignment is stable across versions.  Runs fan out over a process
-pool when requested and are merged in deterministic (arm, repetition)
-order, so the output never depends on scheduling.
+assignment is stable across versions.  All (arm, repetition) runs
+advance in lockstep as one iterate block; with a process pool the flat
+run list is split into one contiguous block per worker, and the results
+are merged in deterministic (arm, repetition) order.  A run's rows do
+not depend on the block it ran in, so the output never depends on
+``jobs`` or scheduling.
 
 Two CSV files are written: a raw per-run file with one row per epoch,
 and an aggregate with mean and 5%/95% percentiles per (arm, epoch,
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .optimize import DivergenceError, RunConfig, run_sgd, run_shuffling
+from .optimize import DivergenceError, RunConfig, run_block, scheme_stream, sgd_stream
 from .problems import build_problem
 from .shuffling import KINDS, Scheme
 
@@ -197,6 +200,7 @@ class ExperimentResult:
     raw_path: Path
     aggregate_path: Path
     diverged: tuple[tuple[str, int], ...]
+    diverged_at: tuple[tuple[int, int], ...]  # (epoch, inner step) per entry
 
 
 def _arm_step_size(arm: ArmSpec, n: int, batch_size: int) -> float:
@@ -214,42 +218,23 @@ def _arm_step_size(arm: ArmSpec, n: int, batch_size: int) -> float:
     return float(plan["eta"]) / steps
 
 
-def _scheme_for(arm: ArmSpec, n: int, seed: int) -> Scheme | None:
+def _stream(arm: ArmSpec, n: int, seed: int):
     if arm.method == "sgd":
-        return None
+        return sgd_stream(n, seed)
     if arm.scheme == "fixed":
-        return Scheme.fixed(n, order=arm.order)
-    if arm.scheme == "shuffle_once":
-        return Scheme.shuffle_once(n, seed)
-    return Scheme.random_reshuffle(n, seed)
+        return scheme_stream(Scheme.fixed(n, order=arm.order))
+    return scheme_stream(Scheme(arm.scheme, n, seed))
 
 
-def _run_one(problem, arm: ArmSpec, run_config: RunConfig, seed: int):
-    """Rows for one repetition plus the divergence epoch (None if clean)."""
-    scheme = _scheme_for(arm, problem.n, seed)
-    try:
-        if arm.method == "sgd":
-            record = run_sgd(problem, run_config, seed=seed)
-        else:
-            record = run_shuffling(problem, scheme, run_config)
-        diverged = None
-    except DivergenceError as err:
-        record = err.record
-        diverged = err.epoch
-    rows = []
-    for i in range(record.completed_epochs):
-        dist = None if record.dist_sq is None else record.dist_sq[i]
-        rows.append((int(record.epoch[i]), float(record.objective[i]),
-                     float(record.grad_norm_sq[i]), dist,
-                     int(record.evals[i]), float(record.wall_ms[i])))
-    return rows, diverged
+def _run_runs(problem, run_config: RunConfig, runs) -> list:
+    """Outcomes of the (arm, seed, step size) runs, advanced as one block."""
+    streams = [_stream(arm, problem.n, seed) for arm, seed, _ in runs]
+    return run_block(problem, run_config, streams, [step for _, _, step in runs])
 
 
 def _pool_task(payload):
-    problem_spec, arm, run_config, arm_index, rep, seed = payload
-    problem = build_problem(problem_spec)
-    rows, diverged = _run_one(problem, arm, run_config, seed)
-    return arm_index, rep, rows, diverged
+    problem_spec, run_config, runs = payload
+    return _run_runs(build_problem(problem_spec), run_config, runs)
 
 
 def _fmt(x) -> str:
@@ -260,8 +245,9 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
     """Execute all arms and repetitions; write raw and aggregate CSVs.
 
     Returns the aggregate series and the list of diverged (arm name,
-    seed) pairs; divergence does not raise here so partial results are
-    preserved for inspection.
+    seed) pairs with the (epoch, inner step) of each divergence;
+    divergence does not raise here so partial results are preserved for
+    inspection.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -275,50 +261,46 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
     elif "dist_sq" in metrics and problem.optimum_point is None:
         raise ValueError("metric 'dist_sq' needs a problem with a known optimum")
 
-    arm_configs = []
-    for arm in config.arms:
-        step = _arm_step_size(arm, problem.n, config.batch_size)
-        arm_configs.append(RunConfig(
-            step_size=step, epochs=config.epochs, batch_size=config.batch_size,
-            divergence_threshold=config.divergence_threshold, track_average=False))
-
+    arm_steps = [_arm_step_size(arm, problem.n, config.batch_size) for arm in config.arms]
+    run_config = RunConfig(step_size=0.0, epochs=config.epochs, batch_size=config.batch_size,
+                           divergence_threshold=config.divergence_threshold,
+                           track_average=False)
     tasks = [
         (arm_index, rep, derive_seed(config.base_seed, arm_index, rep))
         for arm_index in range(len(config.arms))
         for rep in range(config.repetitions)
     ]
-    results: dict[tuple[int, int], tuple[list, int | None]] = {}
-    if jobs == 1:
-        for arm_index, rep, seed in tasks:
-            results[(arm_index, rep)] = _run_one(
-                problem, config.arms[arm_index], arm_configs[arm_index], seed)
+    runs = [(config.arms[a], seed, arm_steps[a]) for a, _, seed in tasks]
+    blocks = np.array_split(np.arange(len(runs)), min(jobs, len(runs)))
+    if len(blocks) == 1:
+        outcomes = _run_runs(problem, run_config, runs)
     else:
-        payloads = [
-            (config.problem, config.arms[arm_index], arm_configs[arm_index],
-             arm_index, rep, seed)
-            for arm_index, rep, seed in tasks
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for arm_index, rep, rows, diverged in pool.map(_pool_task, payloads):
-                results[(arm_index, rep)] = (rows, diverged)
+        payloads = [(config.problem, run_config, [runs[i] for i in block]) for block in blocks]
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            outcomes = [o for part in pool.map(_pool_task, payloads) for o in part]
 
-    diverged_pairs = []
+    diverged_pairs, diverged_at = [], []
     raw_path = out_dir / "raw.csv"
     with open(raw_path, "w", newline="") as fh:
         fh.write(RAW_HEADER + "\n")
-        for arm_index, rep, seed in tasks:
-            rows, diverged = results[(arm_index, rep)]
+        for (arm_index, rep, seed), record in zip(tasks, outcomes):
             arm_name = config.arms[arm_index].name
-            if diverged is not None:
+            if isinstance(record, DivergenceError):
                 diverged_pairs.append((arm_name, seed))
-            for epoch, objective, grad_sq, dist, evals, wall in rows:
+                diverged_at.append((record.epoch, record.step_index))
+                record = record.record
+            dist = record.dist_sq if record.dist_sq is not None else [None] * len(record.epoch)
+            for epoch, objective, grad_sq, d, evals, wall in zip(
+                    record.epoch, record.objective, record.grad_norm_sq, dist, record.evals,
+                    record.wall_ms):
                 fh.write(f"{arm_name},{rep},{epoch},{_fmt(objective)},"
-                         f"{_fmt(grad_sq)},{_fmt(dist)},{evals},{_fmt(wall)}\n")
+                         f"{_fmt(grad_sq)},{_fmt(d)},{evals},{_fmt(wall)}\n")
 
     aggregate = aggregate_raw(raw_path, metrics=metrics)
     aggregate_path = out_dir / "aggregate.csv"
     aggregate.to_csv(aggregate_path)
-    return ExperimentResult(aggregate, raw_path, aggregate_path, tuple(diverged_pairs))
+    return ExperimentResult(aggregate, raw_path, aggregate_path, tuple(diverged_pairs),
+                            tuple(diverged_at))
 
 
 def aggregate_raw(raw_path, metrics: tuple[str, ...] | None = None) -> AggregateSeries:

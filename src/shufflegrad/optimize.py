@@ -6,7 +6,9 @@ batch of consecutive permutation entries.  ``step_size`` is the size of
 one inner step; divide a per-epoch stepsize by the number of steps per
 epoch first (:meth:`shufflegrad.smoothness.StepsizePlan.per_step_size`
 does this).  A with-replacement baseline with the same evaluation
-budget is provided for comparisons.
+budget is provided for comparisons.  :func:`run_block` advances any
+number of such runs in lockstep as one (R, d) iterate block; the single
+runners are blocks of one.
 
 Trajectory row t (t = 1..T) holds the metrics of the iterate entering
 epoch t, which is where the convergence recipes measure progress; its
@@ -30,6 +32,9 @@ __all__ = [
     "DivergenceError",
     "run_shuffling",
     "run_sgd",
+    "run_block",
+    "scheme_stream",
+    "sgd_stream",
     "averaged_iterate",
     "best_iterate",
     "save_checkpoint",
@@ -114,55 +119,26 @@ class DivergenceError(RuntimeError):
         self.last_value = last_value
         self.record = record
 
+    def __reduce__(self):
+        return type(self), (self.epoch, self.step_index, self.last_value, self.record)
+
 
 def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
     return [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
 
 
-class _Recorder:
-    def __init__(self, problem, track_average: bool):
-        self.problem = problem
-        self.opt = problem.optimum_point
-        self.rows: list[tuple] = []
-        self.track_average = track_average
-        self.avg = None
-        self.avg_count = 0
-        self.t0 = time.perf_counter()
-
-    def entering(self, w: np.ndarray) -> None:
-        if not self.track_average:
-            return
-        if self.avg is None:
-            self.avg = w.astype(float).copy()
-        else:
-            self.avg += (w - self.avg) / (self.avg_count + 1)
-        self.avg_count += 1
-
-    def row(self, epoch: int, w_entering: np.ndarray) -> None:
-        value = self.problem.full_value(w_entering)
-        grad = self.problem.full_gradient(w_entering)
-        dist = None if self.opt is None else float(np.sum((w_entering - self.opt) ** 2))
-        ms = (time.perf_counter() - self.t0) * 1e3
-        self.rows.append((epoch, value, float(np.dot(grad, grad)), dist,
-                          epoch * self.problem.n, ms))
-
-    def build(self, final_point: np.ndarray) -> TrajectoryRecord:
-        if self.rows:
-            cols = list(zip(*self.rows))
-            dist = None if self.opt is None else np.array(cols[3], dtype=float)
-            arrays = (np.array(cols[0], dtype=int), np.array(cols[1], dtype=float),
-                      np.array(cols[2], dtype=float), dist,
-                      np.array(cols[4], dtype=int), np.array(cols[5], dtype=float))
-        else:
-            empty = np.empty(0)
-            dist = None if self.opt is None else empty.copy()
-            arrays = (np.empty(0, dtype=int), empty.copy(), empty.copy(), dist,
-                      np.empty(0, dtype=int), empty.copy())
-        return TrajectoryRecord(
-            *arrays,
-            final_point=final_point.copy(),
-            averaged_point=None if self.avg is None else self.avg.copy(),
-        )
+def _record(rows: list[tuple], final_point, averaged_point, has_dist: bool) -> TrajectoryRecord:
+    cols = list(zip(*rows)) or [()] * 6
+    return TrajectoryRecord(
+        epoch=np.array(cols[0], dtype=int),
+        objective=np.array(cols[1], dtype=float),
+        grad_norm_sq=np.array(cols[2], dtype=float),
+        dist_sq=np.array(cols[3], dtype=float) if has_dist else None,
+        evals=np.array(cols[4], dtype=int),
+        wall_ms=np.array(cols[5], dtype=float),
+        final_point=final_point.copy(),
+        averaged_point=None if averaged_point is None else averaged_point.copy(),
+    )
 
 
 def _start_point(problem, config: RunConfig) -> np.ndarray:
@@ -171,51 +147,118 @@ def _start_point(problem, config: RunConfig) -> np.ndarray:
     return problem.initial_point
 
 
-def _diverged(w: np.ndarray, value: float, threshold: float) -> bool:
-    return (not np.isfinite(w).all()) or (not np.isfinite(value)) \
-        or abs(value) > threshold or float(np.linalg.norm(w)) > threshold
+def _outside(W: np.ndarray, threshold: float) -> np.ndarray:
+    """Per-row mask: iterate not finite, or its norm beyond the threshold."""
+    return ~np.isfinite(W).all(axis=1) | (np.sqrt(np.einsum("rd,rd->r", W, W)) > threshold)
 
 
-def _epoch_pass(problem, w: np.ndarray, order, bounds, step: float) -> np.ndarray:
-    grad = problem._component_gradient
-    for lo, hi in bounds:
-        g = grad(w, int(order[lo]))
-        if hi - lo > 1:
-            for j in range(lo + 1, hi):
-                g = g + grad(w, int(order[j]))
-            g = g / (hi - lo)
-        w = w - step * g
-    return w
+def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, bounds,
+                threshold: float | None = None) -> tuple[np.ndarray, int]:
+    """Advance every row of ``W`` through one epoch.
 
-
-def _locate_divergence(problem, w: np.ndarray, order, bounds, step: float,
-                       threshold: float) -> int:
+    ``orders[k]`` holds each row's k-th component.  Returns the new block
+    and the index of the last inner step taken: all of them, unless a
+    ``threshold`` is given, in which case the pass stops after the first
+    step that takes a row outside the finite/threshold region.
+    """
+    grads = problem.component_gradients
+    step = steps[:, None]
+    W = W.copy()
     for j, (lo, hi) in enumerate(bounds):
-        g = problem._component_gradient(w, int(order[lo]))
-        for k in range(lo + 1, hi):
-            g = g + problem._component_gradient(w, int(order[k]))
-        w = w - step * (g / (hi - lo))
-        if not np.isfinite(w).all() or float(np.linalg.norm(w)) > threshold:
-            return j
-    return len(bounds) - 1
+        g = grads(W, orders[lo])
+        if hi - lo > 1:
+            for k in range(lo + 1, hi):
+                g += grads(W, orders[k])
+            g /= hi - lo
+        g *= step
+        W -= g
+        if threshold is not None and _outside(W, threshold).any():
+            break
+    return W, j
 
 
-def _run_epochs(problem, config: RunConfig, order_for_epoch) -> TrajectoryRecord:
-    w = _start_point(problem, config)
+def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
+    """Run ``len(streams)`` runs in lockstep as one (R, d) iterate block.
+
+    Row r visits components ``streams[r](t)`` in epoch t (called once per
+    epoch, in order) and steps with ``step_sizes[r]``; ``config`` gives
+    the rest (its step_size is unused).  A row's arithmetic does not
+    depend on the other rows, so a run gives the same bits alone and in
+    any block.  A row that leaves the finite/threshold region at the end
+    of an epoch leaves the block; that epoch is replayed for it alone
+    with a per-step check to find the inner step.  Overflow raises no
+    warnings.  ``wall_ms`` is the block's cumulative clock.
+
+    Returns, per row, its :class:`TrajectoryRecord` or the
+    :class:`DivergenceError` that ended it.
+    """
+    size = len(streams)
+    steps = np.asarray(step_sizes, dtype=float)
+    start = _start_point(problem, config)
+    W = np.tile(start, (size, 1))
+    avg = W.copy()  # running mean of the entering iterates
+    values = np.full(size, problem.full_value(start))
+    live = np.arange(size)
+    rows: list[list[tuple]] = [[] for _ in range(size)]
+    outcomes: list = [None] * size
     bounds = _batch_bounds(problem.n, config.batch_size)
-    rec = _Recorder(problem, config.track_average)
-    for t in range(1, config.epochs + 1):
-        order = order_for_epoch(t)
-        w_enter = w
-        rec.entering(w_enter)
-        w = _epoch_pass(problem, w_enter, order, bounds, config.step_size)
-        value = problem.full_value(w) if np.isfinite(w).all() else np.nan
-        if _diverged(w, value, config.divergence_threshold):
-            j = _locate_divergence(problem, w_enter, order, bounds, config.step_size,
-                                   config.divergence_threshold)
-            raise DivergenceError(t, j, problem.full_value(w_enter), rec.build(w_enter))
-        rec.row(t, w_enter)
-    return rec.build(w)
+    threshold = config.divergence_threshold
+    opt = problem.optimum_point
+    t0 = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.epochs + 1):
+            if t > 1:
+                avg += (W - avg) / t
+            orders = np.stack([streams[r](t) for r in live], axis=1)
+            W_next, _ = _epoch_pass(problem, W, orders, steps, bounds)
+            next_values = np.array([problem.full_value(w.copy()) if np.isfinite(w).all()
+                                    else np.nan for w in W_next])
+            bad = _outside(W_next, threshold) | ~(np.abs(next_values) <= threshold)  # or NaN
+            for i, r in enumerate(live):
+                w = W[i].copy()
+                if bad[i]:
+                    _, j = _epoch_pass(problem, W[i:i + 1], orders[:, i:i + 1], steps[i:i + 1],
+                                       bounds, threshold)
+                    record = _record(rows[r], w, avg[i] if config.track_average else None,
+                                     opt is not None)
+                    outcomes[r] = DivergenceError(t, j, float(values[i]), record)
+                    continue
+                grad = problem.full_gradient(w)
+                dist = None if opt is None else float(np.sum((w - opt) ** 2))
+                ms = (time.perf_counter() - t0) * 1e3
+                rows[r].append((t, float(values[i]), float(np.dot(grad, grad)), dist,
+                                t * problem.n, ms))
+            keep = ~bad
+            W, avg, steps, values = W_next[keep], avg[keep], steps[keep], next_values[keep]
+            live = live[keep]
+            if not live.size:
+                break
+    for i, r in enumerate(live):
+        outcomes[r] = _record(rows[r], W[i], avg[i] if config.track_average else None,
+                              opt is not None)
+    return outcomes
+
+
+def _solo(outcomes: list) -> TrajectoryRecord:
+    (outcome,) = outcomes
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
+
+
+def scheme_stream(scheme: Scheme):
+    """Index stream of a shuffling run: the scheme's permutation per epoch."""
+    return lambda t: permutation_for_epoch(scheme, t)
+
+
+_SGD_STREAM = (1,)
+
+
+def sgd_stream(n: int, seed: int):
+    """Index stream of the with-replacement baseline: n uniform draws per
+    epoch from a generator seeded apart from the permutation streams."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=_SGD_STREAM))
+    return lambda t: rng.integers(0, n, size=n)
 
 
 def run_shuffling(problem, scheme: Scheme, config: RunConfig) -> TrajectoryRecord:
@@ -226,23 +269,16 @@ def run_shuffling(problem, scheme: Scheme, config: RunConfig) -> TrajectoryRecor
     """
     if scheme.n != problem.n:
         raise ValueError(f"scheme is for n = {scheme.n}, problem has n = {problem.n}")
-    return _run_epochs(problem, config, lambda t: permutation_for_epoch(scheme, t))
-
-
-_SGD_STREAM = (1,)
+    return _solo(run_block(problem, config, [scheme_stream(scheme)], [config.step_size]))
 
 
 def run_sgd(problem, config: RunConfig, seed: int = 0) -> TrajectoryRecord:
     """With-replacement baseline matched on gradient evaluations.
 
-    Each epoch draws n component indices uniformly with replacement
-    from a stream seeded independently of the permutation streams, then
-    consumes them in the same batch pattern as the shuffling runner, so
-    a row again covers n evaluations.
+    Consumes the :func:`sgd_stream` indices in the same batch pattern as
+    the shuffling runner, so a row again covers n evaluations.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=_SGD_STREAM))
-    return _run_epochs(problem, config,
-                       lambda t: rng.integers(0, problem.n, size=problem.n))
+    return _solo(run_block(problem, config, [sgd_stream(problem.n, seed)], [config.step_size]))
 
 
 def averaged_iterate(record: TrajectoryRecord) -> np.ndarray:

@@ -29,9 +29,15 @@ class FiniteSumProblem:
     """Interface shared by all problems.
 
     Subclasses set ``n``, ``dim`` and implement ``_component_value``,
-    ``_component_gradient``, ``full_value`` and ``full_gradient``.  The
-    public component accessors validate inputs; inner optimization loops
-    may call the underscore versions directly after validating once.
+    ``_component_gradient``, ``component_gradients``, ``full_value`` and
+    ``full_gradient``.  The public component accessors validate inputs;
+    inner optimization loops may call the underscore versions directly
+    after validating once.
+
+    ``component_gradients(W, idx)``, the optimizer's unvalidated batched
+    oracle, returns a new (R, d) array whose row r is the gradient of
+    component ``idx[r]`` at ``W[r]``.  It uses only row-wise elementwise
+    operations and row reductions, so a row's bits do not depend on R.
     """
 
     n: int
@@ -59,6 +65,9 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     def _component_gradient(self, w: np.ndarray, i: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def component_gradients(self, W: np.ndarray, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def full_value(self, w) -> float:
@@ -121,6 +130,12 @@ class QuarticProblem(FiniteSumProblem):
         g[c] = 4.0 * w[c] ** 3 + self._offset[i]
         return g
 
+    def component_gradients(self, W, idx):
+        rows, c = np.arange(len(idx)), self._coord[idx]
+        G = np.zeros(W.shape)
+        G[rows, c] = 4.0 * W[rows, c] ** 3 + self._offset[idx]
+        return G
+
     def full_value(self, w):
         w = np.asarray(w, dtype=float)
         return float(np.sum(w**4) / self.DIM)
@@ -178,6 +193,13 @@ class ExpStrongProblem(FiniteSumProblem):
         g = w.copy()
         g[c] += np.exp(w[c] - k) - np.exp(k - w[c])
         return g
+
+    def component_gradients(self, W, idx):
+        rows, c, k = np.arange(len(idx)), self._coord[idx], self._offset[idx]
+        x = W[rows, c]
+        G = W.copy()
+        G[rows, c] += np.exp(x - k) - np.exp(k - x)
+        return G
 
     def full_value(self, w):
         w = np.asarray(w, dtype=float)
@@ -254,6 +276,11 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         a = self.vectors[i]
         q = a @ w
         return (2.0 * (q * q - self.targets[i]) * q) * a
+
+    def component_gradients(self, W, idx):
+        A = self.vectors[idx]
+        q = np.einsum("rd,rd->r", A, W)
+        return (2.0 * (q * q - self.targets[idx]) * q)[:, None] * A
 
     def full_value(self, w):
         w = np.asarray(w, dtype=float)
@@ -344,6 +371,14 @@ class DROProblem(FiniteSumProblem):
         g[:-1] = coef * loss_grad
         g[-1] = 1.0 - coef
         return g
+
+    def component_gradients(self, V, idx):
+        W, theta, X = V[:, :-1], V[:, -1], self.features[idx]
+        r = self.targets[idx] - np.einsum("rd,rd->r", X, W)
+        loss = 0.5 * r * r + self.REG_WEIGHT * np.sum(np.log1p(np.abs(W)), axis=1)
+        coef = _psi_star_prime((loss - theta) / self.lam) / self.lam
+        loss_grad = -r[:, None] * X + self.REG_WEIGHT * np.sign(W) / (1.0 + np.abs(W))
+        return np.concatenate([coef[:, None] * loss_grad, (1.0 - coef)[:, None]], axis=1)
 
     def full_value(self, v):
         v = np.asarray(v, dtype=float)
@@ -447,6 +482,9 @@ class TinyQuadraticProblem(FiniteSumProblem):
 
     def _component_gradient(self, w, i):
         return w - self.centers[i]
+
+    def component_gradients(self, W, idx):
+        return W - self.centers[idx]
 
     def full_value(self, w):
         w = np.asarray(w, dtype=float)

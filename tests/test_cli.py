@@ -1,8 +1,11 @@
 import json
+import re
+import warnings
 
 import pytest
 
 from shufflegrad.cli import SUITES, main
+from shufflegrad.experiment import derive_seed
 
 
 def _plan_args(tmp_path, *extra):
@@ -153,6 +156,32 @@ class TestRunCommand:
         assert code == 3
         assert "diverged runs:" in capsys.readouterr().err
         assert (tmp_path / "out" / "raw.csv").exists()
+
+    def test_divergence_detail_without_warnings(self, tmp_path, capsys):
+        step = 0.01
+        cfg = {
+            "problem": {"id": "dro", "lam": 1.0,
+                        "dataset": {"synthetic": {"seed": 7, "rows": 60, "dim": 5}}},
+            "arms": [{"name": "rr", "method": "shuffling", "scheme": "random_reshuffle",
+                      "step_size": step},
+                     {"name": "sweep", "method": "shuffling", "scheme": "random_reshuffle",
+                      "step_size": 0.3}],
+            "epochs": 2,
+            "repetitions": 2,
+            "base_seed": 4,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--jobs", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        named = re.findall(r"arm=(\S+) seed=(\d+) epoch=(\d+) step=(\d+)", err)
+        assert [(arm, int(seed)) for arm, seed, _, _ in named] == \
+            [("sweep", derive_seed(4, 1, rep)) for rep in range(2)]
+        assert all(int(epoch) >= 1 and int(step) >= 0 for _, _, epoch, step in named)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),

@@ -12,6 +12,9 @@ from shufflegrad.experiment import (
     derive_seed,
     run_experiment,
 )
+from shufflegrad.optimize import DivergenceError, RunConfig, run_sgd, run_shuffling
+from shufflegrad.problems import build_problem
+from shufflegrad.shuffling import KINDS, Scheme
 
 TINY = {"id": "tiny_quadratic"}
 
@@ -273,3 +276,56 @@ def test_worker_pool_matches_inline(tmp_path):
     run_experiment(config, tmp_path / "pool", jobs=2)
     assert _strip_wall(tmp_path / "inline" / "raw.csv") == \
         _strip_wall(tmp_path / "pool" / "raw.csv")
+
+
+# (problem, step size of the four regular arms).  dro also gets a
+# "sweep" arm whose step size diverges in every repetition.
+_SOLO_PROBLEMS = {
+    "quartic": ({"id": "quartic"}, 0.01),
+    "phase": ({"id": "phase_retrieval", "m": 40, "dim": 6, "seed": 0}, 1e-4),
+    "dro": ({"id": "dro", "lam": 1.0,
+             "dataset": {"synthetic": {"seed": 7, "rows": 60, "dim": 5}}}, 0.01),
+}
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("batch_size", (1, 3))
+@pytest.mark.parametrize("name", sorted(_SOLO_PROBLEMS))
+def test_rows_match_solo_runs(tmp_path, name, batch_size, jobs):
+    spec, step = _SOLO_PROBLEMS[name]
+    arms = [ArmSpec(name=kind, method="shuffling", scheme=kind, step_size=step)
+            for kind in KINDS]
+    arms.append(ArmSpec(name="sgd", method="sgd", step_size=step))
+    if name == "dro":
+        arms.append(ArmSpec(name="sweep", method="shuffling", scheme="random_reshuffle",
+                            step_size=0.3))
+    config = _config(problem=spec, arms=tuple(arms), epochs=3, repetitions=2,
+                     batch_size=batch_size)
+    result = run_experiment(config, tmp_path / "out", jobs=jobs)
+
+    problem = build_problem(spec)
+    expected, diverged = [RAW_HEADER.rsplit(",", 1)[0]], []
+    for arm_index, arm in enumerate(arms):
+        run_config = RunConfig(step_size=arm.step_size, epochs=3, batch_size=batch_size,
+                               track_average=False)
+        for rep in range(2):
+            seed = derive_seed(config.base_seed, arm_index, rep)
+            try:
+                if arm.method == "sgd":
+                    record = run_sgd(problem, run_config, seed=seed)
+                else:
+                    scheme = Scheme.fixed(problem.n) if arm.scheme == "fixed" \
+                        else Scheme(arm.scheme, problem.n, seed)
+                    record = run_shuffling(problem, scheme, run_config)
+            except DivergenceError as err:
+                diverged.append(((arm.name, seed), (err.epoch, err.step_index)))
+                record = err.record
+            for i in range(record.completed_epochs):
+                dist = "" if record.dist_sq is None else f"{record.dist_sq[i]:.17g}"
+                expected.append(f"{arm.name},{rep},{record.epoch[i]},"
+                                f"{record.objective[i]:.17g},{record.grad_norm_sq[i]:.17g},"
+                                f"{dist},{record.evals[i]}")
+    assert _strip_wall(result.raw_path) == expected
+    assert list(zip(result.diverged, result.diverged_at)) == diverged
+    assert {arm for (arm, _), _ in diverged} == ({"sweep"} if name == "dro" else set())
+    assert len(diverged) == (2 if name == "dro" else 0)

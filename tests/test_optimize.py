@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from shufflegrad.optimize import (
     run_shuffling,
     save_checkpoint,
 )
-from shufflegrad.problems import QuarticProblem, TinyQuadraticProblem
-from shufflegrad.shuffling import Scheme
+from shufflegrad.problems import QuarticProblem, TinyQuadraticProblem, build_problem
+from shufflegrad.shuffling import Scheme, permutation_for_epoch
 
 
 def _two_center_problem(initial=(0.0, 0.0)):
@@ -190,8 +192,7 @@ def test_run_config_validation():
 class TestDivergence:
     def test_error_carries_partial_record(self):
         problem = QuarticProblem()
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err:
             run_shuffling(problem, Scheme.fixed(problem.n),
                           RunConfig(step_size=10.0, epochs=50))
         e = err.value
@@ -210,6 +211,57 @@ class TestDivergence:
             run_shuffling(problem, Scheme.fixed(2),
                           RunConfig(step_size=0.25, epochs=3,
                                     divergence_threshold=50.0))
+
+
+    def test_overflow_raises_no_warning(self):
+        problem = QuarticProblem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                run_shuffling(problem, Scheme.fixed(problem.n),
+                              RunConfig(step_size=10.0, epochs=5))
+
+    @pytest.mark.parametrize("spec,kind,step,batch_size", [
+        ({"id": "quartic"}, "fixed", 10.0, 1),
+        ({"id": "quartic"}, "random_reshuffle", 10.0, 3),
+        ({"id": "phase_retrieval", "m": 60, "dim": 12, "seed": 0}, "random_reshuffle", 1e-3, 1),
+        ({"id": "dro", "lam": 1.0, "dataset": {"synthetic": {"seed": 7, "rows": 60, "dim": 5}}},
+         "shuffle_once", 0.3, 2),
+    ])
+    def test_step_index_is_first_escape_of_scalar_loop(self, spec, kind, step, batch_size):
+        problem = build_problem(spec)
+        scheme = Scheme(kind, problem.n, seed=5)
+        threshold = 1e50
+        with pytest.raises(DivergenceError) as err:
+            run_shuffling(problem, scheme, RunConfig(step_size=step, epochs=4,
+                                                     batch_size=batch_size))
+        e = err.value
+        # Replay the diverged epoch from its entering iterate, one
+        # component gradient at a time.
+        w = e.record.final_point
+        order = permutation_for_epoch(scheme, e.epoch)
+        escaped = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, lo in enumerate(range(0, problem.n, batch_size)):
+                batch = order[lo:lo + batch_size]
+                g = sum(problem.component_gradient(w, int(i)) for i in batch) / len(batch)
+                w = w - step * g
+                if not np.isfinite(w).all() or np.linalg.norm(w) > threshold:
+                    escaped = j
+                    break
+        assert escaped is not None
+        assert e.step_index == escaped
+
+
+def test_one_full_value_per_epoch():
+    problem = TinyQuadraticProblem()
+    calls = []
+    full_value = problem.full_value
+    problem.full_value = lambda w: calls.append(1) or full_value(w)
+    rec = run_shuffling(problem, Scheme.fixed(problem.n), RunConfig(step_size=0.1, epochs=5))
+    # the start point, then the iterate leaving each epoch
+    assert len(calls) == 6
+    assert rec.completed_epochs == 5
 
 
 def _record(values):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shufflegrad.problems import (
     DROProblem,
@@ -54,6 +55,24 @@ def test_max_component_gradient_hook(problem, _):
             float(np.linalg.norm(problem.component_gradient(w, i))) for i in range(problem.n)
         )
         assert problem.max_component_gradient_norm(w) == pytest.approx(brute, rel=1e-12)
+
+
+_ORACLE_PROBLEMS = [problem for problem, _ in _problems_for_consistency()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(_ORACLE_PROBLEMS) - 1), rows=st.integers(1, 6),
+       scale=st.sampled_from((0.01, 0.3, 2.0)), seed=st.integers(0, 2**32 - 1))
+def test_batched_oracle_matches_component_gradient(which, rows, scale, seed):
+    problem = _ORACLE_PROBLEMS[which]
+    rng = np.random.default_rng(seed)
+    W = problem.initial_point + scale * rng.standard_normal((rows, problem.dim))
+    idx = rng.integers(0, problem.n, size=rows)
+    G = problem.component_gradients(W, idx)
+    assert G.shape == W.shape
+    for r in range(rows):
+        g = problem.component_gradient(W[r], int(idx[r]))
+        assert np.linalg.norm(G[r] - g) <= 1e-13 * np.linalg.norm(g), (r, G[r], g)
 
 
 def test_input_validation():
