@@ -410,3 +410,7 @@ def _suite_permutation_oracle(args, lines: list[str]) -> bool:
         all_ok &= _report(lines, ok, f"permutation-oracle n={n}",
                           "brute-force variance matches the closed-form factor")
     return all_ok
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -20,20 +20,22 @@ offset^2).  Recipes 4 and 6 instead take a caller-supplied bound on the
 largest component gradient over the initial sublevel set, usually from
 :func:`estimate_sublevel_gradient_bound`, and are flagged heuristic.
 
-Every emitted plan stores the named inequality checks it satisfies with
-their numeric margins; :func:`reevaluate_plan` re-derives each verdict
-in exact rational arithmetic (logarithms evaluated at 60 significant
-digits) as an independent audit.
+Each recipe's inequalities are written once, in one table of named
+``lhs <= rhs`` pairs.  Every emitted plan stores the table evaluated in
+floats, with numeric margins; :func:`reevaluate_plan` evaluates the same
+table in 60-digit interval arithmetic as an independent audit that
+never accepts an inequality exact arithmetic rejects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
-import mpmath
 import numpy as np
+from mpmath.ctx_iv import MPIntervalContext
 
 __all__ = [
     "EllFunction",
@@ -69,14 +71,13 @@ VARIANCE_RECIPES = (1, 2, 3, 5)
 class EllFunction:
     """Non-decreasing bound ell(u) on curvature at gradient norm u.
 
-    kind: "constant", "affine", "power" (c*u**q + c0) or "custom".
+    kind: "constant", "affine" or "power" (c*u**q + c0).
     degree: growth exponent, must lie in [0, 2) (sub-quadratic).
     """
 
     kind: str
     params: tuple[float, ...] = ()
     degree: float = 0.0
-    func: object = None
 
     @classmethod
     def constant(cls, c: float) -> "EllFunction":
@@ -98,56 +99,26 @@ class EllFunction:
             raise ValueError(f"growth exponent must lie in [0, 2), got {exponent}")
         return cls("power", (float(coeff), float(exponent), float(offset)), float(exponent))
 
-    @classmethod
-    def custom(cls, func, degree: float) -> "EllFunction":
-        if not 0 <= degree < 2:
-            raise ValueError(f"growth exponent must lie in [0, 2), got {degree}")
-        return cls("custom", (), float(degree), func)
-
     def evaluate(self, u):
         if self.kind == "constant":
             return self.params[0] * np.ones_like(np.asarray(u, dtype=float)) if np.ndim(u) else self.params[0]
         if self.kind == "affine":
             base, slope = self.params
             return base + slope * u
-        if self.kind == "power":
-            coeff, exponent, offset = self.params
-            return coeff * np.power(u, exponent) + offset
-        return self.func(u)
+        coeff, exponent, offset = self.params
+        return coeff * np.power(u, exponent) + offset
 
     __call__ = evaluate
-
-    def validate(self) -> None:
-        """Spot-check positivity, monotonicity and sub-quadratic growth.
-
-        Monotonicity is sampled on a log grid; sub-quadratic growth
-        requires ell(u)/u^2 to fall strictly across u = 10^3..10^9.
-        Raises ValueError on the first violated property.
-        """
-        if not self.evaluate(0.0) > 0:
-            raise ValueError(f"modulus must be strictly positive at 0, got {self.evaluate(0.0)}")
-        grid = np.concatenate([[0.0], np.logspace(-6, 9, 151)])
-        vals = np.array([float(self.evaluate(u)) for u in grid])
-        if np.any(np.diff(vals) < 0):
-            i = int(np.argmax(np.diff(vals) < 0))
-            raise ValueError(f"modulus decreases between u={grid[i]:.3g} and u={grid[i+1]:.3g}")
-        ratios = [float(self.evaluate(10.0**k)) / 10.0 ** (2 * k) for k in range(3, 10)]
-        if np.any(np.diff(ratios) >= 0):
-            raise ValueError("modulus is not sub-quadratic: ell(u)/u^2 fails to decay over u=1e3..1e9")
 
     def describe(self) -> str:
         if self.kind == "constant":
             return f"constant {self.params[0]:g}"
         if self.kind == "affine":
             return f"affine {self.params[0]:g} + {self.params[1]:g}*u"
-        if self.kind == "power":
-            c, q, c0 = self.params
-            return f"power {c:g}*u^{q:g} + {c0:g}"
-        return f"custom (degree {self.degree:g})"
+        c, q, c0 = self.params
+        return f"power {c:g}*u^{q:g} + {c0:g}"
 
     def to_config(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom moduli cannot be serialized")
         return {"kind": self.kind, "params": list(self.params)}
 
     @classmethod
@@ -243,29 +214,19 @@ class ConstantsBundle:
     smoothness_bound: float | None = None
     gprime_heuristic: bool = False
 
+    def _statistics(self) -> dict[str, float]:
+        """The float statistics that are set, by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("recipe", "ell", "n", "gprime_heuristic")
+                and getattr(self, f.name) is not None}
+
     def report(self) -> str:
         lines = [
             f"recipe = {self.recipe} ({RECIPE_NAMES[self.recipe]})",
             f"modulus = {self.ell.describe()}",
             f"n = {self.n}",
-            f"initial_gap = {self.initial_gap:.17g}",
-            f"eps = {self.eps:.17g}",
         ]
-        optional = [
-            ("failure_prob", self.failure_prob),
-            ("variance_slope", self.variance_slope),
-            ("noise_std", self.noise_std),
-            ("strong_convexity", self.strong_convexity),
-            ("optimum_noise_std", self.optimum_noise_std),
-            ("initial_distance_sq", self.initial_distance_sq),
-            ("value_gap_bound", self.value_gap_bound),
-            ("grad_norm_bound", self.grad_norm_bound),
-            ("component_grad_bound", self.component_grad_bound),
-            ("smoothness_bound", self.smoothness_bound),
-        ]
-        for name, val in optional:
-            if val is not None:
-                lines.append(f"{name} = {val:.17g}")
+        lines += [f"{name} = {val:.17g}" for name, val in self._statistics().items()]
         if self.gprime_heuristic:
             lines.append("component_grad_bound_source = sampled heuristic")
         return "\n".join(lines)
@@ -405,24 +366,7 @@ class StepsizePlan:
             "epochs": self.epochs,
             "n": b.n,
             "ell": b.ell.to_config(),
-            "constants": {
-                k: v
-                for k, v in {
-                    "initial_gap": b.initial_gap,
-                    "eps": b.eps,
-                    "failure_prob": b.failure_prob,
-                    "variance_slope": b.variance_slope,
-                    "noise_std": b.noise_std,
-                    "strong_convexity": b.strong_convexity,
-                    "optimum_noise_std": b.optimum_noise_std,
-                    "initial_distance_sq": b.initial_distance_sq,
-                    "value_gap_bound": b.value_gap_bound,
-                    "grad_norm_bound": b.grad_norm_bound,
-                    "component_grad_bound": b.component_grad_bound,
-                    "smoothness_bound": b.smoothness_bound,
-                }.items()
-                if v is not None
-            },
+            "constants": b._statistics(),
             "heuristic": b.gprime_heuristic,
         }
 
@@ -455,130 +399,150 @@ def candidate_stepsize(bundle: ConstantsBundle) -> float | None:
     return None
 
 
-def _log_sqrtn_t(n: int, t: float) -> float:
-    return math.log(math.sqrt(n) * t)
+class _Arithmetic(NamedTuple):
+    """The number type a recipe table is evaluated in."""
+
+    num: Callable
+    sqrt: Callable
+    log: Callable
+    cbrt: Callable
+    inf: object
 
 
-def _checks_for(bundle: ConstantsBundle, eta: float, epochs: int) -> tuple[PlanCheck, ...]:
-    """Named inequalities (lhs <= rhs form) for the recipe at (eta, epochs)."""
-    r = bundle.recipe
-    n = bundle.n
-    L = bundle.smoothness_bound
-    gap = bundle.initial_gap
-    eps = bundle.eps
-    A = bundle.variance_slope
-    sig = bundle.noise_std
-    delta = bundle.failure_prob
-    mu = bundle.strong_convexity
-    sig_star = bundle.optimum_noise_std
-    T = float(epochs)
-    checks: list[PlanCheck] = []
+_FLOATS = _Arithmetic(float, math.sqrt, math.log, lambda x: x ** (1.0 / 3.0), math.inf)
 
-    if r == 1:
-        checks.append(PlanCheck("eta_cap", eta, 1.0 / (2.0 * L * math.sqrt(A / n + 1.0))))
-        cube = math.inf if sig == 0 else n * gap / (L * L * sig * sig)
-        checks.append(PlanCheck("cube_sum", T * eta**3, cube))
-        checks.append(PlanCheck("epoch_floor", 32.0 * gap / (eta * delta * eps * eps), T))
-    elif r == 2:
-        checks.append(PlanCheck("eta_cap", eta, 1.0 / (L * math.sqrt(2.0 * (3.0 * A + 2.0)))))
-        cube = math.inf if sig == 0 else 2.0 * gap / (3.0 * sig * sig * L * L)
-        checks.append(PlanCheck("cube_sum", T * eta**3, cube))
-        checks.append(PlanCheck("epoch_floor", 8.0 * gap / (eta * eps * eps), T))
-    elif r == 3:
-        ln = _log_sqrtn_t(n, T)
-        formula = 4.0 * ln / (mu * T)
-        checks.append(PlanCheck("eta_formula", abs(eta - formula), 1e-12 * formula))
-        checks.append(PlanCheck("epoch_floor_gap",
-                                4.0 * math.sqrt(gap / (n * delta * eps)), T))
-        ratio = T / ln
-        scale = 4.0 / mu
-        checks.append(PlanCheck("iteration_floor", scale * 2.0, ratio))
-        checks.append(PlanCheck("curvature_cap",
-                                scale * L * math.sqrt(2.0 * (3.0 * A + 2.0)), ratio))
-        checks.append(PlanCheck("noise_cap",
-                                scale * L * sig * math.sqrt(8.0 / (n * mu * delta * eps)), ratio))
-        checks.append(PlanCheck("gap_cube",
-                                scale * (T * sig * sig * L * L / (n * gap)) ** (1.0 / 3.0), ratio))
-    elif r == 4:
-        ln = math.log(T)
-        formula = 6.0 * ln / (mu * T)
-        checks.append(PlanCheck("eta_formula", abs(eta - formula), 1e-12 * formula))
-        cap = math.inf if sig_star == 0 else gap * mu * mu / (9.0 * (mu * mu + L * L) * sig_star**2)
-        checks.append(PlanCheck("eta_cap", eta, cap))
-        checks.append(PlanCheck("epoch_floor_curvature", 12.0 * L * L * ln / (mu * mu), T))
-        budget = (gap + 108.0 * (mu * mu + L * L) * sig_star**2 * ln * ln / mu**3) / (T * T)
-        checks.append(PlanCheck("accuracy_budget", budget, eps))
-    elif r == 5:
-        d2 = bundle.initial_distance_sq
-        checks.append(PlanCheck("eta_cap", eta, 1.0 / (2.0 * L * math.sqrt(A / n + 1.0))))
-        cube1 = math.inf if sig == 0 else n * gap / (sig * sig * L * L)
-        checks.append(PlanCheck("cube_sum_noise", T * eta**3, cube1))
-        cube2 = math.inf if sig_star == 0 else 3.0 * n * d2 / (2.0 * L * sig_star**2)
-        checks.append(PlanCheck("cube_sum_optimum_noise", T * eta**3, cube2))
-        checks.append(PlanCheck("epoch_floor", 4.0 * d2 / (eta * delta * eps), T))
-    else:
-        d2 = bundle.initial_distance_sq
-        gp = bundle.component_grad_bound
-        checks.append(PlanCheck("eta_cap", eta, math.sqrt(3.0 * eps / (2.0 * L)) / gp))
-        checks.append(PlanCheck("epoch_floor", d2 / (eta * eps), T))
-    return tuple(checks)
+# The audit's own 60-digit interval context: mpmath.iv has no workdps,
+# and its global precision belongs to every other user of mpmath.
+_IV = MPIntervalContext()
+_IV.dps = 60
+_THIRD = _IV.mpf(1) / 3
+_INTERVALS = _Arithmetic(_IV.mpf, _IV.sqrt, _IV.log, lambda x: x ** _THIRD, _IV.inf)
+
+# Recipes 3 and 4 pin eta to coeff * ln / (mu * T); ln is the log of
+# the second entry.
+_PINNED = {3: (4.0, lambda c: c.sqrt(c.n) * c.T), 4: (6.0, lambda c: c.T)}
+
+
+def _values(bundle: ConstantsBundle, ar: _Arithmetic, eta: float = 0.0,
+            epochs: int = 1) -> SimpleNamespace:
+    """Plan and bundle numbers in arithmetic ``ar``, plus its functions:
+    the namespace ``c`` every recipe table reads."""
+    b = bundle
+
+    def num(x):
+        return None if x is None else ar.num(x)
+
+    c = SimpleNamespace(
+        sqrt=ar.sqrt, log=ar.log, cbrt=ar.cbrt, inf=ar.inf,
+        eta=num(eta), T=num(epochs), n=num(b.n), gap=num(b.initial_gap), eps=num(b.eps),
+        L=num(b.smoothness_bound), A=num(b.variance_slope), sig=num(b.noise_std),
+        delta=num(b.failure_prob), mu=num(b.strong_convexity),
+        sig_star=num(b.optimum_noise_std), d2=num(b.initial_distance_sq),
+        gp=num(b.component_grad_bound))
+    if b.recipe in _PINNED:
+        coeff, log_arg = _PINNED[b.recipe]
+        c.ln = c.log(log_arg(c))
+        c.pinned_eta = coeff * c.ln / (c.mu * c.T)
+    return c
+
+
+# Recipes 1 and 5 share their stepsize cap.
+def _reshuffling_eta_cap(c):
+    return 1.0 / (2.0 * c.L * c.sqrt(c.A / c.n + 1.0))
+
+
+# Each recipe's inequalities, name -> (lhs(c), rhs(c)) meaning lhs <= rhs.
+_TABLES = {
+    1: {
+        "eta_cap": (lambda c: c.eta, _reshuffling_eta_cap),
+        "cube_sum": (lambda c: c.T * c.eta**3,
+                     lambda c: c.inf if c.sig == 0 else c.n * c.gap / (c.L * c.L * c.sig * c.sig)),
+        "epoch_floor": (lambda c: 32.0 * c.gap / (c.eta * c.delta * c.eps * c.eps), lambda c: c.T),
+    },
+    2: {
+        "eta_cap": (lambda c: c.eta, lambda c: 1.0 / (c.L * c.sqrt(2.0 * (3.0 * c.A + 2.0)))),
+        "cube_sum": (lambda c: c.T * c.eta**3,
+                     lambda c: c.inf if c.sig == 0 else
+                     2.0 * c.gap / (3.0 * c.sig * c.sig * c.L * c.L)),
+        "epoch_floor": (lambda c: 8.0 * c.gap / (c.eta * c.eps * c.eps), lambda c: c.T),
+    },
+    3: {
+        "eta_formula": (lambda c: abs(c.eta - c.pinned_eta), lambda c: 1e-12 * c.pinned_eta),
+        "epoch_floor_gap": (lambda c: 4.0 * c.sqrt(c.gap / (c.n * c.delta * c.eps)), lambda c: c.T),
+        "iteration_floor": (lambda c: 4.0 / c.mu * 2.0, lambda c: c.T / c.ln),
+        "curvature_cap": (lambda c: 4.0 / c.mu * c.L * c.sqrt(2.0 * (3.0 * c.A + 2.0)),
+                          lambda c: c.T / c.ln),
+        "noise_cap": (lambda c: 4.0 / c.mu * c.L * c.sig
+                      * c.sqrt(8.0 / (c.n * c.mu * c.delta * c.eps)),
+                      lambda c: c.T / c.ln),
+        "gap_cube": (lambda c: 4.0 / c.mu * c.cbrt(c.T * c.sig * c.sig * c.L * c.L / (c.n * c.gap)),
+                     lambda c: c.T / c.ln),
+    },
+    4: {
+        "eta_formula": (lambda c: abs(c.eta - c.pinned_eta), lambda c: 1e-12 * c.pinned_eta),
+        "eta_cap": (lambda c: c.eta,
+                    lambda c: c.inf if c.sig_star == 0 else
+                    c.gap * c.mu * c.mu / (9.0 * (c.mu * c.mu + c.L * c.L) * c.sig_star**2)),
+        "epoch_floor_curvature": (lambda c: 12.0 * c.L * c.L * c.ln / (c.mu * c.mu), lambda c: c.T),
+        "accuracy_budget": (lambda c: (c.gap + 108.0 * (c.mu * c.mu + c.L * c.L) * c.sig_star**2
+                                       * c.ln * c.ln / c.mu**3) / (c.T * c.T),
+                            lambda c: c.eps),
+    },
+    5: {
+        "eta_cap": (lambda c: c.eta, _reshuffling_eta_cap),
+        "cube_sum_noise": (lambda c: c.T * c.eta**3,
+                           lambda c: c.inf if c.sig == 0 else
+                           c.n * c.gap / (c.sig * c.sig * c.L * c.L)),
+        "cube_sum_optimum_noise": (lambda c: c.T * c.eta**3,
+                                   lambda c: c.inf if c.sig_star == 0 else
+                                   3.0 * c.n * c.d2 / (2.0 * c.L * c.sig_star**2)),
+        "epoch_floor": (lambda c: 4.0 * c.d2 / (c.eta * c.delta * c.eps), lambda c: c.T),
+    },
+    6: {
+        "eta_cap": (lambda c: c.eta, lambda c: c.sqrt(3.0 * c.eps / (2.0 * c.L)) / c.gp),
+        "epoch_floor": (lambda c: c.d2 / (c.eta * c.eps), lambda c: c.T),
+    },
+}
+
+
+def _float_checks(bundle: ConstantsBundle, eta: float, epochs: int) -> tuple[PlanCheck, ...]:
+    c = _values(bundle, _FLOATS, eta, epochs)
+    return tuple(PlanCheck(name, lhs(c), rhs(c))
+                 for name, (lhs, rhs) in _TABLES[bundle.recipe].items())
 
 
 def _free_eta_upper_bounds(bundle: ConstantsBundle) -> float:
     """Largest eta consistent with all constraints for recipes 1, 2, 5, 6.
 
-    Combines the direct stepsize caps with the caps obtained by
-    substituting the epoch floor into each cube-sum constraint, so the
-    pair (eta, ceil(floor)) is feasible up to integer rounding.
+    Combines the direct stepsize cap (the table's ``eta_cap``) with the
+    caps obtained by substituting the epoch floor into each cube-sum
+    constraint, so the pair (eta, ceil(floor)) is feasible up to integer
+    rounding.
     """
     r = bundle.recipe
-    n, gap, eps = bundle.n, bundle.initial_gap, bundle.eps
-    L = bundle.smoothness_bound
-    A = bundle.variance_slope
-    sig = bundle.noise_std
-    delta = bundle.failure_prob
-    bounds = []
-    if r == 1:
-        bounds.append(1.0 / (2.0 * L * math.sqrt(A / n + 1.0)))
-        if sig > 0:
-            bounds.append(eps * math.sqrt(n * delta / 32.0) / (L * sig))
-    elif r == 2:
-        bounds.append(1.0 / (L * math.sqrt(2.0 * (3.0 * A + 2.0))))
-        if sig > 0:
-            bounds.append(eps / (sig * L * math.sqrt(12.0)))
+    c = _values(bundle, _FLOATS)
+    bounds = [_TABLES[r]["eta_cap"][1](c)]
+    if r == 1 and c.sig > 0:
+        bounds.append(c.eps * c.sqrt(c.n * c.delta / 32.0) / (c.L * c.sig))
+    elif r == 2 and c.sig > 0:
+        bounds.append(c.eps / (c.sig * c.L * c.sqrt(12.0)))
     elif r == 5:
-        d2 = bundle.initial_distance_sq
-        sig_star = bundle.optimum_noise_std
-        bounds.append(1.0 / (2.0 * L * math.sqrt(A / n + 1.0)))
-        if sig > 0:
-            bounds.append(math.sqrt(n * gap * delta * eps / (4.0 * d2 * sig * sig * L * L)))
-        if sig_star > 0:
-            bounds.append(math.sqrt(3.0 * n * delta * eps / (8.0 * L * sig_star**2)))
-    else:
-        bounds.append(math.sqrt(3.0 * eps / (2.0 * L)) / bundle.component_grad_bound)
+        if c.sig > 0:
+            bounds.append(c.sqrt(c.n * c.gap * c.delta * c.eps
+                                 / (4.0 * c.d2 * c.sig * c.sig * c.L * c.L)))
+        if c.sig_star > 0:
+            bounds.append(c.sqrt(3.0 * c.n * c.delta * c.eps / (8.0 * c.L * c.sig_star**2)))
     return min(bounds)
-
-
-def _epoch_floor(bundle: ConstantsBundle, eta: float) -> float:
-    r = bundle.recipe
-    gap, eps = bundle.initial_gap, bundle.eps
-    if r == 1:
-        return 32.0 * gap / (eta * bundle.failure_prob * eps * eps)
-    if r == 2:
-        return 8.0 * gap / (eta * eps * eps)
-    if r == 5:
-        return 4.0 * bundle.initial_distance_sq / (eta * bundle.failure_prob * eps)
-    return bundle.initial_distance_sq / (eta * eps)
 
 
 def _assemble(bundle: ConstantsBundle, eta: float, epochs: int,
               candidate: float | None, target: int | None) -> StepsizePlan:
     return StepsizePlan(bundle.recipe, eta, epochs, bundle,
-                        _checks_for(bundle, eta, epochs),
+                        _float_checks(bundle, eta, epochs),
                         candidate_eta=candidate, target_epochs=target)
 
 
-def _exact_failures(plan: StepsizePlan) -> list[str]:
+def _audit_failures(plan: StepsizePlan) -> list[str]:
     return [name for name, ok in reevaluate_plan(plan) if not ok]
 
 
@@ -586,26 +550,27 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
     """Planner for recipes 1, 2, 5, 6 (stepsize not pinned to T)."""
     candidate = candidate_stepsize(bundle)
     eta = min(candidate, _free_eta_upper_bounds(bundle))
+    epoch_floor = _TABLES[bundle.recipe]["epoch_floor"][0]
     if target_epochs is None:
         # The stepsize starts at its combined upper bound, so rounding
         # (ceil on the epoch floor, float error on caps met with
         # equality) can leave a check violated by an ulp or an epoch.
         # Shave eta geometrically and bump the epoch count until both
-        # the float checks and the exact audit pass.
+        # the float checks and the audit pass.
         shave = 2.0**-44
         last = None
         for _ in range(120):
-            epochs = max(1, math.ceil(_epoch_floor(bundle, eta)))
+            epochs = max(1, math.ceil(epoch_floor(_values(bundle, _FLOATS, eta))))
             plan = _assemble(bundle, eta, epochs, candidate, None)
             last = plan
             if plan.valid:
-                bad = _exact_failures(plan)
+                bad = _audit_failures(plan)
                 if not bad:
                     return plan
                 if set(bad) == {"epoch_floor"}:
                     for extra in (1, 2, 3):
                         bumped = _assemble(bundle, eta, epochs + extra, candidate, None)
-                        if bumped.valid and not _exact_failures(bumped):
+                        if bumped.valid and not _audit_failures(bumped):
                             return bumped
             eta *= 1.0 - shave
             shave = min(shave * 4.0, 0.5)
@@ -619,10 +584,10 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
     for _ in range(60):
         plan = _assemble(bundle, eta, target_epochs, candidate, target_epochs)
         float_bad = [c.name for c in plan.checks if not c.satisfied]
-        exact_bad = _exact_failures(plan) if not float_bad else float_bad
-        if not exact_bad:
+        audit_bad = _audit_failures(plan) if not float_bad else float_bad
+        if not audit_bad:
             return plan
-        if "epoch_floor" in exact_bad:
+        if "epoch_floor" in audit_bad:
             floor = next(c for c in plan.checks if c.name == "epoch_floor")
             raise PlanInfeasibleError(
                 f"recipe {bundle.recipe}: target epoch count {target_epochs} violates "
@@ -650,22 +615,18 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
     settle, raises :class:`PlanInfeasibleError` naming the binding check:
     of the checks violated there, the one that demands the most epochs,
     i.e. the one that sets the fixed-point step's next T.  A target that
-    passes every float check but fails the exact audit names the first
+    passes every float check but fails the audit names the first
     check the audit rejects.
     """
     r = bundle.recipe
     mu = bundle.strong_convexity
-    L = bundle.smoothness_bound
-    n = bundle.n
 
     def eta_at(T: int) -> float:
-        if r == 3:
-            return 4.0 * _log_sqrtn_t(n, float(T)) / (mu * T)
-        return 6.0 * math.log(float(T)) / (mu * T)
+        return _values(bundle, _FLOATS, epochs=T).pinned_eta
 
     def demands(T: int, checks: tuple[PlanCheck, ...]) -> dict[PlanCheck, float]:
         """Epoch count each check violated at T asks for."""
-        ln = _log_sqrtn_t(n, float(T)) if r == 3 else math.log(float(T))
+        ln = _values(bundle, _FLOATS, epochs=T).ln
         need = {}
         for c in checks:
             if c.satisfied:
@@ -689,7 +650,7 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
 
     def violated_floor(T: int) -> float | None:
         """Smallest T' >= T suggested by the binding constraints, or None if feasible."""
-        need = demands(T, _checks_for(bundle, eta_at(T), T))
+        need = demands(T, _float_checks(bundle, eta_at(T), T))
         if not need:
             return None
         return max(float(T), *need.values(), T * 1.01)
@@ -698,9 +659,9 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
         plan = _assemble(bundle, eta_at(target_epochs), target_epochs, None, target_epochs)
         bad = binding(target_epochs, plan.checks)
         if bad is None:
-            exact_bad = _exact_failures(plan)
-            if exact_bad:
-                bad = next(c for c in plan.checks if c.name == exact_bad[0])
+            audit_bad = _audit_failures(plan)
+            if audit_bad:
+                bad = next(c for c in plan.checks if c.name == audit_bad[0])
         if bad is not None:
             raise PlanInfeasibleError(
                 f"recipe {r}: target epoch count {target_epochs} violates {bad.name!r} "
@@ -712,16 +673,16 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
         proposal = violated_floor(T)
         if proposal is None:
             # Every float check holds; raising T only loosens the
-            # constraints, so bump past any remaining exact-audit slack.
+            # constraints, so bump past any remaining audit slack.
             for extra in range(100):
                 plan = _assemble(bundle, eta_at(T + extra), T + extra, None, None)
-                if plan.valid and not _exact_failures(plan):
+                if plan.valid and not _audit_failures(plan):
                     return plan
             raise PlanInfeasibleError(
                 f"recipe {r}: exact audit kept failing near epoch count {T}",
                 plan.checks)
         T = max(T + 1, math.ceil(proposal))
-    checks = _checks_for(bundle, eta_at(T), T)
+    checks = _float_checks(bundle, eta_at(T), T)
     bad = binding(T, checks) or checks[0]
     raise PlanInfeasibleError(
         f"recipe {r}: epoch fixed point did not settle within 100 iterations; "
@@ -746,94 +707,19 @@ def stepsize_plan(bundle: ConstantsBundle, target_epochs: int | None = None) -> 
     return _plan_free_eta(bundle, target_epochs)
 
 
-def _frac(x: float) -> Fraction:
-    return Fraction(float(x))
-
-
 def reevaluate_plan(plan: StepsizePlan) -> list[tuple[str, bool]]:
     """Re-derive each plan inequality independently of the planner.
 
-    Algebraic inequalities are decided in exact rational arithmetic
-    (square roots cleared by squaring).  Inequalities involving
-    logarithms (recipes 3 and 4) are decided with 60-digit arithmetic.
+    Evaluates the recipe's table in 60-digit interval arithmetic from the
+    plan's stepsize, epoch count and bundle (its stored checks are not
+    read).  An inequality holds only when the whole interval enclosing
+    its lhs lies at or below the whole interval enclosing its rhs, so the
+    audit never accepts what exact arithmetic rejects; an exact tie can
+    be rejected.
     """
-    b = plan.bundle
-    r = plan.recipe
-    eta = _frac(plan.eta)
-    T = Fraction(plan.epochs)
-    n = Fraction(b.n)
-    gap = _frac(b.initial_gap)
-    eps = _frac(b.eps)
-    L = _frac(b.smoothness_bound)
-    results: list[tuple[str, bool]] = []
-
-    if r in (1, 2, 5):
-        A = _frac(b.variance_slope)
-        sig = _frac(b.noise_std)
-        if r == 1:
-            delta = _frac(b.failure_prob)
-            results.append(("eta_cap", 4 * eta**2 * L**2 * (A / n + 1) <= 1))
-            results.append(("cube_sum", sig == 0 or T * eta**3 * L**2 * sig**2 <= n * gap))
-            results.append(("epoch_floor", T * eta * delta * eps**2 >= 32 * gap))
-        elif r == 2:
-            results.append(("eta_cap", 2 * eta**2 * L**2 * (3 * A + 2) <= 1))
-            results.append(("cube_sum", sig == 0 or 3 * T * eta**3 * sig**2 * L**2 <= 2 * gap))
-            results.append(("epoch_floor", T * eta * eps**2 >= 8 * gap))
-        else:
-            delta = _frac(b.failure_prob)
-            d2 = _frac(b.initial_distance_sq)
-            sig_star = _frac(b.optimum_noise_std)
-            results.append(("eta_cap", 4 * eta**2 * L**2 * (A / n + 1) <= 1))
-            results.append(("cube_sum_noise", sig == 0 or T * eta**3 * sig**2 * L**2 <= n * gap))
-            results.append(("cube_sum_optimum_noise",
-                            sig_star == 0 or 2 * T * eta**3 * L * sig_star**2 <= 3 * n * d2))
-            results.append(("epoch_floor", T * eta * delta * eps >= 4 * d2))
-        return results
-
-    if r == 6:
-        d2 = _frac(b.initial_distance_sq)
-        gp = _frac(b.component_grad_bound)
-        results.append(("eta_cap", 2 * eta**2 * gp**2 * L <= 3 * eps))
-        results.append(("epoch_floor", T * eta * eps >= d2))
-        return results
-
-    with mpmath.workdps(60):
-        mu = mpmath.mpf(b.strong_convexity)
-        Lm = mpmath.mpf(b.smoothness_bound)
-        Tm = mpmath.mpf(plan.epochs)
-        etam = mpmath.mpf(plan.eta)
-        gapm = mpmath.mpf(b.initial_gap)
-        epsm = mpmath.mpf(b.eps)
-        if r == 3:
-            A = mpmath.mpf(b.variance_slope)
-            sig = mpmath.mpf(b.noise_std)
-            delta = mpmath.mpf(b.failure_prob)
-            nm = mpmath.mpf(b.n)
-            ln = mpmath.log(mpmath.sqrt(nm) * Tm)
-            formula = 4 * ln / (mu * Tm)
-            results.append(("eta_formula", abs(etam - formula) <= mpmath.mpf("1e-12") * formula))
-            results.append(("epoch_floor_gap", Tm**2 >= 16 * gapm / (nm * delta * epsm)))
-            ratio = Tm / ln
-            scale = 4 / mu
-            results.append(("iteration_floor", ratio >= scale * 2))
-            results.append(("curvature_cap", ratio >= scale * Lm * mpmath.sqrt(2 * (3 * A + 2))))
-            results.append(("noise_cap",
-                            ratio >= scale * Lm * sig * mpmath.sqrt(8 / (nm * mu * delta * epsm))))
-            results.append(("gap_cube",
-                            ratio**3 >= scale**3 * Tm * sig**2 * Lm**2 / (nm * gapm)))
-        else:
-            sig_star = mpmath.mpf(b.optimum_noise_std)
-            ln = mpmath.log(Tm)
-            formula = 6 * ln / (mu * Tm)
-            results.append(("eta_formula", abs(etam - formula) <= mpmath.mpf("1e-12") * formula))
-            cap_ok = sig_star == 0 or (
-                9 * etam * (mu**2 + Lm**2) * sig_star**2 <= gapm * mu**2
-            )
-            results.append(("eta_cap", bool(cap_ok)))
-            results.append(("epoch_floor_curvature", Tm >= 12 * Lm**2 * ln / mu**2))
-            budget = (gapm + 108 * (mu**2 + Lm**2) * sig_star**2 * ln**2 / mu**3) / Tm**2
-            results.append(("accuracy_budget", budget <= epsm))
-    return results
+    c = _values(plan.bundle, _INTERVALS, plan.eta, plan.epochs)
+    return [(name, (lhs(c) <= rhs(c)) is True)
+            for name, (lhs, rhs) in _TABLES[plan.recipe].items()]
 
 
 @dataclass(frozen=True)

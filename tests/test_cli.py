@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import shufflegrad
 from shufflegrad.cli import SUITES, main
 from shufflegrad.experiment import derive_seed
 
@@ -81,6 +86,17 @@ class TestPlanCommand:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    def test_module_entry_point_writes_the_plan(self, tmp_path):
+        src = str(Path(shufflegrad.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "shufflegrad.cli", *_plan_args(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "epochs = 27713" in proc.stdout
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        assert (plan["recipe"], plan["epochs"]) == (2, 27713)
 
 
 class TestCheckCommand:

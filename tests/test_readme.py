@@ -1,0 +1,73 @@
+"""The README's stepsize-plan statements, checked against the code."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from shufflegrad.cli import main
+from shufflegrad.smoothness import RECIPE_NAMES, EllFunction, constants_for_recipe
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start:end if end >= 0 else None]
+
+
+def _commands(section: str):
+    """(argv after 'shufflegrad', expected output lines) for each plan command."""
+    found = []
+    for block in section.split("```")[1::2]:
+        lines = block.splitlines()[1:]  # drop the fence's info string
+        if not lines or "shufflegrad plan" not in lines[0]:
+            continue
+        command = lines[0].lstrip("$ ")
+        rest = lines[1:]
+        while command.endswith("\\"):
+            command = command[:-1] + rest.pop(0).strip()
+        found.append((shlex.split(command)[1:], [ln for ln in rest if ln != "..."]))
+    return found
+
+
+def test_recipe_table_matches_code():
+    rows = re.findall(r"^\| (\d) \| (.*?) \| (.*?) \|$", _section("Stepsize plans"), flags=re.M)
+    assert [int(r) for r, _, _ in rows] == sorted(RECIPE_NAMES)
+    for recipe, setting, needs in rows:
+        assert setting == RECIPE_NAMES[int(recipe)]
+        # Leaving every optional statistic out makes the code name all
+        # the ones the recipe requires, in one message.
+        with pytest.raises(ValueError, match="needs statistics: ") as err:
+            constants_for_recipe(int(recipe), EllFunction.constant(1.0),
+                                 initial_gap=1.0, n=4, eps=0.1)
+        required = str(err.value).split("needs statistics: ")[1].split(", ")
+        assert needs.replace("`", "").split(", ") == required
+
+
+def test_plan_commands_run_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (manual, transcript), (estimated, _) = _commands(_section("Quick start"))
+
+    assert main(manual) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert transcript and all(line in out for line in transcript), transcript
+    plan = json.loads(Path("plan.json").read_text())
+    assert (plan["recipe"], plan["eta"], plan["epochs"]) == (2, 0.028867366631864982, 27713)
+
+    assert main(estimated) == 0
+    plan = json.loads(Path("plan.json").read_text())
+    # Estimated statistics alone do not set the flag ...
+    assert plan["recipe"] == 3 and plan["heuristic"] is False
+
+
+def test_only_a_sampled_component_bound_is_heuristic(tmp_path):
+    base = ["plan", "--theorem", "6", "--eps", "0.1", "--problem", "tiny_quadratic",
+            "--budget", "200", "--out", str(tmp_path / "plan.json")]
+    assert main(base) == 0
+    assert json.loads((tmp_path / "plan.json").read_text())["heuristic"] is True
+    assert main(base + ["--component-grad-bound", "5"]) == 0
+    assert json.loads((tmp_path / "plan.json").read_text())["heuristic"] is False
