@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .smoothness import EllFunction, PlanCheck
+from .smoothness import EllFunction, PlanCheck, row_dots
 
 __all__ = [
     "VarianceFit",
@@ -76,7 +76,8 @@ def estimate_variance_constants(problem, points) -> VarianceFit:
     """Fit (slope, noise_sq) over sample points.
 
     For each point computes g = ||full gradient||^2 and v = mean squared
-    deviation of component gradients from the full gradient, then scans
+    deviation of component gradients from the full gradient (one batched
+    oracle call per point, see :func:`_squared_deviation_sum`), then scans
     the slope grid: each slope's minimal feasible noise_sq is
     max(0, max_s(v_s - slope * g_s)).  Returns the smallest noise_sq,
     breaking near-ties (within 1%) toward the smallest slope.
@@ -90,12 +91,8 @@ def estimate_variance_constants(problem, points) -> VarianceFit:
         full = problem.full_gradient(w)
         if not np.isfinite(full).all():
             raise ValueError(f"non-finite gradient at sample point {s}")
-        dev = 0.0
-        for i in range(problem.n):
-            d = problem.component_gradient(w, i) - full
-            dev += float(np.dot(d, d))
         g_sq[s] = float(np.dot(full, full))
-        v[s] = dev / problem.n
+        v[s] = _squared_deviation_sum(problem, w, full) / problem.n
     noise_by_slope = [max(0.0, float(np.max(v - a * g_sq))) for a in _SLOPE_GRID]
     best = min(noise_by_slope)
     slope, noise_sq = next(
@@ -227,12 +224,7 @@ def check_gradient_bound(problem, w, variance_slope: float, noise_std: float,
     """
     w = np.asarray(w, dtype=float)
     full_norm = float(np.linalg.norm(problem.full_gradient(w)))
-    hook = getattr(problem, "max_component_gradient_norm", None)
-    if hook is not None:
-        worst = float(hook(w))
-    else:
-        worst = max(float(np.linalg.norm(problem.component_gradient(w, i)))
-                    for i in range(problem.n))
+    worst = problem.max_component_gradient_norm(w)
     n = problem.n
     rhs = math.sqrt(2.0 * (1.0 + n * variance_slope)) * full_norm \
         + math.sqrt(2.0 * n) * noise_std + slack
@@ -272,12 +264,21 @@ def optimum_component_noise(problem, point=None) -> float:
         point = problem.optimum_point
     if point is None:
         raise ValueError("problem has no known optimum; pass a point explicitly")
-    w = np.asarray(point, dtype=float)
+    return math.sqrt(_squared_deviation_sum(problem, point, 0.0) / problem.n)
+
+
+def _squared_deviation_sum(problem, w, center) -> float:
+    """sum_i ||component gradient i at w - center||^2 from one validation
+    of ``w`` and one ``component_gradients`` call (O(n*d) memory).  The
+    row dots are added in component order, as a per-component loop does
+    (Python 3.12's ``sum`` of floats compensates, changing the bits)."""
+    w, n = problem._check(w), problem.n
+    D = problem.component_gradients(np.broadcast_to(w, (n, w.size)), np.arange(n))
+    D -= center
     total = 0.0
-    for i in range(problem.n):
-        g = problem.component_gradient(w, i)
-        total += float(np.dot(g, g))
-    return math.sqrt(total / problem.n)
+    for sq in row_dots(D, D).tolist():
+        total += sq
+    return total
 
 
 def sample_points_around(problem, count: int = 8, seed: int = 0, spread: float = 0.5,

@@ -211,8 +211,9 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
                 avg += (W - avg) / t
             orders = np.stack([streams[r](t) for r in live], axis=1)
             W_next, _ = _epoch_pass(problem, W, orders, steps, bounds)
-            next_values = np.array([problem.full_value(w.copy()) if np.isfinite(w).all()
-                                    else np.nan for w in W_next])
+            finite = np.isfinite(W_next).all(axis=1)
+            next_values = np.full(len(W_next), np.nan)
+            next_values[finite] = problem.full_values(W_next[finite])
             bad = _outside(W_next, threshold) | ~(np.abs(next_values) <= threshold)  # or NaN
             for i, r in enumerate(live):
                 w = W[i].copy()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .smoothness import EllFunction
+from .smoothness import EllFunction, row_dots
 
 __all__ = [
     "FiniteSumProblem",
@@ -29,15 +29,21 @@ class FiniteSumProblem:
     """Interface shared by all problems.
 
     Subclasses set ``n``, ``dim`` and implement ``_component_value``,
-    ``_component_gradient``, ``component_gradients``, ``full_value`` and
-    ``full_gradient``.  The public component accessors validate inputs;
-    inner optimization loops may call the underscore versions directly
-    after validating once.
+    ``_component_gradient``, ``full_gradient`` and three unvalidated
+    oracles on an (R, d) block of points W:
 
-    ``component_gradients(W, idx)``, the optimizer's unvalidated batched
-    oracle, returns a new (R, d) array whose row r is the gradient of
-    component ``idx[r]`` at ``W[r]``.  It uses only row-wise elementwise
-    operations and row reductions, so a row's bits do not depend on R.
+    - ``component_gradients(W, idx)``: a new (R, d) array whose row r is
+      the gradient of component ``idx[r]`` at ``W[r]``;
+    - ``full_values(W)``: the (R,) objective values;
+    - ``max_component_gradient_norms(W)``: the (R,) largest component
+      gradient norms.
+
+    They use only row-wise elementwise operations and row reductions, so
+    a row's bits do not depend on R.  ``full_value(w)`` and
+    ``max_component_gradient_norm(w)`` are their one-row cases, so the
+    scalar and batched forms cannot drift apart; ``_component_gradient``
+    is a separate scalar formula, the reference ``component_gradients``
+    is tested against.  The public component accessors validate inputs.
     """
 
     n: int
@@ -70,8 +76,17 @@ class FiniteSumProblem:
     def component_gradients(self, W: np.ndarray, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def full_value(self, w) -> float:
+    def full_values(self, W: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def max_component_gradient_norms(self, W: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def full_value(self, w) -> float:
+        return float(self.full_values(np.asarray(w, dtype=float)[None])[0])
+
+    def max_component_gradient_norm(self, w) -> float:
+        return float(self.max_component_gradient_norms(np.asarray(w, dtype=float)[None])[0])
 
     def full_gradient(self, w) -> np.ndarray:
         raise NotImplementedError
@@ -136,18 +151,16 @@ class QuarticProblem(FiniteSumProblem):
         G[rows, c] = 4.0 * W[rows, c] ** 3 + self._offset[idx]
         return G
 
-    def full_value(self, w):
-        w = np.asarray(w, dtype=float)
-        return float(np.sum(w**4) / self.DIM)
+    def full_values(self, W):
+        return np.sum(W**4, axis=1) / self.DIM
 
     def full_gradient(self, w):
         w = np.asarray(w, dtype=float)
         return 4.0 * w**3 / self.DIM
 
-    def max_component_gradient_norm(self, w) -> float:
-        w = np.asarray(w, dtype=float)
+    def max_component_gradient_norms(self, W):
         # max over offsets of |4w_c^3 + k| is 4|w_c|^3 + 10
-        return float(4.0 * np.max(np.abs(w)) ** 3 + 10.0)
+        return 4.0 * np.max(np.abs(W), axis=1) ** 3 + 10.0
 
 
 class ExpStrongProblem(FiniteSumProblem):
@@ -175,12 +188,7 @@ class ExpStrongProblem(FiniteSumProblem):
         self.strong_convexity = 1.0
         self.declared_ell = EllFunction.affine(5.0, 5.0)
 
-    def component_index(self, coordinate: int, offset: int) -> int:
-        if not 0 <= coordinate < self.DIM:
-            raise IndexError(f"coordinate {coordinate} out of range")
-        if not -10 <= offset <= 10:
-            raise IndexError(f"offset {offset} out of range")
-        return coordinate * len(self.OFFSETS) + (offset + 10)
+    component_index = QuarticProblem.component_index
 
     def _component_value(self, w, i):
         c = self._coord[i]
@@ -201,22 +209,20 @@ class ExpStrongProblem(FiniteSumProblem):
         G[rows, c] += np.exp(x - k) - np.exp(k - x)
         return G
 
-    def full_value(self, w):
-        w = np.asarray(w, dtype=float)
+    def full_values(self, W):
         coeff = self._exp_sum / self.n
-        return float(coeff * np.sum(np.exp(w) + np.exp(-w)) + 0.5 * np.dot(w, w))
+        return coeff * np.sum(np.exp(W) + np.exp(-W), axis=1) + 0.5 * row_dots(W, W)
 
     def full_gradient(self, w):
         w = np.asarray(w, dtype=float)
         coeff = self._exp_sum / self.n
         return coeff * (np.exp(w) - np.exp(-w)) + w
 
-    def max_component_gradient_norm(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        k = self.OFFSETS.astype(float)
-        s = np.exp(w[:, None] - k[None, :]) - np.exp(k[None, :] - w[:, None])
-        sq = np.dot(w, w) - w[:, None] ** 2 + (w[:, None] + s) ** 2
-        return float(np.sqrt(np.max(sq)))
+    def max_component_gradient_norms(self, W):
+        k, x = self.OFFSETS.astype(float), W[:, :, None]
+        s = np.exp(x - k) - np.exp(k - x)
+        sq = row_dots(W, W)[:, None, None] - x**2 + (x + s) ** 2
+        return np.sqrt(np.max(sq, axis=(1, 2)))
 
 
 class PhaseRetrievalProblem(FiniteSumProblem):
@@ -282,21 +288,24 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         q = np.einsum("rd,rd->r", A, W)
         return (2.0 * (q * q - self.targets[idx]) * q)[:, None] * A
 
-    def full_value(self, w):
-        w = np.asarray(w, dtype=float)
-        q = self.vectors @ w
-        r = self.targets - q * q
-        return float(np.dot(r, r) / (2.0 * self.n))
+    def _projections(self, W):
+        # one matrix-vector product per row: a product across rows could
+        # change a row's bits with R
+        return np.array([self.vectors @ w for w in W]).reshape(len(W), self.n)
+
+    def full_values(self, W):
+        Q = self._projections(W)
+        r = self.targets - Q * Q
+        return row_dots(r, r) / (2.0 * self.n)
 
     def full_gradient(self, w):
         w = np.asarray(w, dtype=float)
         q = self.vectors @ w
         return self.vectors.T @ ((2.0 / self.n) * (q * q - self.targets) * q)
 
-    def max_component_gradient_norm(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        q = self.vectors @ w
-        return float(np.max(np.abs(2.0 * (q * q - self.targets) * q) * self._vector_norms))
+    def max_component_gradient_norms(self, W):
+        Q = self._projections(W)
+        return np.max(np.abs(2.0 * (Q * Q - self.targets) * Q) * self._vector_norms, axis=1)
 
 
 def _psi_star(t):
@@ -367,10 +376,7 @@ class DROProblem(FiniteSumProblem):
         loss = 0.5 * r * r + self._regularizer(w)
         coef = float(_psi_star_prime((loss - theta) / self.lam)) / self.lam
         loss_grad = -r * x + self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
-        g = np.empty(self.dim)
-        g[:-1] = coef * loss_grad
-        g[-1] = 1.0 - coef
-        return g
+        return np.append(coef * loss_grad, 1.0 - coef)
 
     def component_gradients(self, V, idx):
         W, theta, X = V[:, :-1], V[:, -1], self.features[idx]
@@ -380,11 +386,10 @@ class DROProblem(FiniteSumProblem):
         loss_grad = -r[:, None] * X + self.REG_WEIGHT * np.sign(W) / (1.0 + np.abs(W))
         return np.concatenate([coef[:, None] * loss_grad, (1.0 - coef)[:, None]], axis=1)
 
-    def full_value(self, v):
-        v = np.asarray(v, dtype=float)
-        _, theta = self.split(v)
-        u = (self.sample_losses(v) - theta) / self.lam
-        return float(np.mean(_psi_star(u)) + theta)
+    def full_values(self, V):
+        # row by row: the (n, d) work per row is the data's own size
+        return np.fromiter((np.mean(_psi_star((self.sample_losses(v) - v[-1]) / self.lam)) + v[-1]
+                            for v in V), float, len(V))
 
     def full_gradient(self, v):
         v = np.asarray(v, dtype=float)
@@ -398,16 +403,17 @@ class DROProblem(FiniteSumProblem):
         g[-1] = 1.0 - float(np.mean(coef))
         return g
 
-    def max_component_gradient_norm(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        w, theta = self.split(v)
-        r = self.targets - self.features @ w
-        losses = 0.5 * r * r + self._regularizer(w)
-        coef = _psi_star_prime((losses - theta) / self.lam) / self.lam
-        reg_grad = self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
-        rows = -r[:, None] * self.features + reg_grad[None, :]
-        sq = coef**2 * np.sum(rows * rows, axis=1) + (1.0 - coef) ** 2
-        return float(np.sqrt(np.max(sq)))
+    def max_component_gradient_norms(self, V):
+        out = np.empty(len(V))
+        for k, v in enumerate(V):  # row by row, like full_values
+            w, theta = self.split(v)
+            r = self.targets - self.features @ w
+            losses = 0.5 * r * r + self._regularizer(w)
+            coef = _psi_star_prime((losses - theta) / self.lam) / self.lam
+            reg_grad = self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
+            rows = -r[:, None] * self.features + reg_grad[None, :]
+            out[k] = np.sqrt(np.max(coef**2 * np.sum(rows * rows, axis=1) + (1.0 - coef) ** 2))
+        return out
 
 
 def dro_partial_objective(problem: DROProblem, w, bracket=(-10.0, 10.0),
@@ -486,10 +492,9 @@ class TinyQuadraticProblem(FiniteSumProblem):
     def component_gradients(self, W, idx):
         return W - self.centers[idx]
 
-    def full_value(self, w):
-        w = np.asarray(w, dtype=float)
-        d = w[None, :] - self.centers
-        return 0.5 * float(np.mean(np.sum(d * d, axis=1)))
+    def full_values(self, W):
+        d = W[:, None, :] - self.centers
+        return 0.5 * np.mean(np.sum(d * d, axis=2), axis=1)
 
     def full_gradient(self, w):
         w = np.asarray(w, dtype=float)
@@ -500,9 +505,8 @@ class TinyQuadraticProblem(FiniteSumProblem):
         d = self.centers - self._mean_center
         return float(np.mean(np.sum(d * d, axis=1)))
 
-    def max_component_gradient_norm(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        return float(np.max(np.linalg.norm(w[None, :] - self.centers, axis=1)))
+    def max_component_gradient_norms(self, W):
+        return np.max(np.linalg.norm(W[:, None, :] - self.centers, axis=2), axis=1)
 
 
 def build_problem(spec: dict) -> FiniteSumProblem:

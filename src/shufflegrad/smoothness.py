@@ -53,6 +53,13 @@ __all__ = [
     "estimate_sublevel_gradient_bound",
 ]
 
+
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(R,) dots of matching rows, one BLAS dot per row: row r has the
+    bits of ``np.dot(A[r], B[r])`` whatever R."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 RECIPES = (1, 2, 3, 4, 5, 6)
 RECIPE_NAMES = {
     1: "random reshuffling, nonconvex",
@@ -451,6 +458,12 @@ def _reshuffling_eta_cap(c):
     return 1.0 / (2.0 * c.L * c.sqrt(c.A / c.n + 1.0))
 
 
+# Recipe 3's T / ln.  At n = T = 1 the log is 0 and the ratio undefined:
+# NaN in floats (a violated check) and the whole line in intervals.
+def _per_log(c):
+    return c.T / c.ln if c.ln != 0 else c.T * math.nan
+
+
 # Each recipe's inequalities, name -> (lhs(c), rhs(c)) meaning lhs <= rhs.
 _TABLES = {
     1: {
@@ -469,14 +482,14 @@ _TABLES = {
     3: {
         "eta_formula": (lambda c: abs(c.eta - c.pinned_eta), lambda c: 1e-12 * c.pinned_eta),
         "epoch_floor_gap": (lambda c: 4.0 * c.sqrt(c.gap / (c.n * c.delta * c.eps)), lambda c: c.T),
-        "iteration_floor": (lambda c: 4.0 / c.mu * 2.0, lambda c: c.T / c.ln),
+        "iteration_floor": (lambda c: 4.0 / c.mu * 2.0, _per_log),
         "curvature_cap": (lambda c: 4.0 / c.mu * c.L * c.sqrt(2.0 * (3.0 * c.A + 2.0)),
-                          lambda c: c.T / c.ln),
+                          _per_log),
         "noise_cap": (lambda c: 4.0 / c.mu * c.L * c.sig
                       * c.sqrt(8.0 / (c.n * c.mu * c.delta * c.eps)),
-                      lambda c: c.T / c.ln),
+                      _per_log),
         "gap_cube": (lambda c: 4.0 / c.mu * c.cbrt(c.T * c.sig * c.sig * c.L * c.L / (c.n * c.gap)),
-                     lambda c: c.T / c.ln),
+                     _per_log),
     },
     4: {
         "eta_formula": (lambda c: abs(c.eta - c.pinned_eta), lambda c: 1e-12 * c.pinned_eta),
@@ -734,6 +747,11 @@ class SublevelGradientEstimate:
     heuristic: bool = True
 
 
+# Rows per block of the sublevel sampler: each block is evaluated with
+# one full_values call, so peak memory does not grow with the budget.
+_SUBLEVEL_BLOCK = 256
+
+
 def estimate_sublevel_gradient_bound(problem, budget: int,
                                      seed: int = 0) -> SublevelGradientEstimate:
     """Rejection-sample the initial sublevel set for component gradients.
@@ -742,7 +760,10 @@ def estimate_sublevel_gradient_bound(problem, budget: int,
     keeps those with objective at most the initial objective, and takes
     the max component gradient norm over kept points plus the anchors.
     Larger budgets extend the same sample stream, so the estimate is
-    non-decreasing in the budget for a fixed seed.
+    non-decreasing in the budget for a fixed seed.  The stream is drawn
+    one sample at a time and evaluated in blocks of ``_SUBLEVEL_BLOCK``
+    samples: one ``full_values`` call per block, one
+    ``max_component_gradient_norms`` call on its kept points.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -758,35 +779,28 @@ def estimate_sublevel_gradient_bound(problem, budget: int,
         radius = 2.0 * max(float(np.linalg.norm(w0 - center)), 1.0)
     radius = max(radius, 1e-12)
 
-    best = _max_component_gradient_norm(problem, w0)
-    if problem.optimum_point is not None:
-        best = max(best, _max_component_gradient_norm(problem, center))
+    anchors = [w0] if problem.optimum_point is None else [w0, center]
+    best = float(np.max(problem.max_component_gradient_norms(np.array(anchors))))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x6E,)))
     accepted = 0
     tol = abs(f0) * 1e-12 + 1e-12
-    for k in range(budget):
-        direction = rng.standard_normal(problem.dim)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            continue
-        direction /= norm
-        # Alternate interior and boundary samples; extrema usually sit
-        # on the sublevel boundary.
-        if k % 2 == 0:
-            r = radius * rng.uniform() ** (1.0 / problem.dim)
-        else:
-            r = radius
-        w = center + r * direction
-        if problem.full_value(w) <= f0 + tol:
-            accepted += 1
-            best = max(best, _max_component_gradient_norm(problem, w))
+    for lo in range(0, budget, _SUBLEVEL_BLOCK):
+        directions = np.empty((min(_SUBLEVEL_BLOCK, budget - lo), problem.dim))
+        radii = np.full(len(directions), radius)
+        j = 0
+        for k in range(lo, lo + len(directions)):
+            rng.standard_normal(out=directions[j])
+            if not directions[j].any():
+                continue
+            # Alternate interior and boundary samples; extrema usually
+            # sit on the sublevel boundary.
+            if k % 2 == 0:
+                radii[j] = radius * rng.uniform() ** (1.0 / problem.dim)
+            j += 1
+        directions = directions[:j] / np.sqrt(row_dots(directions[:j], directions[:j]))[:, None]
+        W = center + radii[:j, None] * directions
+        kept = W[problem.full_values(W) <= f0 + tol]
+        accepted += len(kept)
+        if len(kept):
+            best = max(best, float(np.max(problem.max_component_gradient_norms(kept))))
     return SublevelGradientEstimate(best, accepted, budget)
-
-
-def _max_component_gradient_norm(problem, w) -> float:
-    hook = getattr(problem, "max_component_gradient_norm", None)
-    if hook is not None:
-        return float(hook(w))
-    return max(
-        float(np.linalg.norm(problem.component_gradient(w, i))) for i in range(problem.n)
-    )

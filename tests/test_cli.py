@@ -76,6 +76,18 @@ class TestPlanCommand:
         assert main(_plan_args(tmp_path, "--target-epochs", "1")) == 1
         assert "infeasible plan:" in capsys.readouterr().err
 
+    def test_recipe3_one_component_one_epoch_is_refused(self, tmp_path, capsys):
+        # the pinned stepsize's log(sqrt(n) * T) is 0 at n = T = 1
+        args = ["plan", "--theorem", "3", "--n", "1", "--target-epochs", "1", "--eps", "0.1",
+                "--delta", "0.1", "--ell-constant", "1", "--variance-slope", "0",
+                "--noise-std", "0", "--mu", "0.5", "--out", str(tmp_path / "plan.json")]
+        for gap in ("1", "1e-9"):  # epoch_floor_gap violated, then satisfied
+            assert main(args + ["--initial-gap", gap]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("infeasible plan: recipe 3: target epoch count 1 violates '")
+        assert "'iteration_floor' (lhs = 16, rhs = nan)" in err
+        assert not (tmp_path / "plan.json").exists()
+
     def test_missing_stats_reported(self, tmp_path, capsys):
         args = ["plan", "--theorem", "2", "--eps", "0.1", "--ell-constant", "1",
                 "--out", str(tmp_path / "plan.json")]

@@ -15,6 +15,8 @@ from shufflegrad.diagnostics import (
     sample_points_around,
 )
 from shufflegrad.problems import (
+    DROProblem,
+    ExpStrongProblem,
     PhaseRetrievalProblem,
     QuarticProblem,
     TinyQuadraticProblem,
@@ -35,6 +37,62 @@ class _Scalar1D:
 
     def full_gradient(self, w):
         return np.array([self._grad(float(w[0]))])
+
+
+def _five_problems():
+    rng = np.random.default_rng(5)
+    return [QuarticProblem(), ExpStrongProblem(), PhaseRetrievalProblem(m=40, dim=6, seed=1),
+            DROProblem(rng.standard_normal((30, 5)), rng.standard_normal(30)),
+            TinyQuadraticProblem()]
+
+
+def _squared_deviation_loop(problem, w, center):
+    """sum_i ||component_gradient(w, i) - center||^2, one validated call at a time."""
+    total = 0.0
+    for i in range(problem.n):
+        d = problem.component_gradient(w, i) - center
+        total += float(np.dot(d, d))
+    return total
+
+
+_REFERENCE_SLOPES = (0.0,) + tuple(2.0**k for k in range(-20, 21))
+
+
+def _reference_variance_fit(problem, points):
+    g_sq = np.array([float(np.dot(g, g)) for g in map(problem.full_gradient, points)])
+    v = np.array([_squared_deviation_loop(problem, w, problem.full_gradient(w)) / problem.n
+                  for w in points])
+    noise = [max(0.0, float(np.max(v - a * g_sq))) for a in _REFERENCE_SLOPES]
+    slope, noise_sq = next((a, ns) for a, ns in zip(_REFERENCE_SLOPES, noise)
+                           if ns <= min(noise) * 1.01)
+    return slope, noise_sq, float(np.max(v - slope * g_sq - noise_sq)), float(np.max(v))
+
+
+@pytest.mark.parametrize("problem", _five_problems(), ids=lambda p: type(p).__name__)
+def test_estimators_match_scalar_reference_loops(problem):
+    points = sample_points_around(problem, count=5, seed=4, spread=0.3, include_anchors=False)
+    fit = estimate_variance_constants(problem, points)
+    slope, noise_sq, worst, scale = _reference_variance_fit(problem, points)
+    assert fit.slope == slope
+    assert abs(fit.noise_sq - noise_sq) <= 1e-12 * noise_sq
+    assert abs(fit.worst_margin - worst) <= 1e-12 * scale
+    for w in points[:2]:
+        reference = math.sqrt(_squared_deviation_loop(problem, w, 0.0) / problem.n)
+        got = optimum_component_noise(problem, point=w)
+        assert abs(got - reference) <= 1e-12 * reference
+
+
+def test_estimators_keep_their_errors_for_bad_points():
+    problem = QuarticProblem()
+    bad_shape, bad_value = np.zeros(problem.dim - 1), np.full(problem.dim, np.nan)
+    with pytest.raises(ValueError, match="point has shape"):
+        estimate_variance_constants(problem, [problem.initial_point, bad_shape])
+    with pytest.raises(ValueError, match="non-finite gradient at sample point 1"):
+        estimate_variance_constants(problem, [problem.initial_point, bad_value])
+    with pytest.raises(ValueError, match="point has shape"):
+        optimum_component_noise(problem, point=bad_shape)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        optimum_component_noise(problem, point=bad_value)
 
 
 class TestVarianceFit:

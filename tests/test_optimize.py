@@ -255,12 +255,12 @@ class TestDivergence:
 
 def test_one_full_value_per_epoch():
     problem = TinyQuadraticProblem()
-    calls = []
-    full_value = problem.full_value
-    problem.full_value = lambda w: calls.append(1) or full_value(w)
+    rows = []
+    full_values = problem.full_values  # full_value is its one-row case
+    problem.full_values = lambda W: rows.append(len(W)) or full_values(W)
     rec = run_shuffling(problem, Scheme.fixed(problem.n), RunConfig(step_size=0.1, epochs=5))
     # the start point, then the iterate leaving each epoch
-    assert len(calls) == 6
+    assert rows == [1] * 6
     assert rec.completed_epochs == 5
 
 

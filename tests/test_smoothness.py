@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflegrad.problems import TinyQuadraticProblem
+from shufflegrad.problems import (
+    DROProblem,
+    ExpStrongProblem,
+    PhaseRetrievalProblem,
+    QuarticProblem,
+    TinyQuadraticProblem,
+)
 from shufflegrad.smoothness import (
     RECIPES,
     EllFunction,
@@ -298,9 +304,6 @@ _MODULI = st.one_of(
 def test_plans_pass_the_audit_and_floats_agree_with_it(recipe, ell, gap, n, eps, delta, slope,
                                                         noise, mu, opt_noise, dist_sq,
                                                         comp_bound, target):
-    # Recipe 3 at n = 1 and one epoch divides by log(sqrt(1) * 1) = 0 and
-    # raises ZeroDivisionError instead of a refusal (a known defect).
-    assume(not (recipe == 3 and n == 1 and target == 1))
     bundle = constants_for_recipe(
         recipe, ell, initial_gap=gap, n=n, eps=eps, failure_prob=delta, variance_slope=slope,
         noise_std=noise, strong_convexity=mu, optimum_noise_std=opt_noise,
@@ -381,6 +384,50 @@ class TestSublevelEstimate:
                                        initial_point=(1.0, 1.0))
         est = estimate_sublevel_gradient_bound(problem, budget=100, seed=0)
         assert est.value <= 1e-10
+
+    @staticmethod
+    def _reference(problem, budget, seed):
+        """The sampler one point and one scalar oracle call at a time."""
+        w0 = problem.initial_point
+        f0 = problem.full_value(w0)
+        center = problem.optimum_point if problem.optimum_point is not None else w0
+        mu = problem.strong_convexity
+        if mu and problem.optimum_value is not None:
+            radius = math.sqrt(max(2.0 * (f0 - problem.optimum_value) / mu, 0.0))
+        elif mu:
+            radius = float(np.linalg.norm(problem.full_gradient(w0))) / mu
+        else:
+            radius = 2.0 * max(float(np.linalg.norm(w0 - center)), 1.0)
+        radius = max(radius, 1e-12)
+        best = max(problem.max_component_gradient_norm(w0),
+                   problem.max_component_gradient_norm(center))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x6E,)))
+        accepted = 0
+        for k in range(budget):
+            direction = rng.standard_normal(problem.dim)
+            direction /= np.linalg.norm(direction)
+            r = radius * rng.uniform() ** (1.0 / problem.dim) if k % 2 == 0 else radius
+            w = center + r * direction
+            if problem.full_value(w) <= f0 + abs(f0) * 1e-12 + 1e-12:
+                accepted += 1
+                best = max(best, problem.max_component_gradient_norm(w))
+        return best, accepted
+
+    @pytest.mark.parametrize("make", [
+        QuarticProblem, ExpStrongProblem, TinyQuadraticProblem,
+        lambda: PhaseRetrievalProblem(m=40, dim=3, seed=1, noise_std=0.0),
+        lambda: DROProblem(np.random.default_rng(5).standard_normal((30, 5)),
+                           np.random.default_rng(6).standard_normal(30)),
+    ], ids=["quartic", "exp_strong", "tiny_quadratic", "phase_retrieval", "dro"])
+    def test_matches_scalar_reference_loop(self, make):
+        problem, budget = make(), 700  # two full blocks and a partial one
+        est = estimate_sublevel_gradient_bound(problem, budget=budget, seed=3)
+        best, accepted = self._reference(problem, budget, seed=3)
+        assert est.samples_accepted == accepted
+        assert est.samples_drawn == budget
+        assert abs(est.value - best) <= 1e-12 * best
+        if isinstance(problem, PhaseRetrievalProblem):
+            assert 0 < accepted < budget  # rejects some samples, accepts others
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
