@@ -493,6 +493,8 @@ _TABLES = {
     },
     4: {
         "eta_formula": (lambda c: abs(c.eta - c.pinned_eta), lambda c: 1e-12 * c.pinned_eta),
+        # The pinned stepsize 6*ln(T)/(mu*T) is 0 at T = 1.
+        "positive_eta": (lambda c: 2.0, lambda c: c.T),
         "eta_cap": (lambda c: c.eta,
                     lambda c: c.inf if c.sig_star == 0 else
                     c.gap * c.mu * c.mu / (9.0 * (c.mu * c.mu + c.L * c.L) * c.sig_star**2)),
@@ -592,126 +594,121 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
                   f"rhs = {bad.rhs:.6g})") if bad else ""
         raise PlanInfeasibleError(
             f"recipe {bundle.recipe}: no feasible stepsize found{detail}", last.checks)
-    # Pinned epoch count: reduce eta to meet the cube-sum bounds at that
-    # count; a violated epoch floor cannot be fixed by reducing eta.
-    for _ in range(60):
+    # At T the epoch floor K/eta <= T bounds eta below and the caps above: take
+    # the top (np.cbrt is within an ulp), at most 7 ulps lower if floats or audit ask.
+    c = _values(bundle, _FLOATS, epochs=target_epochs)
+    eta = min([candidate, _TABLES[bundle.recipe]["eta_cap"][1](c)]
+              + [float(np.cbrt(rhs(c) / c.T)) for name, (_, rhs) in _TABLES[bundle.recipe].items()
+                 if name.startswith("cube_sum")])
+    for _ in range(8):
         plan = _assemble(bundle, eta, target_epochs, candidate, target_epochs)
-        float_bad = [c.name for c in plan.checks if not c.satisfied]
-        audit_bad = _audit_failures(plan) if not float_bad else float_bad
-        if not audit_bad:
+        bad = [ch.name for ch in plan.checks if not ch.satisfied] or _audit_failures(plan)
+        if not bad:
             return plan
-        if "epoch_floor" in audit_bad:
-            floor = next(c for c in plan.checks if c.name == "epoch_floor")
-            raise PlanInfeasibleError(
-                f"recipe {bundle.recipe}: target epoch count {target_epochs} violates "
-                f"'epoch_floor' (lhs = {floor.lhs:.6g}, rhs = {floor.rhs:.6g})",
-                plan.checks)
-        for c in plan.checks:
-            if c.name.startswith("cube_sum") and c.lhs > 0 and math.isfinite(c.rhs):
-                cap = (c.rhs / target_epochs) ** (1.0 / 3.0)
-                if eta > cap * (1.0 - 1e-12):
-                    eta = cap * (1.0 - 1e-12)
-        eta *= 1.0 - 2.0**-44
+        if "epoch_floor" in bad:  # a smaller stepsize only raises the floor
+            bad = ["epoch_floor"]
+            break
+        eta = math.nextafter(eta, 0.0)
+    worst = next(ch for ch in plan.checks if ch.name == bad[0])
     raise PlanInfeasibleError(
-        f"recipe {bundle.recipe}: could not settle a stepsize for target epoch "
-        f"count {target_epochs}", plan.checks)
+        f"recipe {bundle.recipe}: target epoch count {target_epochs} violates "
+        f"{worst.name!r} (lhs = {worst.lhs:.6g}, rhs = {worst.rhs:.6g})", plan.checks)
 
 
 def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> StepsizePlan:
-    """Fixed-point planner for recipes 3 and 4 (stepsize pinned to T).
+    """Planner for recipes 3 and 4, whose stepsize is pinned to T.
 
-    Starts at T = 2 and repeatedly raises T to the largest epoch floor
-    implied by the current iterate, accepting the first T at which every
-    inequality holds (at most 100 iterations).
-
-    An infeasible target epoch count, or a fixed point that does not
-    settle, raises :class:`PlanInfeasibleError` naming the binding check:
-    of the checks violated there, the one that demands the most epochs,
-    i.e. the one that sets the fixed-point step's next T.  A target that
-    passes every float check but fails the audit names the first
-    check the audit rejects.
+    T is accepted when the float checks and the interval audit pass at
+    the pinned stepsize; a target is accepted or refused by that test,
+    and without one the plan has the smallest accepted T.  Acceptance is
+    monotone in T from T0 on in exact arithmetic: t/ln(t) increases for
+    t >= e, T^(2/3)/ln(sqrt(n)*T) for sqrt(n)*T >= e^(3/2), ln(T)/T and
+    (a + b*ln(T)^2)/T^2 decrease for T >= e, and the other checks are
+    constants <= T or hold at the pinned stepsize.  So T0 is
+    ceil(e^(3/2)/sqrt(n)) <= 5 for recipe 3 and 3 for recipe 4.  Below T0
+    (recipe 3 with n <= 3 can accept T = 1 and refuse T = 2) each T is
+    tried; from T0 on, a galloping search and an integer bisection find
+    the first T the floats accept, then the first from there the audit
+    accepts.  A refusal names the violated check demanding the most
+    epochs, else the first check the audit rejects.
     """
     r = bundle.recipe
-    mu = bundle.strong_convexity
 
-    def eta_at(T: int) -> float:
-        return _values(bundle, _FLOATS, epochs=T).pinned_eta
+    def at(T: int) -> StepsizePlan:
+        return _assemble(bundle, _values(bundle, _FLOATS, epochs=T).pinned_eta, T, None,
+                         target_epochs)
 
-    def demands(T: int, checks: tuple[PlanCheck, ...]) -> dict[PlanCheck, float]:
-        """Epoch count each check violated at T asks for."""
+    def floats_ok(T: int) -> bool:  # at(T).valid, without building the plan
+        c = _values(bundle, _FLOATS, epochs=T)
+        c.eta = c.pinned_eta
+        return all(lhs(c) <= rhs(c) for lhs, rhs in _TABLES[r].values())
+
+    def accepted(T: int) -> bool:
+        return (plan := at(T)).valid and not _audit_failures(plan)
+
+    def binding(T: int, checks: tuple[PlanCheck, ...]) -> PlanCheck | None:
+        """The violated check demanding the most epochs (first on ties)."""
         ln = _values(bundle, _FLOATS, epochs=T).ln
         need = {}
-        for c in checks:
-            if c.satisfied:
-                continue
-            if r == 3:
-                need[c] = c.lhs if c.name == "epoch_floor_gap" else c.lhs * ln
-            elif c.name == "epoch_floor_curvature":
+        for c in (c for c in checks if not c.satisfied):
+            if c.name in ("epoch_floor_gap", "epoch_floor_curvature", "positive_eta"):
                 need[c] = c.lhs
+            elif r == 3:
+                need[c] = c.lhs * ln
             elif c.name == "eta_cap":
-                need[c] = 6.0 * ln / (mu * c.rhs)
+                need[c] = 6.0 * ln / (bundle.strong_convexity * c.rhs)
             elif c.name == "accuracy_budget":
                 need[c] = math.sqrt(c.lhs / c.rhs) * T
             else:
                 need[c] = float(T)
-        return need
-
-    def binding(T: int, checks: tuple[PlanCheck, ...]) -> PlanCheck | None:
-        """The violated check demanding the most epochs (first on ties)."""
-        need = demands(T, checks)
         return max(need, key=need.get) if need else None
 
-    def violated_floor(T: int) -> float | None:
-        """Smallest T' >= T suggested by the binding constraints, or None if feasible."""
-        need = demands(T, _float_checks(bundle, eta_at(T), T))
-        if not need:
-            return None
-        return max(float(T), *need.values(), T * 1.01)
+    def refusal(what: str, T: int) -> PlanInfeasibleError:
+        plan = at(T)
+        bad = binding(T, plan.checks) or {c.name: c for c in plan.checks}[
+            _audit_failures(plan)[0]]
+        return PlanInfeasibleError(f"recipe {r}: {what} violates {bad.name!r} "
+                                   f"(lhs = {bad.lhs:.6g}, rhs = {bad.rhs:.6g})", plan.checks)
+
+    def first(ok: Callable[[int], bool], lo: int, step: int = 1) -> int:
+        """Smallest T > lo with ok(T), for ok monotone above lo (not probed)."""
+        while not ok(lo + step):
+            lo, step = lo + step, 2 * step
+            if lo + step > 2**1023:  # float(T) must stay finite
+                raise refusal(f"no epoch count up to 2**1023 passes: epoch count {lo:.6g}", lo)
+        hi = lo + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+        return hi
 
     if target_epochs is not None:
-        plan = _assemble(bundle, eta_at(target_epochs), target_epochs, None, target_epochs)
-        bad = binding(target_epochs, plan.checks)
-        if bad is None:
-            audit_bad = _audit_failures(plan)
-            if audit_bad:
-                bad = next(c for c in plan.checks if c.name == audit_bad[0])
-        if bad is not None:
-            raise PlanInfeasibleError(
-                f"recipe {r}: target epoch count {target_epochs} violates {bad.name!r} "
-                f"(lhs = {bad.lhs:.6g}, rhs = {bad.rhs:.6g})", plan.checks)
-        return plan
-
-    T = 2
-    for _ in range(100):
-        proposal = violated_floor(T)
-        if proposal is None:
-            # Every float check holds; raising T only loosens the
-            # constraints, so bump past any remaining audit slack.
-            for extra in range(100):
-                plan = _assemble(bundle, eta_at(T + extra), T + extra, None, None)
-                if plan.valid and not _audit_failures(plan):
-                    return plan
-            raise PlanInfeasibleError(
-                f"recipe {r}: exact audit kept failing near epoch count {T}",
-                plan.checks)
-        T = max(T + 1, math.ceil(proposal))
-    checks = _float_checks(bundle, eta_at(T), T)
-    bad = binding(T, checks) or checks[0]
-    raise PlanInfeasibleError(
-        f"recipe {r}: epoch fixed point did not settle within 100 iterations; "
-        f"binding constraint {bad.name!r} (lhs = {bad.lhs:.6g}, rhs = {bad.rhs:.6g})",
-        checks)
+        if accepted(target_epochs):
+            return at(target_epochs)
+        raise refusal(f"target epoch count {target_epochs}", target_epochs)
+    T0 = 3 if r == 4 else math.ceil(math.exp(1.5) / math.sqrt(bundle.n))
+    for T in range(1, T0):
+        if accepted(T):
+            return at(T)
+    T = first(floats_ok, T0 - 1)
+    if not accepted(T):
+        # The audit's boundary usually lies among the ulp(T) epoch counts that share float(T).
+        T = first(accepted, T, max(1, int(math.ulp(float(T)))))
+    return at(T)
 
 
 def stepsize_plan(bundle: ConstantsBundle, target_epochs: int | None = None) -> StepsizePlan:
     """Derive (eta, epochs) satisfying every inequality of the recipe.
 
-    Without a target the epoch count is the smallest integer satisfying
-    the recipe's floor for the chosen stepsize.  With a target, the
-    stepsize is reduced as needed (recipes with a free stepsize) or
-    evaluated at the pinned formula (recipes 3 and 4); an unsatisfiable
-    target raises :class:`PlanInfeasibleError` naming the binding
-    constraint.
+    Every returned plan passes its float checks and the interval audit
+    of :func:`reevaluate_plan`.  Recipes 3 and 4 pin eta to the epoch
+    count: without a target the plan has the smallest epoch count the
+    checks and the audit accept.  Recipes with a free stepsize take,
+    without a target, a stepsize just below their combined caps and the
+    smallest epoch count its floor allows; at a target, the largest
+    stepsize the caps allow at that count, less at most 7 ulps.  An
+    unsatisfiable target raises :class:`PlanInfeasibleError` naming the
+    binding constraint.
     """
     if target_epochs is not None and target_epochs < 1:
         raise ValueError(f"target epoch count must be >= 1, got {target_epochs}")

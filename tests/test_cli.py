@@ -88,6 +88,18 @@ class TestPlanCommand:
         assert "'iteration_floor' (lhs = 16, rhs = nan)" in err
         assert not (tmp_path / "plan.json").exists()
 
+    def test_recipe4_one_epoch_is_refused(self, tmp_path, capsys):
+        # the pinned stepsize 6*log(T)/(mu*T) is 0 at T = 1
+        args = ["plan", "--theorem", "4", "--n", "5", "--target-epochs", "1", "--eps", "0.1",
+                "--ell-constant", "1", "--initial-gap", "0.01", "--mu", "0.5",
+                "--optimum-noise", "0.1", "--component-grad-bound", "2",
+                "--out", str(tmp_path / "plan.json")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible plan: recipe 4: target epoch count 1 violates "
+                              "'positive_eta' (lhs = 2, rhs = 1)"), err
+        assert not (tmp_path / "plan.json").exists()
+
     def test_missing_stats_reported(self, tmp_path, capsys):
         args = ["plan", "--theorem", "2", "--eps", "0.1", "--ell-constant", "1",
                 "--out", str(tmp_path / "plan.json")]

@@ -62,6 +62,10 @@ def test_plan_commands_run_as_documented(tmp_path, monkeypatch, capsys):
     plan = json.loads(Path("plan.json").read_text())
     # Estimated statistics alone do not set the flag ...
     assert plan["recipe"] == 3 and plan["heuristic"] is False
+    # ... and a recipe-3 plan has the smallest epoch count the checks accept.
+    capsys.readouterr()
+    assert main(estimated + ["--target-epochs", str(plan["epochs"] - 1)]) == 1
+    assert capsys.readouterr().err.startswith("infeasible plan:")
 
 
 def test_only_a_sampled_component_bound_is_heuristic(tmp_path):

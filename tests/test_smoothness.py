@@ -205,7 +205,7 @@ class TestPlans:
         floor = 8.0 * 1.0 / (plan.eta * 0.1**2)
         assert plan.epochs == math.ceil(floor) or plan.epochs == math.ceil(floor) + 1
 
-    def test_recipe3_fixed_point(self):
+    def test_recipe3_pinned_plan_is_minimal(self):
         b = _bundle(3, initial_gap=2.5, n=2, eps=0.05, failure_prob=0.2)
         plan = stepsize_plan(b)
         assert plan.valid
@@ -214,12 +214,22 @@ class TestPlans:
         assert plan.eta == pytest.approx(pinned, rel=1e-12)
         assert 500 <= plan.epochs <= 600
         assert all(ok for _, ok in reevaluate_plan(plan))
+        with pytest.raises(PlanInfeasibleError):
+            stepsize_plan(b, target_epochs=plan.epochs - 1)
 
     def test_recipe4_pinned_formula(self):
         plan = stepsize_plan(_bundle(4))
         pinned = 6.0 * math.log(plan.epochs) / plan.epochs
         assert plan.eta == pytest.approx(pinned, rel=1e-12)
         assert plan.valid
+
+    def test_pinned_search_refuses_when_no_epoch_count_passes(self):
+        # iteration_floor asks for T / ln(2T) >= 8/mu = 8e305, which only
+        # epoch counts past the largest float meet
+        b = _bundle(3, strong_convexity=1e-305, noise_std=0.0, ell=EllFunction.constant(0.25))
+        with pytest.raises(PlanInfeasibleError, match=r"no epoch count up to 2\*\*1023 passes: "
+                                                      r".* violates 'iteration_floor'"):
+            stepsize_plan(b)
 
     def test_target_epochs_respected(self):
         b = _bundle(2, initial_gap=1.0, n=2)
@@ -324,13 +334,57 @@ def test_plans_pass_the_audit_and_floats_agree_with_it(recipe, ell, gap, n, eps,
                 assert check.satisfied == ok, (check, ok)
 
     # A stepsize set by a cap or by the pinned formula cannot grow by half.
-    # The candidate stepsize may sit well inside every cap, and at one
-    # epoch the cube-sum caps (derived for a fractional epoch floor) need
-    # not bind, so 1.5 times the stepsize can then still be feasible.
-    if plan.epochs > 1 and (plan.candidate_eta is None
-                            or plan.eta < plan.candidate_eta * (1.0 - 1e-6)):
+    # The candidate stepsize may sit well inside every cap, and a free
+    # plan without a target at one epoch need not meet its cube-sum caps
+    # (derived for a fractional epoch floor), so 1.5 times the stepsize
+    # can then still be feasible.
+    if (plan.epochs > 1 or target is not None) and (
+            plan.candidate_eta is None or plan.eta < plan.candidate_eta * (1.0 - 1e-6)):
         bigger = dataclasses.replace(plan, eta=plan.eta * 1.5)
         assert not all(ok for _, ok in reevaluate_plan(bigger))
+
+
+def _within_rounding(bundle, target):
+    """The target is accepted, or refused only by checks that miss by rounding.
+
+    The refused checks are the float checks the refusal's plan violates,
+    else the one the audit rejected, which the message names.
+    """
+    try:
+        stepsize_plan(bundle, target_epochs=target)
+    except PlanInfeasibleError as err:
+        bad = ([c for c in err.checks if not c.satisfied]
+               or [c for c in err.checks if f"violates {c.name!r}" in str(err)])
+        assert bad, str(err)
+        return all(abs(c.margin) <= 1e-9 * max(abs(c.lhs), abs(c.rhs)) for c in bad)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(recipe=st.sampled_from((3, 4)), ell=_MODULI, gap=_POSITIVE, n=st.integers(1, 10**4),
+       eps=st.floats(-4.0, 0.0).map(lambda e: 10.0**e), delta=st.floats(0.01, 0.99),
+       slope=_NOISE, noise=_NOISE, mu=_POSITIVE, opt_noise=_NOISE, comp_bound=_POSITIVE,
+       probe=st.floats(0.0, 3.0))
+def test_pinned_plans_are_minimal_and_acceptance_is_monotone(recipe, ell, gap, n, eps, delta,
+                                                            slope, noise, mu, opt_noise,
+                                                            comp_bound, probe):
+    bundle = constants_for_recipe(
+        recipe, ell, initial_gap=gap, n=n, eps=eps, failure_prob=delta, variance_slope=slope,
+        noise_std=noise, strong_convexity=mu, optimum_noise_std=opt_noise,
+        component_grad_bound_value=comp_bound)
+    plan = stepsize_plan(bundle)
+    if plan.epochs > 1:
+        with pytest.raises(PlanInfeasibleError):
+            stepsize_plan(bundle, target_epochs=plan.epochs - 1)
+    # From T0 on (the pinned planner's docstring) an accepted epoch count
+    # stays accepted when it grows, up to float rounding.
+    t0 = 3 if recipe == 4 else math.ceil(math.exp(1.5) / math.sqrt(n))
+    T = t0 + int(probe * plan.epochs)
+    try:
+        stepsize_plan(bundle, target_epochs=T)
+    except PlanInfeasibleError:
+        return
+    assert _within_rounding(bundle, T + 1) and _within_rounding(bundle, 2 * T)
 
 
 def test_recipe3_plan_reaches_target_on_desk_problem():
