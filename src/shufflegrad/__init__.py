@@ -19,7 +19,6 @@ from .problems import (
     PhaseRetrievalProblem,
     DROProblem,
     TinyQuadraticProblem,
-    dro_partial_objective,
     build_problem,
 )
 from .smoothness import (
@@ -40,17 +39,12 @@ from .optimize import (
     run_shuffling,
     run_sgd,
     averaged_iterate,
-    best_iterate,
-    save_checkpoint,
-    load_checkpoint,
 )
 from .diagnostics import (
     VarianceFit,
     estimate_variance_constants,
     probe_ell_envelope,
     brute_force_partial_average_variance,
-    check_gradient_bound,
-    check_value_gradient_inequality,
 )
 from .ingest import RegressionDataset, load_csv, synthesize
 from .experiment import ExperimentConfig, AggregateSeries, run_experiment
@@ -67,7 +61,6 @@ __all__ = [
     "PhaseRetrievalProblem",
     "DROProblem",
     "TinyQuadraticProblem",
-    "dro_partial_objective",
     "build_problem",
     "EllFunction",
     "ConstantsBundle",
@@ -84,15 +77,10 @@ __all__ = [
     "run_shuffling",
     "run_sgd",
     "averaged_iterate",
-    "best_iterate",
-    "save_checkpoint",
-    "load_checkpoint",
     "VarianceFit",
     "estimate_variance_constants",
     "probe_ell_envelope",
     "brute_force_partial_average_variance",
-    "check_gradient_bound",
-    "check_value_gradient_inequality",
     "RegressionDataset",
     "load_csv",
     "synthesize",

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .smoothness import EllFunction, PlanCheck, row_dots
+from .smoothness import EllFunction, row_dots
 
 __all__ = [
     "VarianceFit",
@@ -26,8 +26,6 @@ __all__ = [
     "ProbeReport",
     "probe_ell_envelope",
     "brute_force_partial_average_variance",
-    "check_gradient_bound",
-    "check_value_gradient_inequality",
     "finite_difference_gradient",
     "optimum_component_noise",
     "sample_points_around",
@@ -123,14 +121,6 @@ class ProbeReport:
     def violations(self) -> list[int]:
         return [i for i, p in enumerate(self.probes) if p.violated]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("grad_norm,hessian_estimate,ell_bound,violated\n")
-            for p in self.probes:
-                bound = "" if p.ell_bound is None else f"{p.ell_bound:.17g}"
-                fh.write(f"{p.grad_norm:.17g},{p.hessian_norm:.17g},{bound},"
-                         f"{int(p.violated)}\n")
-
 
 _PROBE_STREAM = 0x9E
 
@@ -213,45 +203,6 @@ def brute_force_partial_average_variance(vectors, k: int, exact: bool = False):
         total += sum((prefix[d] - mean[d]) ** 2 for d in range(dim))
     result = total / math.factorial(n)
     return result if exact else float(result)
-
-
-def check_gradient_bound(problem, w, variance_slope: float, noise_std: float,
-                         slack: float = 1e-9) -> PlanCheck:
-    """Largest component gradient vs the bound the variance model implies.
-
-    Verifies max_i ||component grad|| <= sqrt(2(1+n*slope)) * ||full
-    grad|| + sqrt(2n) * noise_std + slack at ``w``.
-    """
-    w = np.asarray(w, dtype=float)
-    full_norm = float(np.linalg.norm(problem.full_gradient(w)))
-    worst = problem.max_component_gradient_norm(w)
-    n = problem.n
-    rhs = math.sqrt(2.0 * (1.0 + n * variance_slope)) * full_norm \
-        + math.sqrt(2.0 * n) * noise_std + slack
-    return PlanCheck("component_gradient_bound", worst, rhs)
-
-
-def check_value_gradient_inequality(problem, w, ell: EllFunction | None = None,
-                                    optimum_value: float | None = None,
-                                    slack: float = 1e-9) -> PlanCheck:
-    """Squared gradient norm vs curvature times the optimality gap.
-
-    Verifies ||full grad||^2 <= 2 * modulus(2 ||full grad||) * (F(w) -
-    F*) + slack, the self-bounding property smooth problems satisfy.
-    """
-    if ell is None:
-        ell = problem.declared_ell
-    if ell is None:
-        raise ValueError("no modulus supplied and the problem declares none")
-    if optimum_value is None:
-        optimum_value = problem.optimum_value
-    if optimum_value is None:
-        raise ValueError("optimum value unknown; pass optimum_value explicitly")
-    w = np.asarray(w, dtype=float)
-    g = float(np.linalg.norm(problem.full_gradient(w)))
-    gap = problem.full_value(w) - optimum_value
-    rhs = 2.0 * float(ell.evaluate(2.0 * g)) * gap + slack
-    return PlanCheck("value_gradient_inequality", g * g, rhs)
 
 
 def optimum_component_noise(problem, point=None) -> float:

@@ -346,8 +346,7 @@ def aggregate_raw(raw_path, metrics: tuple[str, ...] | None = None) -> Aggregate
                 if len(series) != expected:
                     continue
                 arr = np.asarray(series)
-                rows.append(AggregateRow(
-                    arm, epoch, metric, float(np.mean(arr)),
-                    float(np.percentile(arr, 5)), float(np.percentile(arr, 95)),
-                    expected))
+                p05, p95 = np.percentile(arr, (5, 95)).tolist()
+                rows.append(AggregateRow(arm, epoch, metric, float(np.mean(arr)), p05, p95,
+                                         expected))
     return AggregateSeries(tuple(rows))

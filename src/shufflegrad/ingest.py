@@ -24,7 +24,6 @@ __all__ = [
     "load_csv",
     "synthesize",
     "preprocess",
-    "dump_csv",
     "dataset_from_config",
 ]
 
@@ -216,16 +215,6 @@ def synthesize(seed: int, rows: int, dim: int = 34) -> RegressionDataset:
     targets = features @ weights + rng.standard_normal(rows)
     return RegressionDataset(features, targets, provenance=f"synthetic seed {seed}",
                              noise_applied=True, planted_weights=weights)
-
-
-def dump_csv(dataset: RegressionDataset, path) -> None:
-    """Write the dataset with a one-line provenance comment."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# provenance: {dataset.provenance}\n")
-        writer = csv.writer(fh)
-        writer.writerow([*dataset.names(), "target"])
-        for x, y in zip(dataset.features, dataset.targets):
-            writer.writerow([f"{v:.17g}" for v in x] + [f"{y:.17g}"])
 
 
 def dataset_from_config(cfg: dict) -> RegressionDataset:

@@ -18,7 +18,6 @@ written, at the end of epoch t.
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
 
@@ -36,9 +35,6 @@ __all__ = [
     "scheme_stream",
     "sgd_stream",
     "averaged_iterate",
-    "best_iterate",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -287,53 +283,3 @@ def averaged_iterate(record: TrajectoryRecord) -> np.ndarray:
     if record.averaged_point is None:
         raise ValueError("run was configured with track_average=False")
     return record.averaged_point.copy()
-
-
-def best_iterate(record: TrajectoryRecord) -> tuple[int, float]:
-    """(epoch, value) of the lowest recorded objective; earliest epoch wins ties."""
-    if record.completed_epochs == 0:
-        raise ValueError("record has no rows")
-    i = int(np.argmin(record.objective))
-    return int(record.epoch[i]), float(record.objective[i])
-
-
-_CKPT_MAGIC = b"SHGRADv1"
-
-
-def save_checkpoint(path, point: np.ndarray, *, epoch: int = 0,
-                    seeds: tuple[int, ...] = ()) -> None:
-    """Write a resumable snapshot: magic, dim, point, epoch, seeds.
-
-    All payload words are little-endian 64-bit; epoch, the seed count
-    and the seeds are unsigned integers bit-cast into the float payload,
-    so the round trip is lossless.
-    """
-    point = np.ascontiguousarray(np.asarray(point, dtype="<f8"))
-    if point.ndim != 1:
-        raise ValueError("checkpoint point must be a vector")
-    if epoch < 0 or any(s < 0 for s in seeds):
-        raise ValueError("epoch and seeds must be non-negative")
-    tail = np.array([epoch, len(seeds), *seeds], dtype="<u8").view("<f8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Q", point.size))
-        fh.write(point.tobytes())
-        fh.write(tail.tobytes())
-
-
-def load_checkpoint(path) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """Read a snapshot written by :func:`save_checkpoint`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (dim,) = struct.unpack("<Q", blob[8:16])
-    if len(blob) < 16 + 8 * (dim + 2):
-        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
-    payload = np.frombuffer(blob[16:], dtype="<f8")
-    point = payload[:dim].astype(float).copy()
-    ints = payload[dim:].view("<u8")
-    epoch, count = int(ints[0]), int(ints[1])
-    if len(ints) != 2 + count:
-        raise ValueError(f"{path}: seed count {count} does not match payload")
-    return point, epoch, tuple(int(s) for s in ints[2:])

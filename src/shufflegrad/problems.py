@@ -20,7 +20,6 @@ __all__ = [
     "PhaseRetrievalProblem",
     "DROProblem",
     "TinyQuadraticProblem",
-    "dro_partial_objective",
     "build_problem",
 ]
 
@@ -245,33 +244,16 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         targets = (vectors @ signal) ** 2
         if noise_std > 0:
             targets = targets + noise_std * rng.standard_normal(m)
-        self._init_from_data(vectors, targets, initial)
-        self.signal = signal
-        self.noise_std = float(noise_std)
-        if noise_std == 0:
-            self._optimum_point = signal.copy()
-            self.optimum_value = 0.0
-
-    @classmethod
-    def from_data(cls, vectors, targets, initial_point) -> "PhaseRetrievalProblem":
-        obj = cls.__new__(cls)
-        obj._init_from_data(
-            np.asarray(vectors, dtype=float),
-            np.asarray(targets, dtype=float),
-            np.asarray(initial_point, dtype=float),
-        )
-        obj.signal = None
-        obj.noise_std = None
-        return obj
-
-    def _init_from_data(self, vectors, targets, initial):
-        if vectors.ndim != 2 or targets.shape != (vectors.shape[0],):
-            raise ValueError("vectors must be (m, dim) with matching targets (m,)")
         self.vectors = vectors
         self.targets = targets
         self.n, self.dim = vectors.shape
         self._initial = initial
         self._vector_norms = np.linalg.norm(vectors, axis=1)
+        self.signal = signal
+        self.noise_std = float(noise_std)
+        if noise_std == 0:
+            self._optimum_point = signal.copy()
+            self.optimum_value = 0.0
 
     def _component_value(self, w, i):
         q = float(self.vectors[i] @ w)
@@ -346,10 +328,6 @@ class DROProblem(FiniteSumProblem):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD0,)))
         self._initial = np.concatenate([rng.standard_normal(self.feature_dim), [initial_shift]])
 
-    @classmethod
-    def from_dataset(cls, dataset, lam: float = LAM_DEFAULT, seed: int = 0) -> "DROProblem":
-        return cls(dataset.features, dataset.targets, lam=lam, seed=seed)
-
     def split(self, v: np.ndarray):
         """Split the joint variable into (weights, shift)."""
         return v[:-1], float(v[-1])
@@ -414,46 +392,6 @@ class DROProblem(FiniteSumProblem):
             rows = -r[:, None] * self.features + reg_grad[None, :]
             out[k] = np.sqrt(np.max(coef**2 * np.sum(rows * rows, axis=1) + (1.0 - coef) ** 2))
         return out
-
-
-def dro_partial_objective(problem: DROProblem, w, bracket=(-10.0, 10.0),
-                          tol: float = 1e-8) -> float:
-    """Objective at ``w`` minimized over the shift variable.
-
-    Solves min_theta mean_i psi*((loss_i - theta)/lam) + theta by
-    bracketing the root of the (non-decreasing, piecewise linear)
-    derivative and bisecting with Brent's method to absolute tolerance
-    ``tol`` in theta.  Raises if no bracket is found after expansion.
-    """
-    from scipy.optimize import brentq
-
-    w = np.asarray(w, dtype=float)
-    if w.shape == (problem.dim,):
-        losses = problem.sample_losses(w)
-    elif w.shape == (problem.feature_dim,):
-        losses = problem.sample_losses(np.concatenate([w, [0.0]]))
-    else:
-        raise ValueError(f"weight vector has shape {w.shape}")
-    lam = problem.lam
-
-    def deriv(theta):
-        return 1.0 - float(np.mean(_psi_star_prime((losses - theta) / lam))) / lam
-
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if lo >= hi:
-        raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
-    for _ in range(200):
-        if deriv(lo) <= 0 <= deriv(hi):
-            break
-        width = hi - lo
-        if deriv(lo) > 0:
-            lo -= width
-        if deriv(hi) < 0:
-            hi += width
-    else:
-        raise RuntimeError(f"no minimizer bracket for the shift in [{lo}, {hi}]")
-    theta = brentq(deriv, lo, hi, xtol=tol * 1e-2)
-    return float(np.mean(_psi_star((losses - theta) / lam)) + theta)
 
 
 class TinyQuadraticProblem(FiniteSumProblem):
@@ -529,9 +467,8 @@ def build_problem(spec: dict) -> FiniteSumProblem:
         from .ingest import dataset_from_config
 
         dataset = dataset_from_config(params.get("dataset", {"synthetic": {"seed": 7}}))
-        return DROProblem.from_dataset(
-            dataset, lam=params.get("lam", DROProblem.LAM_DEFAULT), seed=params.get("seed", 0)
-        )
+        return DROProblem(dataset.features, dataset.targets,
+                          lam=params.get("lam", DROProblem.LAM_DEFAULT), seed=params.get("seed", 0))
     if pid == "tiny_quadratic":
         _check_keys(params, {"centers", "initial_point"}, pid)
         return TinyQuadraticProblem(**params)

@@ -31,7 +31,6 @@ __all__ = [
     "Scheme",
     "permutation_for_epoch",
     "without_replacement_variance_factor",
-    "dump_permutations",
     "descending_gradient_order",
 ]
 
@@ -98,16 +97,6 @@ def permutation_for_epoch(scheme: Scheme, epoch: int) -> np.ndarray:
     if scheme.kind == "shuffle_once":
         return _uniform_permutation(scheme.n, scheme.seed, 1)
     return _uniform_permutation(scheme.n, scheme.seed, epoch)
-
-
-def dump_permutations(scheme: Scheme, epochs: int, path) -> None:
-    """Write one epoch per line as space-separated 1-based indices."""
-    if epochs < 1:
-        raise ValueError(f"need epochs >= 1, got {epochs}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in range(1, epochs + 1):
-            perm = permutation_for_epoch(scheme, t)
-            fh.write(" ".join(str(int(i) + 1) for i in perm) + "\n")
 
 
 def without_replacement_variance_factor(n: int, k: int) -> Fraction:

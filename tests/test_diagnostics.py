@@ -6,8 +6,6 @@ import pytest
 
 from shufflegrad.diagnostics import (
     brute_force_partial_average_variance,
-    check_gradient_bound,
-    check_value_gradient_inequality,
     estimate_variance_constants,
     finite_difference_gradient,
     optimum_component_noise,
@@ -217,16 +215,6 @@ class TestEnvelopeProbe:
         assert report.probes == ()
         assert report.stagnated_count == 4
 
-    def test_csv_dump(self, tmp_path):
-        problem = TinyQuadraticProblem()
-        report = probe_ell_envelope(problem, [problem.initial_point])
-        path = tmp_path / "probes.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "grad_norm,hessian_estimate,ell_bound,violated"
-        assert len(lines) == 2
-        assert lines[1].endswith(",0")
-
 
 class TestBruteForceOracle:
     def test_matches_closed_form_exactly(self):
@@ -265,41 +253,6 @@ class TestBruteForceOracle:
             brute_force_partial_average_variance(ok, 4)
         with pytest.raises(ValueError):
             brute_force_partial_average_variance([np.zeros(2), np.zeros(3)], 1)
-
-
-class TestPointwiseChecks:
-    def test_gradient_bound_with_fitted_constants(self):
-        problem = TinyQuadraticProblem()
-        check = check_gradient_bound(problem, (2.0, 2.0), variance_slope=0.0,
-                                     noise_std=1.0)
-        assert check.name == "component_gradient_bound"
-        assert check.lhs == pytest.approx(math.sqrt(13.0))
-        assert check.rhs == pytest.approx(math.sqrt(2.0) * math.sqrt(8.0) + math.sqrt(8.0),
-                                          abs=1e-6)
-        assert check.satisfied
-
-    def test_gradient_bound_detects_understated_noise(self):
-        problem = TinyQuadraticProblem()
-        check = check_gradient_bound(problem, (0.0, 0.0), variance_slope=0.0,
-                                     noise_std=0.0)
-        assert not check.satisfied  # component gradients are unit vectors
-
-    def test_value_gradient_inequality_is_tight_for_quadratics(self):
-        problem = TinyQuadraticProblem()
-        for w in sample_points_around(problem, count=5, seed=2):
-            check = check_value_gradient_inequality(problem, w)
-            assert check.satisfied
-            assert check.lhs == pytest.approx(check.rhs, abs=1e-8)
-
-    def test_value_gradient_inequality_requires_inputs(self):
-        noisy = PhaseRetrievalProblem(m=40, dim=8, seed=0, noise_std=1.0)
-        with pytest.raises(ValueError, match="optimum"):
-            check_value_gradient_inequality(noisy, noisy.initial_point,
-                                            ell=EllFunction.constant(1.0))
-        assert noisy.declared_ell is None
-        with pytest.raises(ValueError, match="modulus"):
-            check_value_gradient_inequality(noisy, noisy.initial_point,
-                                            optimum_value=0.0)
 
 
 class TestOptimumNoise:

@@ -2,17 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shufflegrad.optimize import (
     DivergenceError,
     RunConfig,
-    TrajectoryRecord,
+    _batch_bounds,
     averaged_iterate,
-    best_iterate,
-    load_checkpoint,
     run_sgd,
     run_shuffling,
-    save_checkpoint,
 )
 from shufflegrad.problems import QuarticProblem, TinyQuadraticProblem, build_problem
 from shufflegrad.shuffling import Scheme, permutation_for_epoch
@@ -264,23 +262,6 @@ def test_one_full_value_per_epoch():
     assert rec.completed_epochs == 5
 
 
-def _record(values):
-    values = np.asarray(values, dtype=float)
-    t = np.arange(1, len(values) + 1)
-    return TrajectoryRecord(epoch=t, objective=values,
-                            grad_norm_sq=np.zeros_like(values), dist_sq=None,
-                            evals=t * 4, wall_ms=np.zeros_like(values),
-                            final_point=np.zeros(2), averaged_point=None)
-
-
-def test_best_iterate_selection():
-    assert best_iterate(_record([3.0, 1.0, 2.0])) == (2, 1.0)
-    # earliest epoch wins a tie
-    assert best_iterate(_record([2.0, 1.0, 1.0])) == (2, 1.0)
-    with pytest.raises(ValueError):
-        best_iterate(_record([]))
-
-
 def test_averaged_iterate_requires_tracking():
     problem = TinyQuadraticProblem()
     rec = run_shuffling(problem, Scheme.fixed(4),
@@ -289,39 +270,12 @@ def test_averaged_iterate_requires_tracking():
         averaged_iterate(rec)
 
 
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "state.ckpt"
-        point = np.array([1.5, -2.25, 1e-300])
-        save_checkpoint(path, point, epoch=17, seeds=(3, 2**63,))
-        loaded, epoch, seeds = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded, point)
-        assert epoch == 17
-        assert seeds == (3, 2**63)
-
-    def test_defaults(self, tmp_path):
-        path = tmp_path / "state.ckpt"
-        save_checkpoint(path, np.zeros(2))
-        _, epoch, seeds = load_checkpoint(path)
-        assert epoch == 0 and seeds == ()
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "state.ckpt"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="not a checkpoint"):
-            load_checkpoint(path)
-
-    def test_rejects_truncation(self, tmp_path):
-        path = tmp_path / "state.ckpt"
-        save_checkpoint(path, np.arange(4.0), epoch=1, seeds=(9,))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def test_input_validation(self, tmp_path):
-        path = tmp_path / "state.ckpt"
-        with pytest.raises(ValueError):
-            save_checkpoint(path, np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            save_checkpoint(path, np.zeros(2), epoch=-1)
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 500), batch_size=st.integers(1, 600))
+def test_batch_bounds_tile_the_components(n, batch_size):
+    bounds = _batch_bounds(n, batch_size)
+    starts = [lo for lo, _ in bounds]
+    ends = [hi for _, hi in bounds]
+    assert starts == [0] + ends[:-1] and ends[-1] == n
+    sizes = [hi - lo for lo, hi in bounds]
+    assert set(sizes[:-1]) <= {batch_size} and 1 <= sizes[-1] <= batch_size

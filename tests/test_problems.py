@@ -9,7 +9,6 @@ from shufflegrad.problems import (
     QuarticProblem,
     TinyQuadraticProblem,
     build_problem,
-    dro_partial_objective,
 )
 
 
@@ -220,20 +219,7 @@ class TestPhaseRetrieval:
         assert p.optimum_point is None
         assert p.optimum_value is None
 
-    def test_from_data(self):
-        rng = np.random.default_rng(0)
-        vectors = rng.standard_normal((8, 3))
-        targets = rng.standard_normal(8)
-        p = PhaseRetrievalProblem.from_data(vectors, targets, np.zeros(3))
-        assert (p.n, p.dim) == (8, 3)
-        w = rng.standard_normal(3)
-        q = vectors @ w
-        expected = float(np.mean(0.5 * (targets - q**2) ** 2))
-        assert p.full_value(w) == pytest.approx(expected)
-
     def test_bad_shapes(self):
-        with pytest.raises(ValueError):
-            PhaseRetrievalProblem.from_data(np.zeros((4, 2)), np.zeros(3), np.zeros(2))
         with pytest.raises(ValueError):
             PhaseRetrievalProblem(m=0, dim=3)
 
@@ -262,34 +248,6 @@ class TestDRO:
         vm[-1] -= h
         fd = (p.full_value(vp) - p.full_value(vm)) / (2 * h)
         assert g[-1] == pytest.approx(fd, rel=1e-6)
-
-    def test_partial_objective_matches_grid_scan(self):
-        p = self._problem(rows=15, lam=0.05)
-        rng = np.random.default_rng(4)
-        w = rng.standard_normal(p.feature_dim)
-        losses = p.sample_losses(np.concatenate([w, [0.0]]))
-        thetas = np.arange(losses.min() - 1.0, losses.max() + 1.0, 1e-4)
-        from shufflegrad.problems import _psi_star
-
-        grid_vals = np.mean(_psi_star((losses[None, :] - thetas[:, None]) / p.lam), axis=1) + thetas
-        best = float(np.min(grid_vals))
-        assert dro_partial_objective(p, w) == pytest.approx(best, abs=1e-6)
-
-    def test_partial_objective_equal_losses(self):
-        # all losses equal L: shift minimizer is L + 2*lam - 2*lam^2
-        lam = 0.05
-        features = np.zeros((6, 3))
-        targets = np.full(6, 2.0)
-        p = DROProblem(features, targets, lam=lam)
-        w = np.zeros(3)
-        loss = 0.5 * 4.0
-        expected_value = loss + 2 * lam - lam**2 - 1.0
-        assert dro_partial_objective(p, w) == pytest.approx(expected_value, abs=1e-9)
-
-    def test_bracket_validation(self):
-        p = self._problem()
-        with pytest.raises(ValueError):
-            dro_partial_objective(p, np.zeros(p.feature_dim), bracket=(2.0, 1.0))
 
     def test_sign_convention_at_zero_weight(self):
         # the regularizer's subgradient at 0 is taken as 0

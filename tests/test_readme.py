@@ -1,4 +1,4 @@
-"""The README's stepsize-plan statements, checked against the code."""
+"""The README's commands, snippet and stepsize-plan statements, checked against the code."""
 
 import json
 import re
@@ -19,15 +19,24 @@ def _section(title: str) -> str:
     return README[start:end if end >= 0 else None]
 
 
-def _commands(section: str):
-    """(argv after 'shufflegrad', expected output lines) for each plan command."""
+def _blocks(section: str, info: str = ""):
+    """Lines of each fenced block whose info string is ``info``."""
     found = []
     for block in section.split("```")[1::2]:
-        lines = block.splitlines()[1:]  # drop the fence's info string
-        if not lines or "shufflegrad plan" not in lines[0]:
+        first, *lines = block.splitlines()
+        if first == info:
+            found.append(lines)
+    return found
+
+
+def _commands(section: str):
+    """(argv after 'shufflegrad', expected output lines) for each command."""
+    found = []
+    for lines in _blocks(section):
+        command, *rest = lines or [""]
+        command = command.lstrip("$ ")
+        if not command.startswith("shufflegrad "):
             continue
-        command = lines[0].lstrip("$ ")
-        rest = lines[1:]
         while command.endswith("\\"):
             command = command[:-1] + rest.pop(0).strip()
         found.append((shlex.split(command)[1:], [ln for ln in rest if ln != "..."]))
@@ -48,13 +57,35 @@ def test_recipe_table_matches_code():
         assert needs.replace("`", "").split(", ") == required
 
 
-def test_plan_commands_run_as_documented(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (manual, transcript), (estimated, _) = _commands(_section("Quick start"))
-
-    assert main(manual) == 0
+def _prints(argv, transcript, capsys):
+    """Run the CLI; every documented output line appears as printed."""
+    assert main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert transcript and all(line in out for line in transcript), transcript
+
+
+def test_run_and_check_transcripts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    section = _section("Quick start")
+    (config,) = _blocks(section, "json")
+    Path("demo.json").write_text("\n".join(config))
+    (run, run_transcript), *_, (check, check_transcript) = _commands(section)
+    assert run[0] == "run" and check[0] == "check"
+    _prints(run, run_transcript, capsys)
+    _prints(check, check_transcript, capsys)
+
+
+def test_library_snippet_runs(capsys):
+    (snippet,) = _blocks(_section("Library"), "python")
+    exec("\n".join(snippet), {})
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_plan_commands_run_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _, (manual, transcript), (estimated, _), _ = _commands(_section("Quick start"))
+
+    _prints(manual, transcript, capsys)
     plan = json.loads(Path("plan.json").read_text())
     assert (plan["recipe"], plan["eta"], plan["epochs"]) == (2, 0.028867366631864982, 27713)
 

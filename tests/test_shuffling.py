@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shufflegrad.problems import TinyQuadraticProblem
 from shufflegrad.shuffling import (
+    KINDS,
     Scheme,
     descending_gradient_order,
-    dump_permutations,
     permutation_for_epoch,
     without_replacement_variance_factor,
 )
@@ -20,6 +21,20 @@ def test_every_epoch_is_a_permutation(kind):
     for epoch in range(1, 12):
         perm = permutation_for_epoch(scheme, epoch)
         assert np.array_equal(np.sort(perm), np.arange(7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 60), seed=st.integers(0, 2**64 - 1),
+       epoch=st.integers(1, 10**6), data=st.data())
+def test_every_scheme_draws_permutations(kind, n, seed, epoch, data):
+    order = data.draw(st.none() | st.permutations(range(n))) if kind == "fixed" else None
+    scheme = Scheme(kind, n, seed, order)
+    perm = permutation_for_epoch(scheme, epoch)
+    assert sorted(perm.tolist()) == list(range(n))
+    if kind == "fixed":
+        assert perm.tolist() == list(range(n) if order is None else order)
+    if kind == "shuffle_once":
+        assert np.array_equal(perm, permutation_for_epoch(scheme, 1))
 
 
 def test_fixed_defaults_to_natural_order():
@@ -97,19 +112,6 @@ def test_reshuffle_frequencies_are_uniform():
         counts[tuple(int(i) for i in permutation_for_epoch(scheme, t))] += 1
     for perm, count in counts.items():
         assert abs(count / epochs - 1 / 6) < 0.02, (perm, count)
-
-
-def test_dump_permutations_is_one_based(tmp_path):
-    scheme = Scheme.fixed(4, order=(3, 1, 0, 2))
-    path = tmp_path / "perms.txt"
-    dump_permutations(scheme, 3, path)
-    lines = path.read_text().splitlines()
-    assert lines == ["4 2 1 3"] * 3
-
-
-def test_dump_needs_positive_epochs(tmp_path):
-    with pytest.raises(ValueError):
-        dump_permutations(Scheme.fixed(2), 0, tmp_path / "x.txt")
 
 
 def test_variance_factor_values():
