@@ -13,14 +13,14 @@ not depend on the block it ran in, so the output never depends on
 
 Two CSV files are written: a raw per-run file with one row per epoch,
 and an aggregate with mean and 5%/95% percentiles per (arm, epoch,
-metric).  Aggregation is a pure function of the raw file; diverged
-repetitions leave partial rows, and aggregate rows are only emitted
-for epochs that every repetition of the arm reached.
+metric).  The aggregate is computed from the run's own rows, the same
+numbers the raw file holds; diverged repetitions leave partial rows, an
+arm's repetitions with no row are not counted, and aggregate rows are
+only emitted for epochs that every counted repetition reached.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import struct
@@ -42,7 +42,6 @@ __all__ = [
     "ExperimentResult",
     "derive_seed",
     "run_experiment",
-    "aggregate_raw",
     "RAW_HEADER",
     "AGGREGATE_HEADER",
 ]
@@ -279,74 +278,55 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             outcomes = [o for part in pool.map(_pool_task, payloads) for o in part]
 
-    diverged_pairs, diverged_at = [], []
+    diverged_pairs, diverged_at, records = [], [], []
+    for (arm_index, _, seed), record in zip(tasks, outcomes):
+        if isinstance(record, DivergenceError):
+            diverged_pairs.append((config.arms[arm_index].name, seed))
+            diverged_at.append((record.epoch, record.step_index))
+            record = record.record
+        records.append(record)
+
     raw_path = out_dir / "raw.csv"
     with open(raw_path, "w", newline="") as fh:
         fh.write(RAW_HEADER + "\n")
-        for (arm_index, rep, seed), record in zip(tasks, outcomes):
+        for (arm_index, rep, _), record in zip(tasks, records):
             arm_name = config.arms[arm_index].name
-            if isinstance(record, DivergenceError):
-                diverged_pairs.append((arm_name, seed))
-                diverged_at.append((record.epoch, record.step_index))
-                record = record.record
-            dist = record.dist_sq if record.dist_sq is not None else [None] * len(record.epoch)
+            blank = [None] * record.completed_epochs
+            columns = [getattr(record, m) if m in metrics else blank for m in METRIC_NAMES]
             for epoch, objective, grad_sq, d, evals, wall in zip(
-                    record.epoch, record.objective, record.grad_norm_sq, dist, record.evals,
-                    record.wall_ms):
+                    record.epoch, *columns, record.evals, record.wall_ms):
                 fh.write(f"{arm_name},{rep},{epoch},{_fmt(objective)},"
                          f"{_fmt(grad_sq)},{_fmt(d)},{evals},{_fmt(wall)}\n")
 
-    aggregate = aggregate_raw(raw_path, metrics=metrics)
+    aggregate = _aggregate(config, records, metrics)
     aggregate_path = out_dir / "aggregate.csv"
     aggregate.to_csv(aggregate_path)
     return ExperimentResult(aggregate, raw_path, aggregate_path, tuple(diverged_pairs),
                             tuple(diverged_at))
 
 
-def aggregate_raw(raw_path, metrics: tuple[str, ...] | None = None) -> AggregateSeries:
-    """Aggregate a raw CSV: mean, 5%/95% percentiles, count per epoch.
+def _aggregate(config: ExperimentConfig, records, metrics) -> AggregateSeries:
+    """Mean, 5%/95% percentiles and count per (arm, epoch, metric).
 
-    A pure function of the file contents.  For each arm, only epochs
-    reached by every repetition present in the file are aggregated;
-    later epochs of partially diverged arms are left out ("missing").
+    ``records`` holds each run's record in (arm, repetition) order.  An
+    arm counts the repetitions with at least one row and covers the
+    epochs all of them reached; rows follow arm order, then epoch, then
+    ``metrics`` order.
     """
-    with open(raw_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RAW_HEADER.split(","):
-            raise ValueError(f"{raw_path}: unexpected raw CSV header {header}")
-        arms: list[str] = []
-        reps: dict[str, set[int]] = {}
-        values: dict[tuple[str, int], dict[str, list[float]]] = {}
-        for row in reader:
-            arm, rep, epoch = row[0], int(row[1]), int(row[2])
-            if arm not in reps:
-                arms.append(arm)
-                reps[arm] = set()
-            reps[arm].add(rep)
-            cell = values.setdefault((arm, epoch), {m: [] for m in METRIC_NAMES})
-            cell["objective"].append(float(row[3]))
-            cell["grad_norm_sq"].append(float(row[4]))
-            if row[5] != "":
-                cell["dist_sq"].append(float(row[5]))
-
-    if metrics is None:
-        has_dist = any(cell["dist_sq"] for cell in values.values())
-        metrics = ("objective", "grad_norm_sq") + (("dist_sq",) if has_dist else ())
-    rows = []
-    for arm in arms:
-        expected = len(reps[arm])
-        epochs = sorted(e for a, e in values if a == arm)
-        for epoch in epochs:
-            cell = values[(arm, epoch)]
-            if len(cell["objective"]) != expected:
-                continue
-            for metric in metrics:
-                series = cell[metric]
-                if len(series) != expected:
-                    continue
-                arr = np.asarray(series)
-                p05, p95 = np.percentile(arr, (5, 95)).tolist()
-                rows.append(AggregateRow(arm, epoch, metric, float(np.mean(arr)), p05, p95,
-                                         expected))
+    rows, reps = [], config.repetitions
+    for a, arm in enumerate(config.arms):
+        present = [rec for rec in records[a * reps:(a + 1) * reps] if rec.completed_epochs]
+        if not present:
+            continue
+        reached = min(rec.completed_epochs for rec in present)
+        cells = []
+        for metric in metrics:
+            # (epochs, reps): reducing the contiguous axis gives the bits of
+            # one np.mean / np.percentile call per epoch
+            M = np.stack([getattr(rec, metric)[:reached] for rec in present], axis=1)
+            p05, p95 = np.percentile(M, (5, 95), axis=1).tolist()
+            cells.append(list(zip(M.mean(axis=1).tolist(), p05, p95)))
+        for e in range(reached):
+            rows.extend(AggregateRow(arm.name, e + 1, metric, *cell[e], len(present))
+                        for metric, cell in zip(metrics, cells))
     return AggregateSeries(tuple(rows))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shuffling import Scheme, permutation_for_epoch
+from .smoothness import row_dots
 
 __all__ = [
     "RunConfig",
@@ -123,15 +124,18 @@ def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
     return [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
 
 
-def _record(rows: list[tuple], final_point, averaged_point, has_dist: bool) -> TrajectoryRecord:
-    cols = list(zip(*rows)) or [()] * 6
+def _record(table: np.ndarray, r: int, epochs: int, n: int, final_point, averaged_point,
+            has_dist: bool) -> TrajectoryRecord:
+    """Row ``r``'s first ``epochs`` columns of the (4, R, T) metric table."""
+    objective, grad_norm_sq, dist_sq, wall_ms = table[:, r, :epochs].copy()
+    epoch = np.arange(1, epochs + 1)
     return TrajectoryRecord(
-        epoch=np.array(cols[0], dtype=int),
-        objective=np.array(cols[1], dtype=float),
-        grad_norm_sq=np.array(cols[2], dtype=float),
-        dist_sq=np.array(cols[3], dtype=float) if has_dist else None,
-        evals=np.array(cols[4], dtype=int),
-        wall_ms=np.array(cols[5], dtype=float),
+        epoch=epoch,
+        objective=objective,
+        grad_norm_sq=grad_norm_sq,
+        dist_sq=dist_sq if has_dist else None,
+        evals=epoch * n,
+        wall_ms=wall_ms,
         final_point=final_point.copy(),
         averaged_point=None if averaged_point is None else averaged_point.copy(),
     )
@@ -195,7 +199,8 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
     avg = W.copy()  # running mean of the entering iterates
     values = np.full(size, problem.full_value(start))
     live = np.arange(size)
-    rows: list[list[tuple]] = [[] for _ in range(size)]
+    # objective, grad_norm_sq, dist_sq and wall_ms per (row, epoch)
+    table = np.empty((4, size, config.epochs))
     outcomes: list = [None] * size
     bounds = _batch_bounds(problem.n, config.batch_size)
     threshold = config.divergence_threshold
@@ -211,28 +216,26 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
             next_values = np.full(len(W_next), np.nan)
             next_values[finite] = problem.full_values(W_next[finite])
             bad = _outside(W_next, threshold) | ~(np.abs(next_values) <= threshold)  # or NaN
-            for i, r in enumerate(live):
-                w = W[i].copy()
-                if bad[i]:
-                    _, j = _epoch_pass(problem, W[i:i + 1], orders[:, i:i + 1], steps[i:i + 1],
-                                       bounds, threshold)
-                    record = _record(rows[r], w, avg[i] if config.track_average else None,
-                                     opt is not None)
-                    outcomes[r] = DivergenceError(t, j, float(values[i]), record)
-                    continue
-                grad = problem.full_gradient(w)
-                dist = None if opt is None else float(np.sum((w - opt) ** 2))
-                ms = (time.perf_counter() - t0) * 1e3
-                rows[r].append((t, float(values[i]), float(np.dot(grad, grad)), dist,
-                                t * problem.n, ms))
+            G = problem.full_gradients(W)
+            table[0, live, t - 1] = values
+            table[1, live, t - 1] = row_dots(G, G)
+            if opt is not None:
+                table[2, live, t - 1] = np.sum((W - opt) ** 2, axis=1)
+            table[3, live, t - 1] = (time.perf_counter() - t0) * 1e3
+            for i in np.flatnonzero(bad):
+                _, j = _epoch_pass(problem, W[i:i + 1], orders[:, i:i + 1], steps[i:i + 1],
+                                   bounds, threshold)
+                record = _record(table, live[i], t - 1, problem.n, W[i],
+                                 avg[i] if config.track_average else None, opt is not None)
+                outcomes[live[i]] = DivergenceError(t, j, float(values[i]), record)
             keep = ~bad
             W, avg, steps, values = W_next[keep], avg[keep], steps[keep], next_values[keep]
             live = live[keep]
             if not live.size:
                 break
     for i, r in enumerate(live):
-        outcomes[r] = _record(rows[r], W[i], avg[i] if config.track_average else None,
-                              opt is not None)
+        outcomes[r] = _record(table, r, config.epochs, problem.n, W[i],
+                              avg[i] if config.track_average else None, opt is not None)
     return outcomes
 
 

@@ -28,21 +28,23 @@ class FiniteSumProblem:
     """Interface shared by all problems.
 
     Subclasses set ``n``, ``dim`` and implement ``_component_value``,
-    ``_component_gradient``, ``full_gradient`` and three unvalidated
-    oracles on an (R, d) block of points W:
+    ``_component_gradient`` and four unvalidated oracles on an (R, d)
+    block of points W:
 
     - ``component_gradients(W, idx)``: a new (R, d) array whose row r is
       the gradient of component ``idx[r]`` at ``W[r]``;
     - ``full_values(W)``: the (R,) objective values;
+    - ``full_gradients(W)``: the (R, d) full gradients;
     - ``max_component_gradient_norms(W)``: the (R,) largest component
       gradient norms.
 
     They use only row-wise elementwise operations and row reductions, so
-    a row's bits do not depend on R.  ``full_value(w)`` and
-    ``max_component_gradient_norm(w)`` are their one-row cases, so the
-    scalar and batched forms cannot drift apart; ``_component_gradient``
-    is a separate scalar formula, the reference ``component_gradients``
-    is tested against.  The public component accessors validate inputs.
+    a row's bits do not depend on R.  ``full_value(w)``,
+    ``full_gradient(w)`` and ``max_component_gradient_norm(w)`` are their
+    one-row cases, so the scalar and batched forms cannot drift apart;
+    ``_component_gradient`` is a separate scalar formula, the reference
+    ``component_gradients`` is tested against.  The public component
+    accessors validate inputs.
     """
 
     n: int
@@ -78,17 +80,20 @@ class FiniteSumProblem:
     def full_values(self, W: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def full_gradients(self, W: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def max_component_gradient_norms(self, W: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def full_value(self, w) -> float:
         return float(self.full_values(np.asarray(w, dtype=float)[None])[0])
 
+    def full_gradient(self, w) -> np.ndarray:
+        return self.full_gradients(np.asarray(w, dtype=float)[None])[0]
+
     def max_component_gradient_norm(self, w) -> float:
         return float(self.max_component_gradient_norms(np.asarray(w, dtype=float)[None])[0])
-
-    def full_gradient(self, w) -> np.ndarray:
-        raise NotImplementedError
 
     @property
     def initial_point(self) -> np.ndarray:
@@ -153,9 +158,8 @@ class QuarticProblem(FiniteSumProblem):
     def full_values(self, W):
         return np.sum(W**4, axis=1) / self.DIM
 
-    def full_gradient(self, w):
-        w = np.asarray(w, dtype=float)
-        return 4.0 * w**3 / self.DIM
+    def full_gradients(self, W):
+        return 4.0 * W**3 / self.DIM
 
     def max_component_gradient_norms(self, W):
         # max over offsets of |4w_c^3 + k| is 4|w_c|^3 + 10
@@ -212,10 +216,9 @@ class ExpStrongProblem(FiniteSumProblem):
         coeff = self._exp_sum / self.n
         return coeff * np.sum(np.exp(W) + np.exp(-W), axis=1) + 0.5 * row_dots(W, W)
 
-    def full_gradient(self, w):
-        w = np.asarray(w, dtype=float)
+    def full_gradients(self, W):
         coeff = self._exp_sum / self.n
-        return coeff * (np.exp(w) - np.exp(-w)) + w
+        return coeff * (np.exp(W) - np.exp(-W)) + W
 
     def max_component_gradient_norms(self, W):
         k, x = self.OFFSETS.astype(float), W[:, :, None]
@@ -280,10 +283,10 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         r = self.targets - Q * Q
         return row_dots(r, r) / (2.0 * self.n)
 
-    def full_gradient(self, w):
-        w = np.asarray(w, dtype=float)
-        q = self.vectors @ w
-        return self.vectors.T @ ((2.0 / self.n) * (q * q - self.targets) * q)
+    def full_gradients(self, W):
+        Q = self._projections(W)
+        C = (2.0 / self.n) * (Q * Q - self.targets) * Q
+        return np.array([self.vectors.T @ c for c in C]).reshape(len(W), self.dim)
 
     def max_component_gradient_norms(self, W):
         Q = self._projections(W)
@@ -369,26 +372,27 @@ class DROProblem(FiniteSumProblem):
         return np.fromiter((np.mean(_psi_star((self.sample_losses(v) - v[-1]) / self.lam)) + v[-1]
                             for v in V), float, len(V))
 
-    def full_gradient(self, v):
-        v = np.asarray(v, dtype=float)
+    def _chain_terms(self, v):
+        """Residuals, per-sample chain-rule factors psi*'(.)/lam and the
+        regularizer gradient at one point ``v``."""
         w, theta = self.split(v)
         r = self.targets - self.features @ w
         losses = 0.5 * r * r + self._regularizer(w)
         coef = _psi_star_prime((losses - theta) / self.lam) / self.lam
-        reg_grad = self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
-        g = np.empty(self.dim)
-        g[:-1] = self.features.T @ (-coef * r) / self.n + np.mean(coef) * reg_grad
-        g[-1] = 1.0 - float(np.mean(coef))
-        return g
+        return r, coef, self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
+
+    def full_gradients(self, V):
+        G = np.empty(V.shape)
+        for k, v in enumerate(V):  # row by row, like full_values
+            r, coef, reg_grad = self._chain_terms(v)
+            G[k, :-1] = self.features.T @ (-coef * r) / self.n + np.mean(coef) * reg_grad
+            G[k, -1] = 1.0 - float(np.mean(coef))
+        return G
 
     def max_component_gradient_norms(self, V):
         out = np.empty(len(V))
         for k, v in enumerate(V):  # row by row, like full_values
-            w, theta = self.split(v)
-            r = self.targets - self.features @ w
-            losses = 0.5 * r * r + self._regularizer(w)
-            coef = _psi_star_prime((losses - theta) / self.lam) / self.lam
-            reg_grad = self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
+            r, coef, reg_grad = self._chain_terms(v)
             rows = -r[:, None] * self.features + reg_grad[None, :]
             out[k] = np.sqrt(np.max(coef**2 * np.sum(rows * rows, axis=1) + (1.0 - coef) ** 2))
         return out
@@ -434,9 +438,8 @@ class TinyQuadraticProblem(FiniteSumProblem):
         d = W[:, None, :] - self.centers
         return 0.5 * np.mean(np.sum(d * d, axis=2), axis=1)
 
-    def full_gradient(self, w):
-        w = np.asarray(w, dtype=float)
-        return w - self._mean_center
+    def full_gradients(self, W):
+        return W - self._mean_center
 
     def gradient_variance(self) -> float:
         """Population variance of component gradients (constant in w)."""

@@ -1,14 +1,18 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shufflegrad.experiment import (
     AGGREGATE_HEADER,
+    METRIC_NAMES,
     RAW_HEADER,
     ArmSpec,
     ExperimentConfig,
-    aggregate_raw,
     derive_seed,
     run_experiment,
 )
@@ -86,13 +90,28 @@ class TestAggregate:
             assert row.count == 1
             assert row.mean == row.p05 == row.p95
 
-    def test_reaggregation_is_pure(self, tmp_path):
-        result = run_experiment(_config(), tmp_path / "out")
-        again = aggregate_raw(result.raw_path, metrics=("objective", "grad_norm_sq",
-                                                        "dist_sq"))
-        path = tmp_path / "again.csv"
-        again.to_csv(path)
-        assert path.read_bytes() == result.aggregate_path.read_bytes()
+    @settings(max_examples=40, deadline=None)
+    @given(centers=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                            min_size=2, max_size=4),
+           stable=st.tuples(st.sampled_from(KINDS + ("sgd",)), st.floats(0.05, 0.5)),
+           wild_step=st.floats(2.0, 2.6), threshold=st.floats(5.0, 60.0),
+           epochs=st.integers(1, 6), reps=st.integers(1, 20),
+           base_seed=st.integers(0, 2**32 - 1),
+           metrics=st.sampled_from((None, ("objective",), ("dist_sq", "grad_norm_sq"))))
+    def test_reaggregation_is_pure(self, centers, stable, wild_step, threshold, epochs, reps,
+                                   base_seed, metrics):
+        # the "wild" sgd arm diverges, in some repetitions before writing a row
+        kind, step = stable
+        arms = (ArmSpec(name="stable", method="sgd" if kind == "sgd" else "shuffling",
+                        scheme=None if kind == "sgd" else kind, step_size=step),
+                ArmSpec(name="wild", method="sgd", step_size=wild_step))
+        config = _config(problem={"id": "tiny_quadratic", "centers": centers}, arms=arms,
+                         epochs=epochs, repetitions=reps, base_seed=base_seed,
+                         metrics=metrics, divergence_threshold=threshold)
+        with tempfile.TemporaryDirectory() as out:
+            result = run_experiment(config, out)
+            expected = _reference_aggregate(result.raw_path, metrics or METRIC_NAMES)
+            assert result.aggregate_path.read_text() == expected
 
     def test_header_and_selection(self, tmp_path):
         result = run_experiment(_config(), tmp_path / "out")
@@ -107,6 +126,28 @@ class TestAggregate:
         result = run_experiment(_config(repetitions=5), tmp_path / "out")
         for row in result.aggregate.rows:
             assert row.p05 <= row.mean <= row.p95
+
+
+def _reference_aggregate(raw_path: Path, metrics) -> str:
+    """aggregate.csv from raw.csv alone, one np.mean and one np.percentile
+    per cell: an arm counts its repetitions with rows and covers the
+    epochs all of them reached."""
+    with open(raw_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    lines = [AGGREGATE_HEADER]
+    for arm in dict.fromkeys(row["arm"] for row in rows):
+        mine = [row for row in rows if row["arm"] == arm]
+        last = {}
+        for row in mine:
+            last[row["rep"]] = int(row["epoch"])
+        for epoch in range(1, min(last.values()) + 1):
+            for metric in metrics:
+                cell = np.array([float(row[metric]) for row in mine
+                                 if int(row["epoch"]) == epoch])
+                p05, p95 = np.percentile(cell, (5, 95))
+                lines.append(f"{arm},{epoch},{metric},{np.mean(cell):.17g},{p05:.17g},"
+                             f"{p95:.17g},{len(last)}")
+    return "\n".join(lines) + "\n"
 
 
 class TestMetricsSelection:
@@ -126,6 +167,15 @@ class TestMetricsSelection:
         assert metrics == {"objective", "grad_norm_sq"}
         raw = (tmp_path / "out" / "raw.csv").read_text().splitlines()[1]
         assert ",," in raw  # empty dist_sq field
+
+    def test_deselected_metric_leaves_raw_field_empty(self, tmp_path):
+        result = run_experiment(_config(metrics=("objective", "dist_sq")), tmp_path / "out")
+        with open(result.raw_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 3 * 6
+        assert all(row["grad_norm_sq"] == "" for row in rows)
+        assert all(row["objective"] and row["dist_sq"] for row in rows)
+        assert {row.metric for row in result.aggregate.rows} == {"objective", "dist_sq"}
 
     def test_explicit_distance_needs_optimum(self, tmp_path):
         config = _config(problem={"id": "phase_retrieval", "m": 12, "dim": 4,
@@ -163,6 +213,24 @@ class TestDivergence:
         explode_epochs = [r.epoch for r in result.aggregate.select("explode", "objective")]
         assert stable_epochs == list(range(1, 41))
         assert explode_epochs and max(explode_epochs) < 40
+
+    def test_count_leaves_out_repetitions_without_rows(self, tmp_path):
+        config = _config(arms=(ArmSpec(name="rr", method="shuffling",
+                                       scheme="random_reshuffle", step_size=0.3),
+                               ArmSpec(name="sgd", method="sgd", step_size=2.2)),
+                         epochs=30, repetitions=40, base_seed=0, divergence_threshold=30.0)
+        result = run_experiment(config, tmp_path / "out")
+        assert len(result.diverged) == 40 and {arm for arm, _ in result.diverged} == {"sgd"}
+        reached = {}
+        with open(result.raw_path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["arm"] == "sgd":
+                    reached[row["rep"]] = int(row["epoch"])
+        assert len(reached) == 25  # 15 repetitions diverged in epoch 1
+        series = result.aggregate.select("sgd", "objective")
+        assert [r.epoch for r in series] == list(range(1, min(reached.values()) + 1))
+        assert {r.count for r in series} == {25}
+        assert {r.count for r in result.aggregate.select("rr", "objective")} == {40}
 
 
 class TestPlanFileArm:

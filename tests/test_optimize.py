@@ -210,6 +210,16 @@ class TestDivergence:
                           RunConfig(step_size=0.25, epochs=3,
                                     divergence_threshold=50.0))
 
+    @pytest.mark.parametrize("centers,start,step_index", [
+        (((100.0, 0.0), (-100.0, 0.0)), (0.0, 0.0), 1),  # objective 5000, norm 0
+        (((100.0, 0.0), (100.0, 0.0)), (100.0, 0.0), 0),  # objective 0, norm 100
+    ])
+    def test_norm_or_objective_beyond_threshold_diverges(self, centers, start, step_index):
+        problem = TinyQuadraticProblem(centers=centers, initial_point=start)
+        with pytest.raises(DivergenceError) as err:
+            run_shuffling(problem, Scheme.fixed(2),
+                          RunConfig(step_size=0.0, epochs=3, divergence_threshold=50.0))
+        assert (err.value.epoch, err.value.step_index) == (1, step_index)
 
     def test_overflow_raises_no_warning(self):
         problem = QuarticProblem()

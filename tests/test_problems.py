@@ -33,14 +33,15 @@ def _problems_for_consistency():
 
 @pytest.mark.parametrize("problem,_", _problems_for_consistency(),
                          ids=lambda p: type(p).__name__ if not isinstance(p, type(None)) else "")
-def test_full_oracle_is_component_mean(problem, _):
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        w = problem.initial_point + 0.3 * rng.standard_normal(problem.dim)
-        w[np.abs(w) < 1e-3] += 5e-3
-        assert problem.full_value(w) == pytest.approx(_mean_component_value(problem, w), rel=1e-12)
-        np.testing.assert_allclose(
-            problem.full_gradient(w), _mean_component_gradient(problem, w), rtol=1e-10, atol=1e-12)
+@settings(max_examples=15, deadline=None)
+@given(scale=st.sampled_from((0.01, 0.3, 1.0)), seed=st.integers(0, 2**32 - 1))
+def test_full_oracle_is_component_mean(problem, _, scale, seed):
+    rng = np.random.default_rng(seed)
+    w = problem.initial_point + scale * rng.standard_normal(problem.dim)
+    w[np.abs(w) < 1e-3] += 5e-3
+    assert problem.full_value(w) == pytest.approx(_mean_component_value(problem, w), rel=1e-12)
+    np.testing.assert_allclose(
+        problem.full_gradient(w), _mean_component_gradient(problem, w), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("problem,_", _problems_for_consistency(),
@@ -110,10 +111,13 @@ def test_batched_values_and_hook_match_row_by_row(which, rows, scale, seed):
     rng = np.random.default_rng(seed)
     W = problem.initial_point + scale * rng.standard_normal((rows, problem.dim))
     values = problem.full_values(W)
+    grads = problem.full_gradients(W)
     norms = problem.max_component_gradient_norms(W)
     assert values.shape == norms.shape == (rows,)
+    assert grads.shape == W.shape
     for r in range(rows):
         assert values[r] == problem.full_value(W[r].copy())  # bit for bit
+        assert np.array_equal(grads[r], problem.full_gradient(W[r].copy()))
         brute = max(float(np.linalg.norm(problem.component_gradient(W[r], i)))
                     for i in range(problem.n))
         assert abs(norms[r] - brute) <= 1e-12 * brute, (r, norms[r], brute)
@@ -123,6 +127,7 @@ def test_batched_values_and_hook_match_row_by_row(which, rows, scale, seed):
 def test_batched_oracles_take_an_empty_block(problem):
     empty = np.empty((0, problem.dim))
     assert problem.full_values(empty).shape == (0,)
+    assert problem.full_gradients(empty).shape == (0, problem.dim)
     assert problem.max_component_gradient_norms(empty).shape == (0,)
 
 
