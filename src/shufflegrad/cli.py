@@ -167,11 +167,13 @@ def _cmd_run(args) -> int:
     result = run_experiment(config, args.out, jobs=jobs)
     print(f"raw: {result.raw_path}")
     print(f"aggregate: {result.aggregate_path}")
+    metrics = config.metrics or ("objective",)
+    metric = "objective" if "objective" in metrics else metrics[0]
     for arm in config.arms:
-        rows = result.aggregate.select(arm.name, "objective")
+        rows = result.aggregate.select(arm.name, metric)
         if rows:
             last = rows[-1]
-            print(f"arm {arm.name}: final mean objective = {last.mean:.17g} "
+            print(f"arm {arm.name}: final mean {metric} = {last.mean:.17g} "
                   f"(epoch {last.epoch}, count {last.count})")
         else:
             print(f"arm {arm.name}: no complete epochs")

@@ -159,8 +159,14 @@ def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, b
     ``orders[k]`` holds each row's k-th component.  Returns the new block
     and the index of the last inner step taken: all of them, unless a
     ``threshold`` is given, in which case the pass stops after the first
-    step that takes a row outside the finite/threshold region.
+    step that takes a row outside the finite/threshold region.  Without
+    one, single-component steps go to the problem's ``component_epoch``
+    when it has one; a -0.0 step is left to this loop, whose
+    ``W - 0.0 * step`` turns -0.0 into +0.0.
     """
+    if (threshold is None and len(bounds) == len(orders) and problem.component_epoch
+            and not np.signbit(steps).any()):
+        return problem.component_epoch(W, orders, steps), len(bounds) - 1
     grads = problem.component_gradients
     step = steps[:, None]
     W = W.copy()
@@ -247,8 +253,14 @@ def _solo(outcomes: list) -> TrajectoryRecord:
 
 
 def scheme_stream(scheme: Scheme):
-    """Index stream of a shuffling run: the scheme's permutation per epoch."""
-    return lambda t: permutation_for_epoch(scheme, t)
+    """Index stream of a shuffling run: the scheme's permutation per epoch.
+    A scheme that repeats one order draws it once and returns that
+    read-only array every epoch."""
+    if scheme.kind == "random_reshuffle":
+        return lambda t: permutation_for_epoch(scheme, t)
+    order = permutation_for_epoch(scheme, 1)
+    order.setflags(write=False)
+    return lambda t: order
 
 
 _SGD_STREAM = (1,)

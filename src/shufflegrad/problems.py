@@ -45,6 +45,10 @@ class FiniteSumProblem:
     ``_component_gradient`` is a separate scalar formula, the reference
     ``component_gradients`` is tested against.  The public component
     accessors validate inputs.
+
+    A problem may also set ``component_epoch(W, orders, steps)``: the
+    block after one epoch of single-component steps, bit for bit the
+    result of :func:`shufflegrad.optimize.run_block`'s step loop.
     """
 
     n: int
@@ -99,6 +103,7 @@ class FiniteSumProblem:
     def initial_point(self) -> np.ndarray:
         return self._initial.copy()
 
+    component_epoch = None
     optimum_value: float | None = None
     strong_convexity: float | None = None
     declared_ell: EllFunction | None = None
@@ -154,6 +159,41 @@ class QuarticProblem(FiniteSumProblem):
         G = np.zeros(W.shape)
         G[rows, c] = 4.0 * W[rows, c] ** 3 + self._offset[idx]
         return G
+
+    def component_epoch(self, W, orders, steps):
+        """Row r of ``W`` after visiting ``orders[:, r]`` one component at a
+        time with step ``steps[r]`` (>= +0.0), bit for bit.
+
+        A component moves one coordinate, so each lane, a (row,
+        coordinate) pair, evolves through its own visits alone, in order.
+        Lanes are sorted by visit count, largest first; the t-th visits of
+        all lanes then fill a prefix and take one vector step, with the
+        operations of ``component_gradients`` followed by ``g *= step;
+        W -= g``.  Unvisited coordinates are left as they are, as
+        ``W - 0.0 * step`` leaves them.
+        """
+        R, d = W.shape
+        coord = self._coord[orders.T]  # (R, n): each row's visits in order
+        # visit ids grouped by lane, each lane's in visiting order; a stable
+        # sort of int16 keys is a radix sort
+        visits = (np.argsort(coord.astype(np.int16), axis=1, kind="stable")
+                  + len(orders) * np.arange(R)[:, None]).ravel()
+        lane = (coord + d * np.arange(R)[:, None]).ravel()[visits]
+        counts = np.bincount(lane, minlength=R * d)
+        rank = np.arange(lane.size) - (np.cumsum(counts) - counts)[lane]
+        by_count = np.argsort(-counts, kind="stable")
+        column = np.empty_like(by_count)
+        column[by_count] = np.arange(R * d)
+        K = np.empty((counts.max(), R * d))  # K[t, j]: offset of lane by_count[j]'s t-th visit
+        K[rank, column[lane]] = self._offset[orders.T].ravel()[visits]
+        x, s = W.ravel()[by_count], steps[by_count // d]
+        # rank t steps the L lanes that have more than t visits
+        for t, L in enumerate(R * d - np.cumsum(np.bincount(counts))[:-1]):
+            v = x[:L]
+            x[:L] = v - (4.0 * v**3 + K[t, :L]) * s[:L]
+        out = np.empty(W.shape)
+        out.ravel()[by_count] = x
+        return out
 
     def full_values(self, W):
         return np.sum(W**4, axis=1) / self.DIM

@@ -171,6 +171,28 @@ class TestRunCommand:
         assert (out_dir / "raw.csv").exists()
         assert (out_dir / "aggregate.csv").exists()
 
+    @pytest.mark.parametrize("metrics,shown", [
+        (["dist_sq"], "dist_sq"),
+        (["grad_norm_sq", "objective"], "objective"),
+    ])
+    def test_summary_reports_a_selected_metric(self, tmp_path, capsys, metrics, shown):
+        config = _run_config(tmp_path, epochs=3)
+        cfg = json.loads(config.read_text())
+        config.write_text(json.dumps({**cfg, "metrics": metrics}))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out_dir),
+                     "--jobs", "1"]) == 0
+        out = capsys.readouterr().out
+        last = {}
+        for line in (out_dir / "aggregate.csv").read_text().splitlines()[1:]:
+            arm, epoch, metric, mean, _, _, count = line.split(",")
+            if metric == shown:
+                last[arm] = f"final mean {shown} = {mean} (epoch {epoch}, count {count})"
+        assert set(last) == {"rr", "sgd"}
+        for arm, summary in last.items():
+            assert f"arm {arm}: {summary}\n" in out
+        assert "no complete epochs" not in out
+
     def test_seed_override_changes_output(self, tmp_path):
         config = _run_config(tmp_path)
         main(["run", "--config", str(config), "--out", str(tmp_path / "a"),

@@ -8,9 +8,13 @@ from shufflegrad.optimize import (
     DivergenceError,
     RunConfig,
     _batch_bounds,
+    _epoch_pass,
     averaged_iterate,
+    run_block,
     run_sgd,
     run_shuffling,
+    scheme_stream,
+    sgd_stream,
 )
 from shufflegrad.problems import QuarticProblem, TinyQuadraticProblem, build_problem
 from shufflegrad.shuffling import Scheme, permutation_for_epoch
@@ -235,6 +239,7 @@ class TestDivergence:
         ({"id": "phase_retrieval", "m": 60, "dim": 12, "seed": 0}, "random_reshuffle", 1e-3, 1),
         ({"id": "dro", "lam": 1.0, "dataset": {"synthetic": {"seed": 7, "rows": 60, "dim": 5}}},
          "shuffle_once", 0.3, 2),
+        ({"id": "quartic"}, "random_reshuffle", 10.0, 1),
     ])
     def test_step_index_is_first_escape_of_scalar_loop(self, spec, kind, step, batch_size):
         problem = build_problem(spec)
@@ -259,6 +264,74 @@ class TestDivergence:
                     break
         assert escaped is not None
         assert e.step_index == escaped
+
+
+def _generic_quartic():
+    problem = QuarticProblem()
+    problem.component_epoch = None  # _epoch_pass falls back to its step loop
+    return problem
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), log_scale=st.floats(-3, 2), zero_steps=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_quartic_epoch_is_the_step_loop_bit_for_bit(rows, log_scale, zero_steps, seed):
+    # R changes the lane counts, the prefix lengths and the SIMD tails of
+    # pow; large scales overflow to inf and NaN within the epoch
+    rng = np.random.default_rng(seed)
+    problem = QuarticProblem()
+    n = problem.n
+    orders = np.stack([rng.permutation(n) if rng.random() < 0.5 else rng.integers(0, n, n)
+                       for _ in range(rows)], axis=1)
+    W = 10.0**log_scale * rng.standard_normal((rows, problem.dim))
+    W[rng.random(W.shape) < 0.02] = 0.0
+    W[rng.random(W.shape) < 0.02] = -0.0
+    steps = rng.uniform(0.0, 1e-2, rows)
+    steps[:zero_steps] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = problem.component_epoch(W, orders, steps)
+        slow, last = _epoch_pass(_generic_quartic(), W, orders, steps, _batch_bounds(n, 1))
+    assert last == n - 1
+    np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+
+
+@pytest.mark.parametrize("batch_size,step,calls", [
+    (1, 1e-4, 3),     # every epoch
+    (2, 1e-4, 0),     # batches of two take the step loop
+    (1, -0.0, 0),     # a -0.0 step takes the step loop
+    (1, 10.0, 1),     # diverges in epoch 1; the replay takes the step loop
+])
+def test_quartic_epoch_serves_single_component_steps(batch_size, step, calls):
+    problem = QuarticProblem()
+    seen = []
+    epoch = problem.component_epoch
+    problem.component_epoch = lambda *args: seen.append(1) or epoch(*args)
+    # from -0.0, so that an unvisited coordinate shows the sign W - 0.0 * step leaves
+    config = RunConfig(step_size=0.0, epochs=3, batch_size=batch_size,
+                       initial_point=np.full(problem.dim, -0.0))
+
+    def run(p):  # a shuffling row, a with-replacement row, a row on component 0 alone
+        streams = [scheme_stream(Scheme.random_reshuffle(p.n, 1)), sgd_stream(p.n, 2),
+                   lambda t: np.zeros(p.n, dtype=np.int64)]
+        return run_block(p, config, streams, [step] * 3)
+
+    outcomes, reference = run(problem), run(_generic_quartic())
+    assert len(seen) == calls
+    for got, want in zip(outcomes, reference):
+        if isinstance(want, DivergenceError):
+            assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
+            got, want = got.record, want.record
+        np.testing.assert_array_equal(got.objective, want.objective)
+        np.testing.assert_array_equal(got.final_point.view(np.int64),
+                                      want.final_point.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["fixed", "shuffle_once"])
+def test_repeated_orders_are_drawn_once(kind):
+    scheme = Scheme(kind, 7, seed=3)
+    stream = scheme_stream(scheme)
+    assert stream(1) is stream(4) and not stream(1).flags.writeable
+    np.testing.assert_array_equal(stream(4), permutation_for_epoch(scheme, 4))
 
 
 def test_one_full_value_per_epoch():
