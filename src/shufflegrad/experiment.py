@@ -7,7 +7,9 @@ count.  Every (arm, repetition) pair gets its own derived seed
 assignment is stable across versions.  All (arm, repetition) runs
 advance in lockstep as one iterate block; with a process pool the flat
 run list is split into one contiguous block per worker, and the results
-are merged in deterministic (arm, repetition) order.  A run's rows do
+are merged in deterministic (arm, repetition) order.  The problem and
+its dataset are built once per experiment and sent to the workers, so a
+CSV dataset is read once however many workers run.  A run's rows do
 not depend on the block it ran in, so the output never depends on
 ``jobs`` or scheduling.
 
@@ -26,6 +28,7 @@ import json
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,9 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError(f"arm names must be unique, got {names}")
         if self.metrics is not None:
+            if not self.metrics:
+                raise ValueError(f"metrics must name at least one metric of {METRIC_NAMES}, "
+                                 "or be left out for the default set")
             unknown = set(self.metrics) - set(METRIC_NAMES)
             if unknown:
                 raise ValueError(f"unknown metrics: {sorted(unknown)}")
@@ -231,11 +237,6 @@ def _run_runs(problem, run_config: RunConfig, runs) -> list:
     return run_block(problem, run_config, streams, [step for _, _, step in runs])
 
 
-def _pool_task(payload):
-    problem_spec, run_config, runs = payload
-    return _run_runs(build_problem(problem_spec), run_config, runs)
-
-
 def _fmt(x) -> str:
     return "" if x is None else f"{x:.17g}"
 
@@ -274,9 +275,11 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
     if len(blocks) == 1:
         outcomes = _run_runs(problem, run_config, runs)
     else:
-        payloads = [(config.problem, run_config, [runs[i] for i in block]) for block in blocks]
+        # the workers get the built problem, so its dataset is read once
+        parts = [[runs[i] for i in block] for block in blocks]
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            outcomes = [o for part in pool.map(_pool_task, payloads) for o in part]
+            done = pool.map(_run_runs, repeat(problem), repeat(run_config), parts)
+            outcomes = [o for part in done for o in part]
 
     diverged_pairs, diverged_at, records = [], [], []
     for (arm_index, _, seed), record in zip(tasks, outcomes):

@@ -68,7 +68,16 @@ class DataFormatError(ValueError):
     pass
 
 
-def _parse_csv(path) -> tuple[list[str], list[list[float]]]:
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def _parse_csv(path) -> tuple[list[str], list[int], list[list[str]]]:
+    """Header, line number of each non-blank data row, and its raw cells."""
     with open(path, newline="", encoding="utf-8") as fh:
         lines = [ln for ln in fh]
     line_no = 0
@@ -78,35 +87,19 @@ def _parse_csv(path) -> tuple[list[str], list[list[float]]]:
     if not rows:
         raise DataFormatError(f"{path}: no header row")
     header = [h.strip() for h in rows[0]]
-
-    def parses(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    if header and all(parses(c) for c in header if c != ""):
+    if header and all(_parses(c) for c in header if c != ""):
         raise DataFormatError(f"{path}: first row looks numeric; header row required")
-    data = []
+    line_nos, data = [], []
     for r, row in enumerate(rows[1:], start=line_no + 2):
         if not row:
             continue
         if len(row) != len(header):
             raise DataFormatError(f"{path}: line {r} has {len(row)} cells, header has {len(header)}")
-        parsed = []
-        for name, cell in zip(header, row):
-            cell = cell.strip()
-            if cell == "":
-                parsed.append(np.nan)
-            elif parses(cell):
-                parsed.append(float(cell))
-            else:
-                parsed.append(cell)
-        data.append(parsed)
+        line_nos.append(r)
+        data.append(row)
     if not data:
         raise DataFormatError(f"{path}: no data rows")
-    return header, data
+    return header, line_nos, data
 
 
 def load_csv(path, *, target_column: str = "target",
@@ -122,22 +115,29 @@ def load_csv(path, *, target_column: str = "target",
     be numeric.  Keeps the first ``max_rows`` rows, then median-fills,
     winsorizes, normalizes, and adds seeded unit noise to the target.
     """
-    header, data = _parse_csv(path)
+    header, line_nos, data = _parse_csv(path)
     for col in (target_column, *drop_columns):
         if col not in header:
             raise DataFormatError(f"{path}: missing column {col!r}")
     keep = [i for i, h in enumerate(header) if h not in drop_columns and h != target_column]
     target_idx = header.index(target_column)
-    if len(data) > max_rows:
-        data = data[:max_rows]
-    for r, row in enumerate(data):
-        for i in (*keep, target_idx):
-            if isinstance(row[i], str):
-                raise DataFormatError(
-                    f"{path}: line {r + 2}, column {header[i]!r}: "
-                    f"cannot parse {row[i]!r} as a number")
-    features = np.array([[row[i] for i in keep] for row in data], dtype=float)
-    targets = np.array([row[target_idx] for row in data], dtype=float)
+    data = data[:max_rows]
+    # Only the kept cells of the kept rows are converted, a column at a
+    # time; an empty cell is missing.  A failed conversion falls back to
+    # a scan in row order that names the first unparsable cell.
+    values = np.empty((len(data), len(keep) + 1))
+    try:
+        for j, i in enumerate((*keep, target_idx)):
+            values[:, j] = [float(row[i].strip() or "nan") for row in data]
+    except ValueError:
+        for line, row in zip(line_nos, data):
+            for i in (*keep, target_idx):
+                if not _parses(row[i].strip() or "nan"):
+                    raise DataFormatError(
+                        f"{path}: line {line}, column {header[i]!r}: "
+                        f"cannot parse {row[i].strip()!r} as a number") from None
+        raise
+    features, targets = values[:, :-1], values[:, -1]
     if not np.isfinite(targets[~np.isnan(targets)]).all():
         raise DataFormatError(f"{path}: non-finite target value")
     raw = RegressionDataset(features, targets, provenance=str(path),

@@ -193,6 +193,14 @@ class TestRunCommand:
             assert f"arm {arm}: {summary}\n" in out
         assert "no complete epochs" not in out
 
+    def test_empty_metrics_list_is_refused(self, tmp_path, capsys):
+        config = _run_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "metrics": []}))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert "error: metrics must name at least one metric" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         config = _run_config(tmp_path)
         main(["run", "--config", str(config), "--out", str(tmp_path / "a"),

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shufflegrad import experiment, ingest
 from shufflegrad.experiment import (
     AGGREGATE_HEADER,
     METRIC_NAMES,
@@ -319,6 +321,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown metrics"):
             ExperimentConfig(problem=TINY, arms=(arm,), epochs=1,
                              metrics=("objective", "speed"))
+        with pytest.raises(ValueError, match="at least one metric"):
+            ExperimentConfig(problem=TINY, arms=(arm,), epochs=1, metrics=())
 
     def test_config_from_dict(self):
         cfg = ExperimentConfig.from_dict({
@@ -346,13 +350,66 @@ def test_worker_pool_matches_inline(tmp_path):
         _strip_wall(tmp_path / "pool" / "raw.csv")
 
 
+def _write_dro_csv(path):
+    """60 rows of five features, the two default categorical columns and a
+    target, after a comment line; some cells are empty, "nan", outliers,
+    whitespace-padded or in exponent notation."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((60, 5))
+    y = x @ rng.standard_normal(5) + rng.standard_normal(60)
+    x[::17, 2] *= 40.0
+    lines = ["# dro test data", "x0,x1,country,x2,x3,status,x4,target"]
+    for r, (row, target) in enumerate(zip(x, y)):
+        cells = [f"{v:.9g}" for v in row]
+        if r % 7 == 0:
+            cells[r % 5] = ""
+        if r % 11 == 3:
+            cells[(r + 1) % 5] = f" {row[(r + 1) % 5]:.6e} "
+        if r % 13 == 5:
+            cells[(r + 2) % 5] = "nan"
+        cells[2:2] = [("US", "DE", "FR")[r % 3]]
+        cells[5:5] = [("active", "trial")[r % 2]]
+        cells.append("" if r % 19 == 4 else f"  {target:.6e}" if r % 5 == 1 else f"{target:.9g}")
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_pool_builds_the_problem_once(tmp_path, monkeypatch):
+    # forked workers inherit the counting wrappers; the run_block lines
+    # show that the workers ran under them
+    log = tmp_path / "calls.log"
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(experiment, "build_problem")
+    counted(experiment, "run_block")
+    counted(ingest, "load_csv")
+    _write_dro_csv(tmp_path / "dro.csv")
+    problem = {"id": "dro", "lam": 1.0, "dataset": {"csv": {"path": str(tmp_path / "dro.csv")}}}
+    run_experiment(_config(problem=problem, epochs=2, repetitions=2), tmp_path / "out", jobs=2)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for name, _ in calls) == ["build_problem", "load_csv", "run_block",
+                                                 "run_block"]
+    workers = {pid for name, pid in calls if name == "run_block"}
+    assert len(workers) == 2 and str(os.getpid()) not in workers
+
+
 # (problem, step size of the four regular arms).  dro also gets a
-# "sweep" arm whose step size diverges in every repetition.
+# "sweep" arm whose step size diverges in every repetition.  A "path"
+# of None is the CSV that _write_dro_csv writes.
 _SOLO_PROBLEMS = {
     "quartic": ({"id": "quartic"}, 0.01),
     "phase": ({"id": "phase_retrieval", "m": 40, "dim": 6, "seed": 0}, 1e-4),
     "dro": ({"id": "dro", "lam": 1.0,
              "dataset": {"synthetic": {"seed": 7, "rows": 60, "dim": 5}}}, 0.01),
+    "dro_csv": ({"id": "dro", "lam": 1.0, "dataset": {"csv": {"path": None}}}, 1e-3),
 }
 
 
@@ -361,10 +418,14 @@ _SOLO_PROBLEMS = {
 @pytest.mark.parametrize("name", sorted(_SOLO_PROBLEMS))
 def test_rows_match_solo_runs(tmp_path, name, batch_size, jobs):
     spec, step = _SOLO_PROBLEMS[name]
+    if "csv" in spec.get("dataset", {}):
+        _write_dro_csv(tmp_path / "dro.csv")
+        spec = {**spec, "dataset": {"csv": {"path": str(tmp_path / "dro.csv")}}}
+    dro = spec["id"] == "dro"
     arms = [ArmSpec(name=kind, method="shuffling", scheme=kind, step_size=step)
             for kind in KINDS]
     arms.append(ArmSpec(name="sgd", method="sgd", step_size=step))
-    if name == "dro":
+    if dro:
         arms.append(ArmSpec(name="sweep", method="shuffling", scheme="random_reshuffle",
                             step_size=0.3))
     config = _config(problem=spec, arms=tuple(arms), epochs=3, repetitions=2,
@@ -395,5 +456,5 @@ def test_rows_match_solo_runs(tmp_path, name, batch_size, jobs):
                                 f"{dist},{record.evals[i]}")
     assert _strip_wall(result.raw_path) == expected
     assert list(zip(result.diverged, result.diverged_at)) == diverged
-    assert {arm for (arm, _), _ in diverged} == ({"sweep"} if name == "dro" else set())
-    assert len(diverged) == (2 if name == "dro" else 0)
+    assert {arm for (arm, _), _ in diverged} == ({"sweep"} if dro else set())
+    assert len(diverged) == (2 if dro else 0)

@@ -1,7 +1,13 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shufflegrad.ingest import (
+    DataFormatError,
     RegressionDataset,
     dataset_from_config,
     load_csv,
@@ -78,6 +84,11 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,target\nabc,1\n2,3\n")
         with pytest.raises(ValueError, match=r"line 2.*'a'.*'abc'"):
             load_csv(path, drop_columns=())
+        # the line number counts comment lines and blank rows too
+        path2 = _write(tmp_path, "# source\n# more\na,b,country,target\n1,2,US,4\n\n"
+                                 "3,oops,DE,5\n", name="d2.csv")
+        with pytest.raises(ValueError, match=r"line 6, column 'b': cannot parse 'oops'"):
+            load_csv(path2, drop_columns=("country",))
 
     def test_error_ragged_row(self, tmp_path):
         path = _write(tmp_path, "a,b,target\n1,2,3\n4,5\n")
@@ -114,6 +125,101 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,target\n1,inf\n2,3\n")
         with pytest.raises(ValueError, match="non-finite target"):
             load_csv(path, drop_columns=())
+
+
+def _reference_load(path, drop_columns, max_rows, noise_seed):
+    """load_csv by the pre-change rules: every cell of every non-blank
+    row parsed on its own with csv and float, then the kept cells of the
+    first max_rows rows checked in row order.  Files are well formed."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(fh)
+    skip = 0
+    while lines[skip].startswith("#"):
+        skip += 1
+    rows = list(csv.reader(lines[skip:]))
+    header = [h.strip() for h in rows[0]]
+    parsed = []
+    for line, row in enumerate(rows[1:], start=skip + 2):
+        if not row:
+            continue
+        cells = []
+        for cell in row:
+            cell = cell.strip()
+            try:
+                cells.append(float(cell) if cell else np.nan)
+            except ValueError:
+                cells.append(cell)
+        parsed.append((line, cells))
+    parsed = parsed[:max_rows]
+    keep = [i for i, h in enumerate(header) if h not in drop_columns and h != "target"]
+    target = header.index("target")
+    for line, cells in parsed:
+        for i in (*keep, target):
+            if isinstance(cells[i], str):
+                raise DataFormatError(f"{path}: line {line}, column {header[i]!r}: "
+                                      f"cannot parse {cells[i]!r} as a number")
+    raw = RegressionDataset(np.array([[cells[i] for i in keep] for _, cells in parsed]),
+                            np.array([cells[target] for _, cells in parsed]),
+                            provenance=str(path), feature_names=tuple(header[i] for i in keep))
+    return preprocess(raw, noise_seed=noise_seed)
+
+
+_FINITE = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.3e}"),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(("1E3", "-0", ".5", "+2.")),
+)
+_CELL = st.one_of(_FINITE, st.sampled_from(("", "nan", "NaN")))
+_PAD = st.sampled_from(("", " ", "  ", "\t"))
+_TEXT = st.text(alphabet="abcdefxyz.-", min_size=1, max_size=6)  # never a number
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, max_rows) of a file with comments, blank rows, padded and
+    missing cells, categorical columns, and a few unparsable cells."""
+    names = [f"x{j}" for j in range(draw(st.integers(1, 3)))] + ["country", "status", "target"]
+    header = draw(st.permutations(names))
+    rows = []
+    for r in range(draw(st.integers(1, 8))):
+        cells = []
+        for name in header:
+            if name in ("country", "status"):
+                cells.append(draw(st.one_of(_TEXT, _CELL)))
+            else:  # the first target is present, so the target fill has a median
+                number = _FINITE if r == 0 and name == "target" else _CELL
+                cells.append(draw(_PAD) + draw(number) + draw(_PAD))
+        rows.append(cells)
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_PAD) + draw(_TEXT)
+    lines = ["# comment"] * draw(st.integers(0, 2)) + [",".join(header)]
+    for cells in rows:
+        lines += [""] * draw(st.integers(0, 1)) + [",".join(cells)]
+    return "\n".join(lines) + "\n", draw(st.integers(1, 8))
+
+
+def _outcome(load):
+    try:
+        data = load()
+    except DataFormatError as err:
+        return str(err)
+    return (data.features.shape, data.feature_names, data.features.view(np.int64).tolist(),
+            data.targets.view(np.int64).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_csv_files(), noise_seed=st.integers(0, 100))
+def test_load_csv_matches_per_cell_reference(case, noise_seed):
+    text, max_rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        got = _outcome(lambda: load_csv(path, max_rows=max_rows, noise_seed=noise_seed))
+        want = _outcome(lambda: _reference_load(path, ("country", "status"), max_rows,
+                                                noise_seed))
+    assert got == want
 
 
 class TestPreprocess:
