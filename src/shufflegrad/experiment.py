@@ -27,7 +27,7 @@ import hashlib
 import json
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -97,8 +97,7 @@ class ArmSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArmSpec":
-        known = {"name", "method", "scheme", "order", "step_size", "plan_file"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown arm keys: {sorted(unknown)}")
         order = d.get("order")
@@ -147,9 +146,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {"problem", "arms", "epochs", "repetitions", "base_seed",
-                 "batch_size", "metrics", "divergence_threshold"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
         for key in ("problem", "arms", "epochs"):

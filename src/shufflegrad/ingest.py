@@ -77,25 +77,31 @@ def _parses(cell: str) -> bool:
 
 
 def _parse_csv(path) -> tuple[list[str], list[int], list[list[str]]]:
-    """Header, line number of each non-blank data row, and its raw cells."""
+    """Header, line number of each non-blank data row, and its raw cells.
+
+    A row's line number is the file's physical line on which the row
+    ends, so comment lines, blank rows and quoted line breaks count.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = [ln for ln in fh]
-    line_no = 0
-    while line_no < len(lines) and lines[line_no].startswith("#"):
-        line_no += 1
-    rows = list(csv.reader(lines[line_no:]))
-    if not rows:
+    skip = 0
+    while skip < len(lines) and lines[skip].startswith("#"):
+        skip += 1
+    reader = csv.reader(lines[skip:])
+    header = next(reader, None)
+    if header is None:
         raise DataFormatError(f"{path}: no header row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     if header and all(_parses(c) for c in header if c != ""):
         raise DataFormatError(f"{path}: first row looks numeric; header row required")
     line_nos, data = [], []
-    for r, row in enumerate(rows[1:], start=line_no + 2):
+    for row in reader:
         if not row:
             continue
+        line = skip + reader.line_num
         if len(row) != len(header):
-            raise DataFormatError(f"{path}: line {r} has {len(row)} cells, header has {len(header)}")
-        line_nos.append(r)
+            raise DataFormatError(f"{path}: line {line} has {len(row)} cells, header has {len(header)}")
+        line_nos.append(line)
         data.append(row)
     if not data:
         raise DataFormatError(f"{path}: no data rows")
@@ -138,6 +144,8 @@ def load_csv(path, *, target_column: str = "target",
                         f"cannot parse {row[i].strip()!r} as a number") from None
         raise
     features, targets = values[:, :-1], values[:, -1]
+    if np.isnan(targets).all():
+        raise DataFormatError(f"{path}: column {target_column!r} has no values")
     if not np.isfinite(targets[~np.isnan(targets)]).all():
         raise DataFormatError(f"{path}: non-finite target value")
     raw = RegressionDataset(features, targets, provenance=str(path),

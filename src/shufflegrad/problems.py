@@ -24,23 +24,28 @@ __all__ = [
 ]
 
 
+# Gradient entries per component_gradients call of
+# max_component_gradient_norms.
+_NORM_BLOCK = 1 << 16
+
+
 class FiniteSumProblem:
     """Interface shared by all problems.
 
     Subclasses set ``n``, ``dim`` and implement ``_component_value``,
-    ``_component_gradient`` and four unvalidated oracles on an (R, d)
+    ``_component_gradient`` and three unvalidated oracles on an (R, d)
     block of points W:
 
     - ``component_gradients(W, idx)``: a new (R, d) array whose row r is
       the gradient of component ``idx[r]`` at ``W[r]``;
     - ``full_values(W)``: the (R,) objective values;
-    - ``full_gradients(W)``: the (R, d) full gradients;
-    - ``max_component_gradient_norms(W)``: the (R,) largest component
-      gradient norms.
+    - ``full_gradients(W)``: the (R, d) full gradients.
 
     They use only row-wise elementwise operations and row reductions, so
-    a row's bits do not depend on R.  ``full_value(w)``,
-    ``full_gradient(w)`` and ``max_component_gradient_norm(w)`` are their
+    a row's bits do not depend on R.  The base class derives
+    ``max_component_gradient_norms(W)``, the (R,) largest component
+    gradient norms, from ``component_gradients``.  ``full_value(w)``,
+    ``full_gradient(w)`` and ``max_component_gradient_norm(w)`` are the
     one-row cases, so the scalar and batched forms cannot drift apart;
     ``_component_gradient`` is a separate scalar formula, the reference
     ``component_gradients`` is tested against.  The public component
@@ -88,7 +93,21 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     def max_component_gradient_norms(self, W: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        # every component's gradient at k rows per call, each row repeated
+        # n times (a view when k = 1): a call holds one (k*n, d) block of at
+        # most _NORM_BLOCK entries, or one (n, d) block when n*d is larger
+        n, d = self.n, self.dim
+        k = max(1, _NORM_BLOCK // (n * d))
+        idx = np.tile(np.arange(n), min(k, len(W)))
+        out = np.empty(len(W))
+        for lo in range(0, len(W), k):
+            m = min(k, len(W) - lo)
+            G = self.component_gradients(
+                np.broadcast_to(W[lo:lo + m, None, :], (m, n, d)).reshape(m * n, d), idx[:m * n])
+            G *= G
+            out[lo:lo + m] = np.sqrt(np.max(np.sum(G, axis=1).reshape(m, n), axis=1))
+            del G  # before the next call allocates its block
+        return out
 
     def full_value(self, w) -> float:
         return float(self.full_values(np.asarray(w, dtype=float)[None])[0])
@@ -135,14 +154,6 @@ class QuarticProblem(FiniteSumProblem):
         self._optimum_point = np.zeros(self.DIM)
         self.optimum_value = 0.0
         self.declared_ell = EllFunction.power(3.0, 2.0 / 3.0)
-
-    def component_index(self, coordinate: int, offset: int) -> int:
-        """Flat index of the component acting on ``coordinate`` with ``offset``."""
-        if not 0 <= coordinate < self.DIM:
-            raise IndexError(f"coordinate {coordinate} out of range")
-        if not -10 <= offset <= 10:
-            raise IndexError(f"offset {offset} out of range")
-        return coordinate * len(self.OFFSETS) + (offset + 10)
 
     def _component_value(self, w, i):
         c = self._coord[i]
@@ -201,10 +212,6 @@ class QuarticProblem(FiniteSumProblem):
     def full_gradients(self, W):
         return 4.0 * W**3 / self.DIM
 
-    def max_component_gradient_norms(self, W):
-        # max over offsets of |4w_c^3 + k| is 4|w_c|^3 + 10
-        return 4.0 * np.max(np.abs(W), axis=1) ** 3 + 10.0
-
 
 class ExpStrongProblem(FiniteSumProblem):
     """Strongly convex exponential sum on 50 coordinates.
@@ -230,8 +237,6 @@ class ExpStrongProblem(FiniteSumProblem):
         self.optimum_value = self.full_value(self._optimum_point)
         self.strong_convexity = 1.0
         self.declared_ell = EllFunction.affine(5.0, 5.0)
-
-    component_index = QuarticProblem.component_index
 
     def _component_value(self, w, i):
         c = self._coord[i]
@@ -260,12 +265,6 @@ class ExpStrongProblem(FiniteSumProblem):
         coeff = self._exp_sum / self.n
         return coeff * (np.exp(W) - np.exp(-W)) + W
 
-    def max_component_gradient_norms(self, W):
-        k, x = self.OFFSETS.astype(float), W[:, :, None]
-        s = np.exp(x - k) - np.exp(k - x)
-        sq = row_dots(W, W)[:, None, None] - x**2 + (x + s) ** 2
-        return np.sqrt(np.max(sq, axis=(1, 2)))
-
 
 class PhaseRetrievalProblem(FiniteSumProblem):
     """Noisy quadratic measurements f(z; r) = 0.5*(y_r - (a_r.z)^2)^2.
@@ -291,7 +290,6 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         self.targets = targets
         self.n, self.dim = vectors.shape
         self._initial = initial
-        self._vector_norms = np.linalg.norm(vectors, axis=1)
         self.signal = signal
         self.noise_std = float(noise_std)
         if noise_std == 0:
@@ -327,10 +325,6 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         Q = self._projections(W)
         C = (2.0 / self.n) * (Q * Q - self.targets) * Q
         return np.array([self.vectors.T @ c for c in C]).reshape(len(W), self.dim)
-
-    def max_component_gradient_norms(self, W):
-        Q = self._projections(W)
-        return np.max(np.abs(2.0 * (Q * Q - self.targets) * Q) * self._vector_norms, axis=1)
 
 
 def _psi_star(t):
@@ -378,11 +372,11 @@ class DROProblem(FiniteSumProblem):
     def _regularizer(self, w):
         return self.REG_WEIGHT * float(np.sum(np.log1p(np.abs(w))))
 
-    def sample_losses(self, v) -> np.ndarray:
-        """Per-sample regularized losses at the weight part of ``v``."""
-        w, _ = self.split(np.asarray(v, dtype=float))
+    def _losses(self, v):
+        """Residuals and per-sample regularized losses at one point ``v``."""
+        w = v[:-1]
         r = self.targets - self.features @ w
-        return 0.5 * r * r + self._regularizer(w)
+        return r, 0.5 * r * r + self._regularizer(w)
 
     def _component_value(self, v, i):
         w, theta = self.split(v)
@@ -409,33 +403,19 @@ class DROProblem(FiniteSumProblem):
 
     def full_values(self, V):
         # row by row: the (n, d) work per row is the data's own size
-        return np.fromiter((np.mean(_psi_star((self.sample_losses(v) - v[-1]) / self.lam)) + v[-1]
+        return np.fromiter((np.mean(_psi_star((self._losses(v)[1] - v[-1]) / self.lam)) + v[-1]
                             for v in V), float, len(V))
-
-    def _chain_terms(self, v):
-        """Residuals, per-sample chain-rule factors psi*'(.)/lam and the
-        regularizer gradient at one point ``v``."""
-        w, theta = self.split(v)
-        r = self.targets - self.features @ w
-        losses = 0.5 * r * r + self._regularizer(w)
-        coef = _psi_star_prime((losses - theta) / self.lam) / self.lam
-        return r, coef, self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
 
     def full_gradients(self, V):
         G = np.empty(V.shape)
         for k, v in enumerate(V):  # row by row, like full_values
-            r, coef, reg_grad = self._chain_terms(v)
+            r, losses = self._losses(v)
+            coef = _psi_star_prime((losses - v[-1]) / self.lam) / self.lam
+            w = v[:-1]
+            reg_grad = self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
             G[k, :-1] = self.features.T @ (-coef * r) / self.n + np.mean(coef) * reg_grad
             G[k, -1] = 1.0 - float(np.mean(coef))
         return G
-
-    def max_component_gradient_norms(self, V):
-        out = np.empty(len(V))
-        for k, v in enumerate(V):  # row by row, like full_values
-            r, coef, reg_grad = self._chain_terms(v)
-            rows = -r[:, None] * self.features + reg_grad[None, :]
-            out[k] = np.sqrt(np.max(coef**2 * np.sum(rows * rows, axis=1) + (1.0 - coef) ** 2))
-        return out
 
 
 class TinyQuadraticProblem(FiniteSumProblem):
@@ -485,9 +465,6 @@ class TinyQuadraticProblem(FiniteSumProblem):
         """Population variance of component gradients (constant in w)."""
         d = self.centers - self._mean_center
         return float(np.mean(np.sum(d * d, axis=1)))
-
-    def max_component_gradient_norms(self, W):
-        return np.max(np.linalg.norm(W[:, None, :] - self.centers, axis=2), axis=1)
 
 
 def build_problem(spec: dict) -> FiniteSumProblem:

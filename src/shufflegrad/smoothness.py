@@ -30,7 +30,7 @@ never accepts an inequality exact arithmetic rejects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -571,7 +571,8 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
         # (ceil on the epoch floor, float error on caps met with
         # equality) can leave a check violated by an ulp or an epoch.
         # Shave eta geometrically and bump the epoch count until both
-        # the float checks and the audit pass.
+        # the float checks and the audit pass.  One epoch takes the
+        # one-epoch target's plan, the largest stepsize the caps allow.
         shave = 2.0**-44
         last = None
         for _ in range(120):
@@ -580,6 +581,8 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
             last = plan
             if plan.valid:
                 bad = _audit_failures(plan)
+                if not bad and epochs == 1:
+                    return replace(_plan_free_eta(bundle, 1), target_epochs=None)
                 if not bad:
                     return plan
                 if set(bad) == {"epoch_floor"}:
@@ -705,8 +708,9 @@ def stepsize_plan(bundle: ConstantsBundle, target_epochs: int | None = None) -> 
     count: without a target the plan has the smallest epoch count the
     checks and the audit accept.  Recipes with a free stepsize take,
     without a target, a stepsize just below their combined caps and the
-    smallest epoch count its floor allows; at a target, the largest
-    stepsize the caps allow at that count, less at most 7 ulps.  An
+    smallest epoch count its floor allows, or the one-epoch target's plan
+    when that count is 1; at a target, the largest stepsize the caps
+    allow at that count, less at most 7 ulps.  An
     unsatisfiable target raises :class:`PlanInfeasibleError` naming the
     binding constraint.
     """

@@ -89,11 +89,18 @@ class TestLoadCsv:
                                  "3,oops,DE,5\n", name="d2.csv")
         with pytest.raises(ValueError, match=r"line 6, column 'b': cannot parse 'oops'"):
             load_csv(path2, drop_columns=("country",))
+        # and a quoted line break
+        path3 = _write(tmp_path, 'a,target\n1,2\n"3\n",4\n5,x\n', name="d3.csv")
+        with pytest.raises(ValueError, match=r"line 5, column 'target': cannot parse 'x'"):
+            load_csv(path3, drop_columns=())
 
     def test_error_ragged_row(self, tmp_path):
         path = _write(tmp_path, "a,b,target\n1,2,3\n4,5\n")
         with pytest.raises(ValueError, match="line 3 has 2 cells"):
             load_csv(path, drop_columns=())
+        path2 = _write(tmp_path, 'a,target\n1,2\n"3\n",4\n5\n', name="d2.csv")
+        with pytest.raises(ValueError, match="line 5 has 1 cells"):
+            load_csv(path2, drop_columns=())
 
     def test_error_numeric_first_row(self, tmp_path):
         path = _write(tmp_path, "1,2\n3,4\n")
@@ -120,6 +127,9 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,b,target\n1,,2\n3,,4\n")
         with pytest.raises(ValueError, match="'b' has no values"):
             load_csv(path, drop_columns=())
+        path2 = _write(tmp_path, "a,target\n1,\n2,\n3,\n", name="d2.csv")
+        with pytest.raises(DataFormatError, match="column 'target' has no values"):
+            load_csv(path2, drop_columns=())
 
     def test_error_nonfinite_target(self, tmp_path):
         path = _write(tmp_path, "a,target\n1,inf\n2,3\n")

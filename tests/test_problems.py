@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shufflegrad.problems import (
+    _NORM_BLOCK,
     DROProblem,
     ExpStrongProblem,
     PhaseRetrievalProblem,
@@ -123,6 +124,25 @@ def test_batched_values_and_hook_match_row_by_row(which, rows, scale, seed):
         assert abs(norms[r] - brute) <= 1e-12 * brute, (r, norms[r], brute)
 
 
+@settings(max_examples=20, deadline=None)
+@given(quartic=st.booleans(), scale=st.sampled_from((0.01, 0.3, 2.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_max_norms_rows_are_one_row_calls_and_brute_force(quartic, scale, seed):
+    # quartic takes one point per call; tiny_quadratic's block spans two calls
+    problem = QuarticProblem() if quartic else TinyQuadraticProblem()
+    per_call = max(1, _NORM_BLOCK // (problem.n * problem.dim))
+    rng = np.random.default_rng(seed)
+    W = problem.initial_point + scale * rng.standard_normal((3 if quartic else per_call + 3,
+                                                             problem.dim))
+    norms = problem.max_component_gradient_norms(W)
+    edges = {0, per_call - 1, min(per_call, len(W) - 1), len(W) - 1}
+    for r in edges | set(rng.choice(len(W), size=3, replace=False).tolist()):
+        assert norms[r] == problem.max_component_gradient_norm(W[r])  # bit for bit
+        brute = max(float(np.linalg.norm(problem.component_gradient(W[r], i)))
+                    for i in range(problem.n))
+        assert abs(norms[r] - brute) <= 1e-12 * brute, (r, norms[r], brute)
+
+
 @pytest.mark.parametrize("problem", _ORACLE_PROBLEMS, ids=lambda p: type(p).__name__)
 def test_batched_oracles_take_an_empty_block(problem):
     empty = np.empty((0, problem.dim))
@@ -152,21 +172,16 @@ class TestQuartic:
         np.testing.assert_array_equal(p.initial_point, np.ones(50))
 
     def test_component_index_layout(self):
+        # component (coordinate c, offset k) has flat index c*21 + k + 10
         p = QuarticProblem()
-        assert p.component_index(0, -10) == 0
-        assert p.component_index(0, 10) == 20
-        assert p.component_index(2, 0) == 2 * 21 + 10
-        w = np.zeros(50)
-        w[2] = 1.5
-        i = p.component_index(2, 3)
-        assert p.component_value(w, i) == pytest.approx(1.5**4 + 3 * 1.5)
-        g = p.component_gradient(w, i)
-        assert g[2] == pytest.approx(4 * 1.5**3 + 3)
-        assert np.count_nonzero(g) == 1
-        with pytest.raises(IndexError):
-            p.component_index(50, 0)
-        with pytest.raises(IndexError):
-            p.component_index(0, 11)
+        w = np.full(50, 0.5)
+        for i, (c, k) in {0: (0, -10), 20: (0, 10), 52: (2, 0), 55: (2, 3), 1049: (49, 10)}.items():
+            w[c] = 1.5
+            assert p.component_value(w, i) == pytest.approx(1.5**4 + k * 1.5)
+            g = p.component_gradient(w, i)
+            assert g[c] == pytest.approx(4 * 1.5**3 + k)
+            assert np.count_nonzero(g) == 1
+            w[c] = 0.5
 
     def test_offsets_cancel_in_full_gradient(self):
         p = QuarticProblem()

@@ -237,6 +237,19 @@ class TestPlans:
         assert plan.epochs == 30000
         assert plan.valid and all(ok for _, ok in reevaluate_plan(plan))
 
+    def test_one_epoch_free_plan_is_the_one_epoch_target_plan(self):
+        # The epoch floor is below one epoch, so one epoch's caps set the
+        # stepsize: 7.42, where shaving from the caps of the fractional
+        # floor stopped at 3.76.
+        bundle = _bundle(5, ell=EllFunction.constant(0.0027), initial_gap=1.8, n=3708,
+                         eps=0.35, failure_prob=0.32, noise_std=8.0, optimum_noise_std=11.0,
+                         initial_distance_sq=0.024)
+        plan = stepsize_plan(bundle)
+        assert plan.epochs == 1 and plan.target_epochs is None
+        assert plan == dataclasses.replace(stepsize_plan(bundle, target_epochs=1),
+                                           target_epochs=None)
+        assert plan.eta > 7.4
+
     def test_target_epochs_infeasible(self):
         b = _bundle(2, initial_gap=1.0, n=2)
         with pytest.raises(PlanInfeasibleError) as err:
@@ -334,12 +347,9 @@ def test_plans_pass_the_audit_and_floats_agree_with_it(recipe, ell, gap, n, eps,
                 assert check.satisfied == ok, (check, ok)
 
     # A stepsize set by a cap or by the pinned formula cannot grow by half.
-    # The candidate stepsize may sit well inside every cap, and a free
-    # plan without a target at one epoch need not meet its cube-sum caps
-    # (derived for a fractional epoch floor), so 1.5 times the stepsize
-    # can then still be feasible.
-    if (plan.epochs > 1 or target is not None) and (
-            plan.candidate_eta is None or plan.eta < plan.candidate_eta * (1.0 - 1e-6)):
+    # The candidate stepsize may sit well inside every cap, so 1.5 times
+    # the stepsize can then still be feasible.
+    if plan.candidate_eta is None or plan.eta < plan.candidate_eta * (1.0 - 1e-6):
         bigger = dataclasses.replace(plan, eta=plan.eta * 1.5)
         assert not all(ok for _, ok in reevaluate_plan(bigger))
 
