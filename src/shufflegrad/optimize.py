@@ -102,7 +102,8 @@ class DivergenceError(RuntimeError):
 
     Carries the epoch (1-based), the inner step index within it
     (0-based), the last finite objective, and the rows recorded for the
-    epochs that completed.
+    epochs that completed.  The step index is the first at which the
+    step loop, replaying the epoch, leaves the region, else the last.
     """
 
     def __init__(self, epoch: int, step_index: int, last_value: float,
@@ -191,9 +192,11 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
     the rest (its step_size is unused).  A row's arithmetic does not
     depend on the other rows, so a run gives the same bits alone and in
     any block.  A row that leaves the finite/threshold region at the end
-    of an epoch leaves the block; that epoch is replayed for it alone
-    with a per-step check to find the inner step.  Overflow raises no
-    warnings.  ``wall_ms`` is the block's cumulative clock.
+    of an epoch leaves the block; the step loop replays that epoch for it
+    alone, and its inner step is the first at which the loop leaves the
+    region, else the last (the loop's bits may differ from a
+    ``component_epoch``'s, or only the objective crossed the threshold).
+    Overflow raises no warnings.  ``wall_ms`` is the block's clock.
 
     Returns, per row, its :class:`TrajectoryRecord` or the
     :class:`DivergenceError` that ended it.

@@ -52,8 +52,9 @@ class FiniteSumProblem:
     accessors validate inputs.
 
     A problem may also set ``component_epoch(W, orders, steps)``: the
-    block after one epoch of single-component steps, bit for bit the
-    result of :func:`shufflegrad.optimize.run_block`'s step loop.
+    block after one epoch of single-component steps, in place of the
+    step loop of :func:`shufflegrad.optimize.run_block`.  A row's bits do
+    not depend on R; quartic's are the loop's, exp_strong's agree to rounding.
     """
 
     n: int
@@ -133,6 +134,55 @@ class FiniteSumProblem:
         return None if pt is None else pt.copy()
 
 
+def _lane_epoch(W, coord, offset, orders, steps, visit, idle=None):
+    """Row r of ``W`` after visiting ``orders[:, r]`` one component at a
+    time with step ``steps[r]``, where component i moves coordinate
+    ``coord[i]`` by that coordinate's value, the step and ``offset[i]``.
+
+    Each lane, a (row, coordinate) pair, then follows its own visits.
+    Lanes are sorted by visit count, largest first, so the t-th visits of
+    all lanes fill a prefix and take one vector step ``x = visit(x, s,
+    k)`` (lanes x, steps s, offsets k).  ``idle(x, s, gap)``, if given,
+    takes lanes through the ``gap`` steps that do not visit them, before
+    each visit and after the last (all n if never visited).
+    """
+    R, d = W.shape
+    # each row's visit positions grouped by lane, each lane's in visiting
+    # order; a stable sort of int16 keys is a radix sort
+    pos = np.argsort(coord.astype(np.int16)[orders.T], axis=1, kind="stable")
+    lane = (coord[np.take_along_axis(orders.T, pos, axis=1)]
+            + np.arange(0, R * d, d)[:, None]).ravel()
+    counts = np.bincount(lane, minlength=R * d)
+    by_count = np.argsort(-counts, kind="stable")
+    column = np.empty_like(by_count)  # lane -> its place in by_count
+    column[by_count] = np.arange(R * d)
+    lengths = R * d - np.cumsum(np.bincount(counts))[:-1]  # lanes with more than t visits
+    first = np.cumsum(lengths) - lengths
+    # rank-major tables: the t-th visits of lanes by_count[:lengths[t]] sit
+    # at first[t], first[t] + 1, ...; in place, to keep few (R, n) arrays
+    slot = np.arange(lane.size)
+    slot -= (np.cumsum(counts) - counts)[lane]  # the visit's rank in its lane
+    slot = first[slot]
+    slot += column[lane]
+    del lane
+    K = np.empty(slot.size)
+    K[slot] = offset[np.take_along_axis(orders.T, pos, axis=1)].ravel()
+    P = np.empty(slot.size, np.int32)
+    P[slot] = pos.ravel()
+    del pos, slot
+    x, s = W.ravel()[by_count], steps[by_count // d]
+    last = np.full(R * d, -1, np.int32)
+    for lo, L in zip(first, lengths):
+        if idle is not None:
+            p = P[lo:lo + L]
+            x[:L] = idle(x[:L], s[:L], p - last[:L] - 1)
+            last[:L] = p
+        x[:L] = visit(x[:L], s[:L], K[lo:lo + L])
+    if idle is not None:
+        x = idle(x, s, len(orders) - 1 - last)
+    return x[column].reshape(W.shape)
+
+
 class QuarticProblem(FiniteSumProblem):
     """Separable quartic f(x; (i,k)) = x_i^4 + k*x_i on 50 coordinates.
 
@@ -168,43 +218,17 @@ class QuarticProblem(FiniteSumProblem):
     def component_gradients(self, W, idx):
         rows, c = np.arange(len(idx)), self._coord[idx]
         G = np.zeros(W.shape)
-        G[rows, c] = 4.0 * W[rows, c] ** 3 + self._offset[idx]
+        x = W[rows, c]
+        G[rows, c] = 4.0 * (x * x * x) + self._offset[idx]
         return G
 
     def component_epoch(self, W, orders, steps):
-        """Row r of ``W`` after visiting ``orders[:, r]`` one component at a
-        time with step ``steps[r]`` (>= +0.0), bit for bit.
-
-        A component moves one coordinate, so each lane, a (row,
-        coordinate) pair, evolves through its own visits alone, in order.
-        Lanes are sorted by visit count, largest first; the t-th visits of
-        all lanes then fill a prefix and take one vector step, with the
-        operations of ``component_gradients`` followed by ``g *= step;
-        W -= g``.  Unvisited coordinates are left as they are, as
-        ``W - 0.0 * step`` leaves them.
-        """
-        R, d = W.shape
-        coord = self._coord[orders.T]  # (R, n): each row's visits in order
-        # visit ids grouped by lane, each lane's in visiting order; a stable
-        # sort of int16 keys is a radix sort
-        visits = (np.argsort(coord.astype(np.int16), axis=1, kind="stable")
-                  + len(orders) * np.arange(R)[:, None]).ravel()
-        lane = (coord + d * np.arange(R)[:, None]).ravel()[visits]
-        counts = np.bincount(lane, minlength=R * d)
-        rank = np.arange(lane.size) - (np.cumsum(counts) - counts)[lane]
-        by_count = np.argsort(-counts, kind="stable")
-        column = np.empty_like(by_count)
-        column[by_count] = np.arange(R * d)
-        K = np.empty((counts.max(), R * d))  # K[t, j]: offset of lane by_count[j]'s t-th visit
-        K[rank, column[lane]] = self._offset[orders.T].ravel()[visits]
-        x, s = W.ravel()[by_count], steps[by_count // d]
-        # rank t steps the L lanes that have more than t visits
-        for t, L in enumerate(R * d - np.cumsum(np.bincount(counts))[:-1]):
-            v = x[:L]
-            x[:L] = v - (4.0 * v**3 + K[t, :L]) * s[:L]
-        out = np.empty(W.shape)
-        out.ravel()[by_count] = x
-        return out
+        """One epoch of single-component steps ``steps[r]`` (>= +0.0) along
+        ``orders[:, r]``, bit for bit the step loop: a visit has the
+        operations of ``component_gradients`` then ``g *= step; W -= g``,
+        and the other steps leave a coordinate as ``W - 0.0 * step`` does."""
+        return _lane_epoch(W, self._coord, self._offset, orders, steps,
+                           lambda x, s, k: x - (4.0 * (x * x * x) + k) * s)
 
     def full_values(self, W):
         return np.sum(W**4, axis=1) / self.DIM
@@ -256,6 +280,15 @@ class ExpStrongProblem(FiniteSumProblem):
         G = W.copy()
         G[rows, c] += np.exp(x - k) - np.exp(k - x)
         return G
+
+    def component_epoch(self, W, orders, steps):
+        """One epoch of single-component steps ``steps[r]`` (>= +0.0) along
+        ``orders[:, r]``, to rounding: a step moves each coordinate it does
+        not visit by x - s * x, so a lane takes its unvisited stretches as
+        one factor (1 - s)**gap (0**0 = 1), its visits as the step loop."""
+        return _lane_epoch(W, self._coord, self._offset, orders, steps,
+                           lambda x, s, k: x - (x + (np.exp(x - k) - np.exp(k - x))) * s,
+                           lambda x, s, gap: x * np.power(1.0 - s, gap))
 
     def full_values(self, W):
         coeff = self._exp_sum / self.n

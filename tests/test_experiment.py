@@ -401,15 +401,16 @@ def test_pool_builds_the_problem_once(tmp_path, monkeypatch):
     assert len(workers) == 2 and str(os.getpid()) not in workers
 
 
-# (problem, step size of the four regular arms).  dro also gets a
-# "sweep" arm whose step size diverges in every repetition.  A "path"
-# of None is the CSV that _write_dro_csv writes.
+# (problem, step size of the four regular arms, step size of a "sweep"
+# arm that diverges in every repetition, or None).  A "path" of None is
+# the CSV that _write_dro_csv writes.
 _SOLO_PROBLEMS = {
-    "quartic": ({"id": "quartic"}, 0.01),
-    "phase": ({"id": "phase_retrieval", "m": 40, "dim": 6, "seed": 0}, 1e-4),
+    "quartic": ({"id": "quartic"}, 0.01, None),
+    "exp_strong": ({"id": "exp_strong"}, 1e-5, 0.01),
+    "phase": ({"id": "phase_retrieval", "m": 40, "dim": 6, "seed": 0}, 1e-4, None),
     "dro": ({"id": "dro", "lam": 1.0,
-             "dataset": {"synthetic": {"seed": 7, "rows": 60, "dim": 5}}}, 0.01),
-    "dro_csv": ({"id": "dro", "lam": 1.0, "dataset": {"csv": {"path": None}}}, 1e-3),
+             "dataset": {"synthetic": {"seed": 7, "rows": 60, "dim": 5}}}, 0.01, 0.3),
+    "dro_csv": ({"id": "dro", "lam": 1.0, "dataset": {"csv": {"path": None}}}, 1e-3, 0.3),
 }
 
 
@@ -417,17 +418,16 @@ _SOLO_PROBLEMS = {
 @pytest.mark.parametrize("batch_size", (1, 3))
 @pytest.mark.parametrize("name", sorted(_SOLO_PROBLEMS))
 def test_rows_match_solo_runs(tmp_path, name, batch_size, jobs):
-    spec, step = _SOLO_PROBLEMS[name]
+    spec, step, sweep = _SOLO_PROBLEMS[name]
     if "csv" in spec.get("dataset", {}):
         _write_dro_csv(tmp_path / "dro.csv")
         spec = {**spec, "dataset": {"csv": {"path": str(tmp_path / "dro.csv")}}}
-    dro = spec["id"] == "dro"
     arms = [ArmSpec(name=kind, method="shuffling", scheme=kind, step_size=step)
             for kind in KINDS]
     arms.append(ArmSpec(name="sgd", method="sgd", step_size=step))
-    if dro:
+    if sweep:
         arms.append(ArmSpec(name="sweep", method="shuffling", scheme="random_reshuffle",
-                            step_size=0.3))
+                            step_size=sweep))
     config = _config(problem=spec, arms=tuple(arms), epochs=3, repetitions=2,
                      batch_size=batch_size)
     result = run_experiment(config, tmp_path / "out", jobs=jobs)
@@ -456,5 +456,5 @@ def test_rows_match_solo_runs(tmp_path, name, batch_size, jobs):
                                 f"{dist},{record.evals[i]}")
     assert _strip_wall(result.raw_path) == expected
     assert list(zip(result.diverged, result.diverged_at)) == diverged
-    assert {arm for (arm, _), _ in diverged} == ({"sweep"} if dro else set())
-    assert len(diverged) == (2 if dro else 0)
+    assert {arm for (arm, _), _ in diverged} == ({"sweep"} if sweep else set())
+    assert len(diverged) == (2 if sweep else 0)

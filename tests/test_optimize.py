@@ -16,7 +16,8 @@ from shufflegrad.optimize import (
     scheme_stream,
     sgd_stream,
 )
-from shufflegrad.problems import QuarticProblem, TinyQuadraticProblem, build_problem
+from shufflegrad.problems import (ExpStrongProblem, QuarticProblem, TinyQuadraticProblem,
+                                  build_problem)
 from shufflegrad.shuffling import Scheme, permutation_for_epoch
 
 
@@ -266,10 +267,20 @@ class TestDivergence:
         assert e.step_index == escaped
 
 
-def _generic_quartic():
-    problem = QuarticProblem()
+def _generic(problem_class):
+    problem = problem_class()
     problem.component_epoch = None  # _epoch_pass falls back to its step loop
     return problem
+
+
+def _generic_quartic():
+    return _generic(QuarticProblem)
+
+
+def _mixed_orders(rng, n, rows):
+    """Permutation and with-replacement orders, one column per row."""
+    return np.stack([rng.permutation(n) if rng.random() < 0.5 else rng.integers(0, n, n)
+                     for _ in range(rows)], axis=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,14 +306,88 @@ def test_quartic_epoch_is_the_step_loop_bit_for_bit(rows, log_scale, zero_steps,
     np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
-@pytest.mark.parametrize("batch_size,step,calls", [
-    (1, 1e-4, 3),     # every epoch
-    (2, 1e-4, 0),     # batches of two take the step loop
-    (1, -0.0, 0),     # a -0.0 step takes the step loop
-    (1, 10.0, 1),     # diverges in epoch 1; the replay takes the step loop
+def _exp_strong_loop(problem, W, orders, steps):
+    """The step loop of _epoch_pass at batch size 1, plus per entry the
+    largest |value| it takes and the product over its visits of
+    max(1, |1 - s(1 + e^(x-k) + e^(k-x))|), the factor by which a visit,
+    the map x -> x - s(x + e^(x-k) - e^(k-x)), can grow an earlier error."""
+    rows = np.arange(len(W))
+    W, gain, scale = W.copy(), np.ones(W.shape), np.abs(W)
+    for idx in orders:
+        c, k = problem._coord[idx], problem._offset[idx]
+        x = W[rows, c]
+        gain[rows, c] *= np.maximum(1.0, np.abs(1.0 - steps * (1.0 + np.exp(x - k) + np.exp(k - x))))
+        g = problem.component_gradients(W, idx)
+        g *= steps[:, None]
+        W -= g
+        np.maximum(scale, np.abs(W), out=scale)
+    return W, gain, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), log_scale=st.floats(-3, 1), zero_steps=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_exp_strong_epoch_is_the_step_loop_to_rounding(rows, log_scale, zero_steps, seed):
+    # Bound, per entry: |lane - loop| <= 8 * n * 2**-53 * gain * scale.
+    # A visit has the same operations in the loop and the lane, so it adds
+    # only the rounding of its result, and it multiplies the difference it
+    # receives by at most its gain factor.  The rest comes from the
+    # stretches between visits: the loop rounds x - s*x (two operations)
+    # at each unvisited step, the lane one pow (a few ulp) and one product
+    # per stretch.  Each rounding is at most 2**-53 * scale; together they
+    # stay below about 3 * n * 2**-53 * scale, and an unvisited step
+    # multiplies earlier differences by |1 - s| <= 1.  Steps span 1e-9 to
+    # 1e-2: stable ones up to about 3e-5, growing and overflowing ones above.
+    rng = np.random.default_rng(seed)
+    problem = ExpStrongProblem()
+    n = problem.n
+    orders = _mixed_orders(rng, n, rows)
+    W = 10.0**log_scale * rng.standard_normal((rows, problem.dim))
+    W[rng.random(W.shape) < 0.02] = 0.0
+    steps = 10.0 ** rng.uniform(-9, -2, rows)
+    steps[:zero_steps] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lane = problem.component_epoch(W, orders, steps)
+        loop, gain, scale = _exp_strong_loop(problem, W, orders, steps)
+        bound = 8 * n * 2.0**-53 * gain * scale
+    np.testing.assert_array_equal(np.isfinite(lane), np.isfinite(loop))
+    checked = np.isfinite(loop) & np.isfinite(bound)
+    assert (np.abs(lane[checked] - loop[checked]) <= bound[checked]).all()
+    np.testing.assert_array_equal(lane[:zero_steps], W[:zero_steps])
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem_class=st.sampled_from([QuarticProblem, ExpStrongProblem]),
+       rows=st.integers(2, 40), log_scale=st.floats(-3, 1), seed=st.integers(0, 2**32 - 1))
+def test_lane_epoch_row_bits_do_not_depend_on_the_block(problem_class, rows, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    problem = problem_class()
+    orders = _mixed_orders(rng, problem.n, rows)
+    W = 10.0**log_scale * rng.standard_normal((rows, problem.dim))
+    steps = 10.0 ** rng.uniform(-9, -2, rows)
+    r = int(rng.integers(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = problem.component_epoch(W, orders, steps)
+        alone = problem.component_epoch(W[r:r + 1], orders[:, r:r + 1], steps[r:r + 1])
+    np.testing.assert_array_equal(alone[0].view(np.int64), block[r].view(np.int64))
+
+
+@pytest.mark.parametrize("problem_class,batch_size,step,calls", [
+    # every epoch; exp_strong diverges at 1e-4
+    pytest.param(QuarticProblem, 1, 1e-4, 3, id="1-0.0001-3"),
+    pytest.param(ExpStrongProblem, 1, 1e-5, 3, id="exp_strong-1-1e-05-3"),
+    # batches of two take the step loop
+    pytest.param(QuarticProblem, 2, 1e-4, 0, id="2-0.0001-0"),
+    pytest.param(ExpStrongProblem, 2, 1e-5, 0, id="exp_strong-2-1e-05-0"),
+    # a -0.0 step takes the step loop
+    pytest.param(QuarticProblem, 1, -0.0, 0, id="1--0.0-0"),
+    pytest.param(ExpStrongProblem, 1, -0.0, 0, id="exp_strong-1--0.0-0"),
+    # diverges in epoch 1; the replay takes the step loop
+    pytest.param(QuarticProblem, 1, 10.0, 1, id="1-10.0-1"),
+    pytest.param(ExpStrongProblem, 1, 10.0, 1, id="exp_strong-1-10.0-1"),
 ])
-def test_quartic_epoch_serves_single_component_steps(batch_size, step, calls):
-    problem = QuarticProblem()
+def test_quartic_epoch_serves_single_component_steps(problem_class, batch_size, step, calls):
+    problem = problem_class()
     seen = []
     epoch = problem.component_epoch
     problem.component_epoch = lambda *args: seen.append(1) or epoch(*args)
@@ -315,15 +400,42 @@ def test_quartic_epoch_serves_single_component_steps(batch_size, step, calls):
                    lambda t: np.zeros(p.n, dtype=np.int64)]
         return run_block(p, config, streams, [step] * 3)
 
-    outcomes, reference = run(problem), run(_generic_quartic())
+    outcomes, reference = run(problem), run(_generic(problem_class))
     assert len(seen) == calls
+    # quartic's lane epoch is its step loop bit for bit; exp_strong's
+    # agrees to rounding (test_exp_strong_epoch_is_the_step_loop_to_rounding)
+    exact = problem_class is QuarticProblem or calls == 0
     for got, want in zip(outcomes, reference):
         if isinstance(want, DivergenceError):
             assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
             got, want = got.record, want.record
-        np.testing.assert_array_equal(got.objective, want.objective)
-        np.testing.assert_array_equal(got.final_point.view(np.int64),
-                                      want.final_point.view(np.int64))
+        if exact:
+            np.testing.assert_array_equal(got.objective, want.objective)
+            np.testing.assert_array_equal(got.final_point.view(np.int64),
+                                          want.final_point.view(np.int64))
+        else:
+            np.testing.assert_allclose(got.objective, want.objective, rtol=1e-12)
+            np.testing.assert_allclose(got.final_point, want.final_point, rtol=0,
+                                       atol=1e-12 * np.abs(want.final_point).max())
+
+
+@pytest.mark.parametrize("step", [0.01, 1.0, 1.5])
+def test_exp_strong_divergence_is_located_by_the_step_loop(step):
+    # the lane epoch finds the diverging epoch, the step loop replays it:
+    # the same (epoch, step_index) as a problem without the lane epoch
+    config = RunConfig(step_size=0.0, epochs=3)
+
+    def run(p):
+        return run_block(p, config, [scheme_stream(Scheme.random_reshuffle(p.n, 4)),
+                                     sgd_stream(p.n, 5)], [step] * 2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = run(ExpStrongProblem())
+    reference = run(_generic(ExpStrongProblem))
+    for got, want in zip(outcomes, reference):
+        assert isinstance(want, DivergenceError)
+        assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
 
 
 @pytest.mark.parametrize("kind", ["fixed", "shuffle_once"])
