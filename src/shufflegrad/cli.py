@@ -35,6 +35,7 @@ from .shuffling import Scheme, without_replacement_variance_factor
 from .smoothness import (
     EllFunction,
     PlanInfeasibleError,
+    RECIPE_NEEDS,
     RECIPES,
     constants_for_recipe,
     estimate_sublevel_gradient_bound,
@@ -214,10 +215,11 @@ def _cmd_plan(args) -> int:
     else:
         raise ValueError("initial gap unknown: pass --initial-gap (a bound needs the optimal value)")
 
+    needs = RECIPE_NEEDS[recipe]
     kwargs = {"initial_gap": gap, "n": int(n), "eps": args.eps}
-    if recipe in (1, 3, 5):
+    if "failure_prob" in needs:
         kwargs["failure_prob"] = _require(hint, args.delta, "--delta")
-    if recipe in (1, 2, 3, 5):
+    if "variance_slope" in needs:
         slope, noise = args.variance_slope, args.noise_std
         if slope is None or noise is None:
             if problem is None:
@@ -230,23 +232,23 @@ def _cmd_plan(args) -> int:
                   f"noise_std = {noise:.17g} ({fit.sample_count} samples)")
         kwargs["variance_slope"] = slope
         kwargs["noise_std"] = noise
-    if recipe in (3, 4):
+    if "strong_convexity" in needs:
         mu = args.mu
         if mu is None and problem is not None:
             mu = problem.strong_convexity
         kwargs["strong_convexity"] = _require(hint, mu, "--mu")
-    if recipe in (4, 5):
+    if "optimum_noise_std" in needs:
         opt_noise = args.optimum_noise
         if opt_noise is None and problem is not None and problem.optimum_point is not None:
             opt_noise = optimum_component_noise(problem)
         kwargs["optimum_noise_std"] = _require(hint, opt_noise, "--optimum-noise")
-    if recipe in (5, 6):
+    if "initial_distance_sq" in needs:
         dist = args.initial_dist_sq
         if dist is None and problem is not None and problem.optimum_point is not None:
             delta_w = problem.initial_point - problem.optimum_point
             dist = float(delta_w @ delta_w)
         kwargs["initial_distance_sq"] = _require(hint, dist, "--initial-dist-sq")
-    if recipe in (4, 6):
+    if "component_grad_bound_value" in needs:
         bound = args.component_grad_bound
         heuristic = False
         if bound is None:

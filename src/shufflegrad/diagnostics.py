@@ -32,12 +32,12 @@ __all__ = [
 ]
 
 
-def finite_difference_gradient(func, w, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient with per-coordinate scaled steps."""
+def finite_difference_gradient(func, w) -> np.ndarray:
+    """Central-difference gradient with step 1e-5 * (1 + |w_j|) on coordinate j."""
     w = np.asarray(w, dtype=float)
     grad = np.empty_like(w)
     for j in range(w.size):
-        h = step * (1.0 + abs(w[j]))
+        h = 1e-5 * (1.0 + abs(w[j]))
         wp, wm = w.copy(), w.copy()
         wp[j] += h
         wm[j] -= h
@@ -123,21 +123,21 @@ class ProbeReport:
 
 
 _PROBE_STREAM = 0x9E
+_POWER_ITERATIONS = 30
 
 
 def probe_ell_envelope(problem, points, *, ell: EllFunction | None = None,
-                       step_scale: float = 1e-4, power_iterations: int = 30,
-                       tolerance: float = 0.05, seed: int = 0) -> ProbeReport:
+                       seed: int = 0) -> ProbeReport:
     """Estimate the Hessian norm of the full objective at each point.
 
-    Uses power iteration on central-difference Hessian-vector products
-    with step step_scale * (1 + ||w||).  Points are nudged by a 1e-8
+    Uses 30 power iterations on central-difference Hessian-vector
+    products with step 1e-4 * (1 + ||w||).  Points are nudged by a 1e-8
     relative perturbation first, so probes land off measure-zero kinks.
     A probe whose estimate is still changing by more than 1e-3
-    relatively after the iteration budget is excluded and counted in
+    relatively after the last iteration is excluded and counted in
     ``stagnated_count``.  When a modulus is available (argument, else
-    the problem's declared one), each kept probe is checked against
-    modulus(grad_norm) * (1 + tolerance).
+    the problem's declared one), each kept probe is checked against 1.05
+    times the modulus at its gradient norm (a 5% tolerance).
     """
     if ell is None:
         ell = problem.declared_ell
@@ -149,7 +149,7 @@ def probe_ell_envelope(problem, points, *, ell: EllFunction | None = None,
             np.random.SeedSequence(entropy=seed, spawn_key=(_PROBE_STREAM, idx)))
         scale = 1.0 + float(np.linalg.norm(w))
         w = w + 1e-8 * scale * rng.standard_normal(w.shape)
-        h = step_scale * scale
+        h = 1e-4 * scale
 
         def hvp(v):
             return (problem.full_gradient(w + h * v) - problem.full_gradient(w - h * v)) \
@@ -159,7 +159,7 @@ def probe_ell_envelope(problem, points, *, ell: EllFunction | None = None,
         v /= np.linalg.norm(v)
         estimate = 0.0
         rel_change = math.inf
-        for _ in range(power_iterations):
+        for _ in range(_POWER_ITERATIONS):
             hv = hvp(v)
             new_estimate = float(np.linalg.norm(hv))
             if new_estimate == 0.0:
@@ -172,7 +172,7 @@ def probe_ell_envelope(problem, points, *, ell: EllFunction | None = None,
             stagnated += 1
             continue
         grad_norm = float(np.linalg.norm(problem.full_gradient(w)))
-        bound = None if ell is None else float(ell.evaluate(grad_norm)) * (1.0 + tolerance)
+        bound = None if ell is None else float(ell.evaluate(grad_norm)) * 1.05
         violated = bound is not None and estimate > bound
         probes.append(ProbeResult(grad_norm, estimate, bound, violated))
     return ProbeReport(tuple(probes), stagnated)
@@ -233,15 +233,14 @@ def _squared_deviation_sum(problem, w, center) -> float:
 
 
 def sample_points_around(problem, count: int = 8, seed: int = 0, spread: float = 0.5,
-                         center=None, include_anchors: bool = True) -> list[np.ndarray]:
-    """Gaussian cloud of sample points for the estimators and probes.
-
-    Centered on the initial point by default; anchors (initial point
-    and the optimum when known) are prepended unless disabled.
+                         include_anchors: bool = True) -> list[np.ndarray]:
+    """Gaussian cloud of sample points around the initial point, for the
+    estimators and probes; anchors (initial point and the optimum when
+    known) are prepended unless disabled.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    center = problem.initial_point if center is None else np.asarray(center, dtype=float)
+    center = problem.initial_point
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA7,)))
     points = []
     if include_anchors:

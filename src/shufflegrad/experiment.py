@@ -92,8 +92,9 @@ class ArmSpec:
                 raise ValueError(f"arm {self.name!r}: sgd takes no scheme or order")
         if (self.step_size is None) == (self.plan_file is None):
             raise ValueError(f"arm {self.name!r}: set exactly one of step_size or plan_file")
-        if self.step_size is not None and self.step_size < 0:
-            raise ValueError(f"arm {self.name!r}: step_size must be >= 0")
+        if self.step_size is not None and not 0 <= self.step_size < np.inf:
+            raise ValueError(f"arm {self.name!r}: step_size must be finite and >= 0, "
+                             f"got {self.step_size}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArmSpec":
@@ -122,9 +123,11 @@ class ExperimentConfig:
     base_seed: int = 0
     batch_size: int = 1
     metrics: tuple[str, ...] | None = None
-    divergence_threshold: float = 1e50
+    divergence_threshold: float = RunConfig.divergence_threshold
 
     def __post_init__(self):
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must be an unsigned 64-bit integer, got {self.base_seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.repetitions < 1:
@@ -152,17 +155,12 @@ class ExperimentConfig:
         for key in ("problem", "arms", "epochs"):
             if key not in d:
                 raise ValueError(f"experiment config needs {key!r}")
-        metrics = d.get("metrics")
-        return cls(
-            problem=dict(d["problem"]),
-            arms=tuple(ArmSpec.from_dict(a) for a in d["arms"]),
-            epochs=int(d["epochs"]),
-            repetitions=int(d.get("repetitions", 100)),
-            base_seed=int(d.get("base_seed", 0)),
-            batch_size=int(d.get("batch_size", 1)),
-            metrics=None if metrics is None else tuple(metrics),
-            divergence_threshold=float(d.get("divergence_threshold", 1e50)),
-        )
+        # only the keys given; the others take the field defaults
+        convert = {"problem": dict, "arms": lambda arms: tuple(map(ArmSpec.from_dict, arms)),
+                   "epochs": int, "repetitions": int, "base_seed": int, "batch_size": int,
+                   "metrics": lambda m: None if m is None else tuple(m),
+                   "divergence_threshold": float}
+        return cls(**{f.name: convert[f.name](d[f.name]) for f in fields(cls) if f.name in d})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -216,8 +214,12 @@ def _arm_step_size(arm: ArmSpec, n: int, batch_size: int) -> float:
     if int(plan["n"]) != n:
         raise ValueError(
             f"plan file {arm.plan_file!r} was made for n = {plan['n']}, problem has n = {n}")
+    eta = float(plan["eta"])
+    if not 0 <= eta < np.inf:
+        raise ValueError(f"arm {arm.name!r}: plan file {arm.plan_file!r} has eta = {eta}, "
+                         "which must be finite and >= 0")
     steps = -(-n // batch_size)
-    return float(plan["eta"]) / steps
+    return eta / steps
 
 
 def _stream(arm: ArmSpec, n: int, seed: int):

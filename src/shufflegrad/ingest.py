@@ -4,10 +4,10 @@ A dataset is an immutable (features, targets) pair with a provenance
 tag.  CSV loading drops named categorical columns, truncates to a row
 budget, median-fills missing cells, winsorizes each column, z-scores
 it, and perturbs the target with seeded unit Gaussian noise.  The
-winsorization bounds are order statistics (percentile interpolation
-'lower'/'higher'), which makes the whole preprocessing pipeline
-idempotent apart from the noise step; a flag on the dataset guards the
-noise so it is applied exactly once.  A seeded synthetic generator
+winsorization bounds are the 1st/99th percentiles as order statistics
+(interpolation 'lower'/'higher'), which makes the whole preprocessing
+pipeline idempotent apart from the noise step; a flag on the dataset
+guards the noise so it is applied exactly once.  A seeded synthetic generator
 stands in when no file is available, so nothing here touches the
 network.
 """
@@ -111,7 +111,6 @@ def _parse_csv(path) -> tuple[list[str], list[int], list[list[str]]]:
 def load_csv(path, *, target_column: str = "target",
              drop_columns: tuple[str, ...] = ("country", "status"),
              max_rows: int = 2000, noise_seed: int = 0,
-             clip_percentiles: tuple[float, float] = (1.0, 99.0),
              normalize: bool = True) -> RegressionDataset:
     """Load and preprocess a regression CSV.
 
@@ -150,15 +149,14 @@ def load_csv(path, *, target_column: str = "target",
         raise DataFormatError(f"{path}: non-finite target value")
     raw = RegressionDataset(features, targets, provenance=str(path),
                             feature_names=tuple(header[i] for i in keep))
-    return preprocess(raw, noise_seed=noise_seed, clip_percentiles=clip_percentiles,
-                      normalize=normalize)
+    return preprocess(raw, noise_seed=noise_seed, normalize=normalize)
 
 
-def _winsorize_column(col: np.ndarray, lo_pct: float, hi_pct: float) -> np.ndarray:
+def _winsorize_column(col: np.ndarray) -> np.ndarray:
     # Order-statistic bounds: clipping at values present in the data
     # keeps a second winsorization from moving anything.
-    lo = np.percentile(col, lo_pct, method="lower")
-    hi = np.percentile(col, hi_pct, method="higher")
+    lo = np.percentile(col, 1.0, method="lower")
+    hi = np.percentile(col, 99.0, method="higher")
     return np.clip(col, lo, hi)
 
 
@@ -166,18 +164,15 @@ _NOISE_STREAM = (0x1E,)
 
 
 def preprocess(dataset: RegressionDataset, *, noise_seed: int = 0,
-               clip_percentiles: tuple[float, float] = (1.0, 99.0),
                normalize: bool = True) -> RegressionDataset:
-    """Median-fill, winsorize, normalize, and noise the target once.
+    """Median-fill, winsorize at the 1st/99th percentiles, normalize, and
+    noise the target once.
 
     Missing target values are median-filled as well.  Zero-variance
     columns get a guarded divisor of 1 and normalize to all zero.
     Running preprocess again changes features by at most float noise
     and never re-applies the target noise.
     """
-    lo_pct, hi_pct = clip_percentiles
-    if not 0 <= lo_pct < hi_pct <= 100:
-        raise ValueError(f"bad clip percentiles {clip_percentiles}")
     features = dataset.features.copy()
     targets = dataset.targets.copy()
     for j in range(features.shape[1]):
@@ -187,7 +182,7 @@ def preprocess(dataset: RegressionDataset, *, noise_seed: int = 0,
             raise DataFormatError(f"column {dataset.names()[j]!r} has no values")
         if missing.any():
             col[missing] = np.median(col[~missing])
-        features[:, j] = _winsorize_column(col, lo_pct, hi_pct)
+        features[:, j] = _winsorize_column(col)
     if np.isnan(targets).any():
         targets[np.isnan(targets)] = np.median(targets[~np.isnan(targets)])
     if normalize:
@@ -208,7 +203,7 @@ def preprocess(dataset: RegressionDataset, *, noise_seed: int = 0,
 _SYNTH_STREAM = (0x1D,)
 
 
-def synthesize(seed: int, rows: int, dim: int = 34) -> RegressionDataset:
+def synthesize(seed: int = 0, rows: int = 2000, dim: int = 34) -> RegressionDataset:
     """Seeded linear-model dataset: unit Gaussian features and noise.
 
     Targets are features @ planted_weights + noise; the planted vector
@@ -230,13 +225,14 @@ def dataset_from_config(cfg: dict) -> RegressionDataset:
 
     Exactly one of the keys "synthetic" ({seed, rows, dim}) or "csv"
     ({path, target_column, drop_columns, max_rows, noise_seed}) must be
-    present; "normalize" (default true) applies to both paths.
+    present; "normalize" applies to both.  A key left out takes the
+    default of :func:`synthesize`, :func:`load_csv` or :func:`preprocess`.
     """
     known = {"synthetic", "csv", "normalize"}
     unknown = set(cfg) - known
     if unknown:
         raise ValueError(f"unknown dataset config keys: {sorted(unknown)}")
-    normalize = cfg.get("normalize", True)
+    normalize = {"normalize": cfg["normalize"]} if "normalize" in cfg else {}
     if ("synthetic" in cfg) == ("csv" in cfg):
         raise ValueError("dataset config needs exactly one of 'synthetic' or 'csv'")
     if "synthetic" in cfg:
@@ -244,19 +240,11 @@ def dataset_from_config(cfg: dict) -> RegressionDataset:
         unknown = set(sub) - {"seed", "rows", "dim"}
         if unknown:
             raise ValueError(f"unknown synthetic dataset keys: {sorted(unknown)}")
-        data = synthesize(sub.get("seed", 0), sub.get("rows", 2000), sub.get("dim", 34))
-        return preprocess(data, normalize=normalize)
+        return preprocess(synthesize(**sub), **normalize)
     sub = dict(cfg["csv"])
     unknown = set(sub) - {"path", "target_column", "drop_columns", "max_rows", "noise_seed"}
     if unknown:
         raise ValueError(f"unknown csv dataset keys: {sorted(unknown)}")
     if "path" not in sub:
         raise ValueError("csv dataset config needs a 'path'")
-    return load_csv(
-        sub["path"],
-        target_column=sub.get("target_column", "target"),
-        drop_columns=tuple(sub.get("drop_columns", ("country", "status"))),
-        max_rows=sub.get("max_rows", 2000),
-        noise_seed=sub.get("noise_seed", 0),
-        normalize=normalize,
-    )
+    return load_csv(**sub, **normalize)

@@ -162,11 +162,9 @@ def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, b
     ``threshold`` is given, in which case the pass stops after the first
     step that takes a row outside the finite/threshold region.  Without
     one, single-component steps go to the problem's ``component_epoch``
-    when it has one; a -0.0 step is left to this loop, whose
-    ``W - 0.0 * step`` turns -0.0 into +0.0.
+    when it has one.
     """
-    if (threshold is None and len(bounds) == len(orders) and problem.component_epoch
-            and not np.signbit(steps).any()):
+    if threshold is None and len(bounds) == len(orders) and problem.component_epoch:
         return problem.component_epoch(W, orders, steps), len(bounds) - 1
     grads = problem.component_gradients
     step = steps[:, None]
@@ -196,13 +194,14 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
     alone, and its inner step is the first at which the loop leaves the
     region, else the last (the loop's bits may differ from a
     ``component_epoch``'s, or only the objective crossed the threshold).
-    Overflow raises no warnings.  ``wall_ms`` is the block's clock.
+    Overflow raises no warnings.  ``wall_ms`` is the block's clock.  A
+    step of -0.0 runs as +0.0, the sign ``component_epoch`` assumes.
 
     Returns, per row, its :class:`TrajectoryRecord` or the
     :class:`DivergenceError` that ended it.
     """
     size = len(streams)
-    steps = np.asarray(step_sizes, dtype=float)
+    steps = np.asarray(step_sizes, dtype=float) + 0.0
     start = _start_point(problem, config)
     W = np.tile(start, (size, 1))
     avg = W.copy()  # running mean of the entering iterates

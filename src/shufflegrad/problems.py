@@ -376,14 +376,13 @@ class DROProblem(FiniteSumProblem):
     loss_i(w) = 0.5*(y_i - x_i.w)^2 + 0.1*sum_j log(1 + |w_j|) and
     psi*(t) = 0.25*max(t+2, 0)^2 - 1.  The optimization variable is the
     concatenation v = (w, theta), so dim = features + 1 with theta last.
+    The run starts from seeded standard normal weights and theta = 0.1.
     The log regularizer's subgradient at 0 is taken as 0.
     """
 
-    LAM_DEFAULT = 0.01
     REG_WEIGHT = 0.1
 
-    def __init__(self, features, targets, lam: float = LAM_DEFAULT, seed: int = 0,
-                 initial_shift: float = 0.1):
+    def __init__(self, features, targets, lam: float = 0.01, seed: int = 0):
         features = np.asarray(features, dtype=float)
         targets = np.asarray(targets, dtype=float)
         if features.ndim != 2 or targets.shape != (features.shape[0],):
@@ -396,7 +395,7 @@ class DROProblem(FiniteSumProblem):
         self.n, self.feature_dim = features.shape
         self.dim = self.feature_dim + 1
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD0,)))
-        self._initial = np.concatenate([rng.standard_normal(self.feature_dim), [initial_shift]])
+        self._initial = np.concatenate([rng.standard_normal(self.feature_dim), [0.1]])
 
     def split(self, v: np.ndarray):
         """Split the joint variable into (weights, shift)."""
@@ -519,9 +518,8 @@ def build_problem(spec: dict) -> FiniteSumProblem:
         _check_keys(params, {"lam", "seed", "dataset"}, pid)
         from .ingest import dataset_from_config
 
-        dataset = dataset_from_config(params.get("dataset", {"synthetic": {"seed": 7}}))
-        return DROProblem(dataset.features, dataset.targets,
-                          lam=params.get("lam", DROProblem.LAM_DEFAULT), seed=params.get("seed", 0))
+        dataset = dataset_from_config(params.pop("dataset", {"synthetic": {"seed": 7}}))
+        return DROProblem(dataset.features, dataset.targets, **params)
     if pid == "tiny_quadratic":
         _check_keys(params, {"centers", "initial_point"}, pid)
         return TinyQuadraticProblem(**params)

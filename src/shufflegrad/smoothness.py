@@ -69,34 +69,41 @@ RECIPE_NAMES = {
     5: "random reshuffling, convex",
     6: "arbitrary permutations, convex",
 }
-# Recipes whose constants come from the variance model rather than a
-# sampled sublevel bound.
-VARIANCE_RECIPES = (1, 2, 3, 5)
+# The statistics each recipe needs besides the modulus, initial gap, n and
+# eps, in refusal order.  Without component_grad_bound_value, the variance
+# model gives the component bound.
+RECIPE_NEEDS = {
+    1: ("variance_slope", "noise_std", "failure_prob"),
+    2: ("variance_slope", "noise_std"),
+    3: ("variance_slope", "noise_std", "failure_prob", "strong_convexity"),
+    4: ("strong_convexity", "optimum_noise_std", "component_grad_bound_value"),
+    5: ("variance_slope", "noise_std", "failure_prob", "optimum_noise_std", "initial_distance_sq"),
+    6: ("component_grad_bound_value", "initial_distance_sq"),
+}
 
 
 @dataclass(frozen=True)
 class EllFunction:
     """Non-decreasing bound ell(u) on curvature at gradient norm u.
 
-    kind: "constant", "affine" or "power" (c*u**q + c0).
-    degree: growth exponent, must lie in [0, 2) (sub-quadratic).
+    kind: "constant", "affine" or "power" (c*u**q + c0, growth exponent
+    q in [0, 2), sub-quadratic).
     """
 
     kind: str
     params: tuple[float, ...] = ()
-    degree: float = 0.0
 
     @classmethod
     def constant(cls, c: float) -> "EllFunction":
         if c <= 0:
             raise ValueError(f"constant modulus must be positive, got {c}")
-        return cls("constant", (float(c),), 0.0)
+        return cls("constant", (float(c),))
 
     @classmethod
     def affine(cls, base: float, slope: float) -> "EllFunction":
         if base < 0 or slope < 0 or base + slope == 0:
             raise ValueError(f"affine modulus needs base, slope >= 0 and not both 0, got ({base}, {slope})")
-        return cls("affine", (float(base), float(slope)), 1.0 if slope > 0 else 0.0)
+        return cls("affine", (float(base), float(slope)))
 
     @classmethod
     def power(cls, coeff: float, exponent: float, offset: float = 0.0) -> "EllFunction":
@@ -104,7 +111,7 @@ class EllFunction:
             raise ValueError(f"power modulus needs coeff > 0 and offset >= 0, got ({coeff}, {offset})")
         if not 0 <= exponent < 2:
             raise ValueError(f"growth exponent must lie in [0, 2), got {exponent}")
-        return cls("power", (float(coeff), float(exponent), float(offset)), float(exponent))
+        return cls("power", (float(coeff), float(exponent), float(offset)))
 
     def evaluate(self, u):
         if self.kind == "constant":
@@ -239,14 +246,6 @@ class ConstantsBundle:
         return "\n".join(lines)
 
 
-def _need(recipe: int, **stats):
-    missing = [name for name, val in stats.items() if val is None]
-    if missing:
-        raise ValueError(
-            f"recipe {recipe} ({RECIPE_NAMES[recipe]}) needs statistics: {', '.join(missing)}"
-        )
-
-
 def constants_for_recipe(recipe: int, ell: EllFunction, *, initial_gap: float, n: int,
                          eps: float, variance_slope: float | None = None,
                          noise_std: float | None = None, failure_prob: float | None = None,
@@ -266,40 +265,22 @@ def constants_for_recipe(recipe: int, ell: EllFunction, *, initial_gap: float, n
         raise ValueError(f"eps must be positive, got {eps}")
     if failure_prob is not None and not 0 < failure_prob < 1:
         raise ValueError(f"failure_prob must lie in (0, 1), got {failure_prob}")
+    given = locals()  # the arguments, by name
+    missing = [name for name in RECIPE_NEEDS[recipe] if given[name] is None]
+    if missing:
+        raise ValueError(f"recipe {recipe} ({RECIPE_NAMES[recipe]}) needs statistics: "
+                         f"{', '.join(missing)}")
 
-    gap_bound = grad_bound = comp_bound = None
-    if recipe in VARIANCE_RECIPES:
-        if recipe == 1:
-            _need(recipe, variance_slope=variance_slope, noise_std=noise_std,
-                  failure_prob=failure_prob)
-            gap_bound = 4.0 * initial_gap / failure_prob
-        elif recipe == 2:
-            _need(recipe, variance_slope=variance_slope, noise_std=noise_std)
-            gap_bound = 2.0 * initial_gap
-        elif recipe == 3:
-            _need(recipe, variance_slope=variance_slope, noise_std=noise_std,
-                  failure_prob=failure_prob, strong_convexity=strong_convexity)
-            gap_bound = max(
-                (3.0 * noise_std**2 / (4.0 * strong_convexity)) * math.log(4.0 / eps)
-                + initial_gap,
-                4.0 * initial_gap / failure_prob,
-            )
-        else:
-            _need(recipe, variance_slope=variance_slope, noise_std=noise_std,
-                  failure_prob=failure_prob, optimum_noise_std=optimum_noise_std,
-                  initial_distance_sq=initial_distance_sq)
-            gap_bound = 4.0 * initial_gap / failure_prob
+    gap_bound = grad_bound = None
+    if "component_grad_bound_value" in RECIPE_NEEDS[recipe]:
+        comp_bound = float(component_grad_bound_value)
+    else:
+        gap_bound = 2.0 * initial_gap if recipe == 2 else 4.0 * initial_gap / failure_prob
+        if recipe == 3:
+            gap_bound = max((3.0 * noise_std**2 / (4.0 * strong_convexity)) * math.log(4.0 / eps)
+                            + initial_gap, gap_bound)
         grad_bound = solve_gradient_bound(ell, gap_bound)
         comp_bound = component_gradient_bound(grad_bound, n, variance_slope, noise_std)
-    else:
-        if recipe == 4:
-            _need(recipe, strong_convexity=strong_convexity,
-                  optimum_noise_std=optimum_noise_std,
-                  component_grad_bound_value=component_grad_bound_value)
-        else:
-            _need(recipe, component_grad_bound_value=component_grad_bound_value,
-                  initial_distance_sq=initial_distance_sq)
-        comp_bound = float(component_grad_bound_value)
 
     smooth = float(ell.evaluate(2.0 * comp_bound))
     return ConstantsBundle(
@@ -745,7 +726,6 @@ class SublevelGradientEstimate:
     value: float
     samples_accepted: int
     samples_drawn: int
-    heuristic: bool = True
 
 
 # Rows per block of the sublevel sampler: each block is evaluated with

@@ -253,6 +253,33 @@ class TestRunCommand:
             [("sweep", derive_seed(4, 1, rep)) for rep in range(2)]
         assert all(int(epoch) >= 1 and int(step) >= 0 for _, _, epoch, step in named)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_base_seed_is_refused(self, tmp_path, capsys, seed):
+        config = _run_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "base_seed": seed}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: base_seed must be an unsigned 64-bit integer, got {seed}\n"
+
+    def test_nan_step_size_is_refused(self, tmp_path, capsys):
+        config = _run_config(tmp_path, step=float("nan"))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: arm 'rr': step_size must be finite and >= 0, got nan\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_plan_eta_is_refused(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"eta": -0.5, "n": 4}))
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["arms"][0] = {"name": "planned", "method": "shuffling", "scheme": "random_reshuffle",
+                          "plan_file": str(plan)}
+        config.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"error: arm 'planned': plan file {str(plan)!r} has "
+                                           "eta = -0.5, which must be finite and >= 0\n")
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")])

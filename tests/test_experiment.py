@@ -300,8 +300,9 @@ class TestSpecValidation:
             ArmSpec(name="a", method="sgd")
         with pytest.raises(ValueError, match="exactly one"):
             ArmSpec(name="a", method="sgd", step_size=0.1, plan_file="p.json")
-        with pytest.raises(ValueError, match=">= 0"):
-            ArmSpec(name="a", method="sgd", step_size=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                ArmSpec(name="a", method="sgd", step_size=bad)
 
     def test_arm_from_dict_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown arm keys"):

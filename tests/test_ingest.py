@@ -262,13 +262,6 @@ class TestPreprocess:
         np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
 
-    def test_percentile_validation(self):
-        data = synthesize(0, rows=10, dim=2)
-        with pytest.raises(ValueError):
-            preprocess(data, clip_percentiles=(99.0, 1.0))
-        with pytest.raises(ValueError):
-            preprocess(data, clip_percentiles=(-1.0, 99.0))
-
 
 class TestSynthesize:
     def test_deterministic_by_seed(self):

@@ -379,9 +379,9 @@ def test_lane_epoch_row_bits_do_not_depend_on_the_block(problem_class, rows, log
     # batches of two take the step loop
     pytest.param(QuarticProblem, 2, 1e-4, 0, id="2-0.0001-0"),
     pytest.param(ExpStrongProblem, 2, 1e-5, 0, id="exp_strong-2-1e-05-0"),
-    # a -0.0 step takes the step loop
-    pytest.param(QuarticProblem, 1, -0.0, 0, id="1--0.0-0"),
-    pytest.param(ExpStrongProblem, 1, -0.0, 0, id="exp_strong-1--0.0-0"),
+    # a -0.0 step runs as +0.0
+    pytest.param(QuarticProblem, 1, -0.0, 3, id="1--0.0-3"),
+    pytest.param(ExpStrongProblem, 1, -0.0, 3, id="exp_strong-1--0.0-3"),
     # diverges in epoch 1; the replay takes the step loop
     pytest.param(QuarticProblem, 1, 10.0, 1, id="1-10.0-1"),
     pytest.param(ExpStrongProblem, 1, 10.0, 1, id="exp_strong-1-10.0-1"),

@@ -3,11 +3,13 @@
 import json
 import re
 import shlex
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from shufflegrad.cli import main
+from shufflegrad.experiment import ExperimentConfig
 from shufflegrad.smoothness import RECIPE_NAMES, EllFunction, constants_for_recipe
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -55,6 +57,16 @@ def test_recipe_table_matches_code():
                                  initial_gap=1.0, n=4, eps=0.1)
         required = str(err.value).split("needs statistics: ")[1].split(", ")
         assert needs.replace("`", "").split(", ") == required
+
+
+def test_experiment_config_table_matches_fields():
+    table = _section("Experiment config").split("### Problems")[0]
+    rows = re.findall(r"^\| `(\w+)` \| [^|]* \| ([^|]*) \| [^|]* \|$", table, flags=re.M)
+    documented = [(key, cell if cell in ("required", "auto") else float(cell))
+                  for key, cell in rows]
+    shown = {MISSING: "required", None: "auto"}
+    assert documented == [(f.name, shown.get(f.default, f.default))
+                          for f in fields(ExperimentConfig)]
 
 
 def _prints(argv, transcript, capsys):
