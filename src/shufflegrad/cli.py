@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -76,6 +77,7 @@ def _seed(text: str) -> int:
     return val
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shufflegrad",
@@ -136,11 +138,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "plan":
-            return _cmd_plan(args)
-        return _cmd_check(args)
+        return {"run": _cmd_run, "plan": _cmd_plan, "check": _cmd_check}[args.command](args)
     except PlanInfeasibleError as err:
         print(f"infeasible plan: {err}", file=sys.stderr)
         return 1
@@ -279,14 +277,9 @@ def _report(lines: list[str], ok: bool, label: str, detail: str) -> bool:
 
 def _cmd_check(args) -> int:
     lines: list[str] = []
-    if args.suite == "gradients":
-        ok = _suite_gradients(args, lines)
-    elif args.suite == "variance":
-        ok = _suite_variance(args, lines)
-    elif args.suite == "ell-envelope":
-        ok = _suite_ell_envelope(args, lines)
-    else:
-        ok = _suite_permutation_oracle(args, lines)
+    ok = {"gradients": _suite_gradients, "variance": _suite_variance,
+          "ell-envelope": _suite_ell_envelope,
+          "permutation-oracle": _suite_permutation_oracle}[args.suite](args, lines)
     print("\n".join(lines))
     return 0 if ok else 1
 

@@ -101,13 +101,19 @@ class ArmSpec:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown arm keys: {sorted(unknown)}")
-        order = d.get("order")
+        order, step = d.get("order"), d.get("step_size")
+        if step is not None:  # a number or a numeric string, as a plan file's eta
+            try:
+                step = float(step)
+            except (TypeError, ValueError):
+                raise ValueError(f"arm {d.get('name', '')!r}: step_size must be a number, "
+                                 f"got {step!r}") from None
         return cls(
             name=d.get("name", ""),
             method=d.get("method", "shuffling"),
             scheme=d.get("scheme"),
             order=None if order is None else tuple(int(i) for i in order),
-            step_size=d.get("step_size"),
+            step_size=step,
             plan_file=d.get("plan_file"),
         )
 
@@ -250,8 +256,6 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(config.problem)
     metrics = config.metrics
     if metrics is None:
@@ -261,6 +265,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
         raise ValueError("metric 'dist_sq' needs a problem with a known optimum")
 
     arm_steps = [_arm_step_size(arm, problem.n, config.batch_size) for arm in config.arms]
+    out_dir = Path(out_dir)  # made once the problem and the plan files are accepted
+    out_dir.mkdir(parents=True, exist_ok=True)
     run_config = RunConfig(step_size=0.0, epochs=config.epochs, batch_size=config.batch_size,
                            divergence_threshold=config.divergence_threshold,
                            track_average=False)

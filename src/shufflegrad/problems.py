@@ -231,10 +231,10 @@ class QuarticProblem(FiniteSumProblem):
                            lambda x, s, k: x - (4.0 * (x * x * x) + k) * s)
 
     def full_values(self, W):
-        return np.sum(W**4, axis=1) / self.DIM
+        return np.sum(np.square(W * W), axis=1) / self.DIM
 
     def full_gradients(self, W):
-        return 4.0 * W**3 / self.DIM
+        return 4.0 * (W * W * W) / self.DIM
 
 
 class ExpStrongProblem(FiniteSumProblem):

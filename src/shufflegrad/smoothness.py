@@ -151,10 +151,11 @@ class EllFunction:
 def solve_gradient_bound(ell: EllFunction, budget: float) -> float:
     """Largest u with u^2 <= 2*ell(2u)*budget.
 
-    Scans u = budget*2^k for k = -60..200 for the last sign change of
-    u^2 - 2*ell(2u)*budget and bisects it for 60 iterations.  Assumes a
-    single crossing on the scanned range (true for every sub-quadratic
-    closed-form family here; multiple crossings would take the last).
+    Scans u = 0 and u = budget*2^k for k = -60..200, as one array, for the
+    last sign change of u^2 - 2*ell(2u)*budget and bisects it for 60
+    iterations.  Assumes a single crossing on the scanned range (true for
+    every sub-quadratic closed-form family here; multiple crossings would
+    take the last).  Overflow gives inf or nan, as in Python floats.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -162,26 +163,24 @@ def solve_gradient_bound(ell: EllFunction, budget: float) -> float:
         return 0.0
 
     def residual(u):
-        return u * u - 2.0 * float(ell.evaluate(2.0 * u)) * budget
+        return u * u - 2.0 * ell.evaluate(2.0 * u) * budget
 
-    grid = [0.0] + [budget * 2.0**k for k in range(-60, 201)]
-    vals = [residual(u) for u in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if vals[i] <= 0 < vals[i + 1]:
-            bracket = (grid[i], grid[i + 1])
-    if bracket is None:
-        raise ValueError(
-            f"no crossing of u^2 = 2*ell(2u)*budget up to u={grid[-1]:.3g} "
-            f"for modulus ({ell.describe()}); the modulus may grow too fast"
-        )
-    lo, hi = bracket
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.r_[0.0, np.ldexp(float(budget), np.arange(-60, 201))]
+        vals = residual(grid)
+        crossings = np.flatnonzero((vals[:-1] <= 0) & (vals[1:] > 0))
+        if not len(crossings):
+            raise ValueError(
+                f"no crossing of u^2 = 2*ell(2u)*budget up to u={grid[-1]:.3g} "
+                f"for modulus ({ell.describe()}); the modulus may grow too fast"
+            )
+        lo, hi = grid[crossings[-1]:crossings[-1] + 2].tolist()
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if residual(mid) <= 0:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -740,11 +739,14 @@ def estimate_sublevel_gradient_bound(problem, budget: int,
     Draws points around the initial point (and the optimum when known),
     keeps those with objective at most the initial objective, and takes
     the max component gradient norm over kept points plus the anchors.
-    Larger budgets extend the same sample stream, so the estimate is
-    non-decreasing in the budget for a fixed seed.  The stream is drawn
-    one sample at a time and evaluated in blocks of ``_SUBLEVEL_BLOCK``
-    samples: one ``full_values`` call per block, one
-    ``max_component_gradient_norms`` call on its kept points.
+    Sample k takes its direction from one stream and, when k is even, an
+    interior radius from the (k/2)-th uniform of a second; odd samples sit
+    on the boundary.  Both streams are drawn in blocks of
+    ``_SUBLEVEL_BLOCK`` samples, each a prefix of any larger draw, so
+    larger budgets extend the same samples and the estimate is
+    non-decreasing in the budget for a fixed seed.  A block takes one
+    ``full_values`` call and one ``max_component_gradient_norms`` call on
+    its kept points.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -762,24 +764,22 @@ def estimate_sublevel_gradient_bound(problem, budget: int,
 
     anchors = [w0] if problem.optimum_point is None else [w0, center]
     best = float(np.max(problem.max_component_gradient_norms(np.array(anchors))))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x6E,)))
+    directions_rng, radii_rng = (
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+        for key in (0x6E, 0x6F))
     accepted = 0
     tol = abs(f0) * 1e-12 + 1e-12
     for lo in range(0, budget, _SUBLEVEL_BLOCK):
-        directions = np.empty((min(_SUBLEVEL_BLOCK, budget - lo), problem.dim))
-        radii = np.full(len(directions), radius)
-        j = 0
-        for k in range(lo, lo + len(directions)):
-            rng.standard_normal(out=directions[j])
-            if not directions[j].any():
-                continue
-            # Alternate interior and boundary samples; extrema usually
-            # sit on the sublevel boundary.
-            if k % 2 == 0:
-                radii[j] = radius * rng.uniform() ** (1.0 / problem.dim)
-            j += 1
-        directions = directions[:j] / np.sqrt(row_dots(directions[:j], directions[:j]))[:, None]
-        W = center + radii[:j, None] * directions
+        m = min(_SUBLEVEL_BLOCK, budget - lo)
+        directions = directions_rng.standard_normal((m, problem.dim))
+        # Alternate interior and boundary samples; extrema usually sit on
+        # the sublevel boundary.  The block size is even, so even rows j
+        # take the uniforms (lo + j)/2 in order.
+        radii = np.full(m, radius)
+        radii[::2] *= radii_rng.uniform(size=(m + 1) // 2) ** (1.0 / problem.dim)
+        norms = np.sqrt(row_dots(directions, directions))
+        live = norms > 0  # drops a zero direction (probability about 2**(-52 * dim))
+        W = center + radii[live, None] * (directions[live] / norms[live, None])
         kept = W[problem.full_values(W) <= f0 + tol]
         accepted += len(kept)
         if len(kept):

@@ -122,6 +122,26 @@ class TestPlanCommand:
         plan = json.loads((tmp_path / "plan.json").read_text())
         assert (plan["recipe"], plan["epochs"]) == (2, 27713)
 
+    def test_cached_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        src = str(Path(shufflegrad.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        base = ["plan", "--theorem", "6", "--eps", "0.1", "--problem", "tiny_quadratic",
+                "--out", str(tmp_path / "plan.json")]
+        calls = (base + ["--seed", "5"], base)  # the second falls back to --seed 0
+        fresh = [subprocess.run([sys.executable, "-m", "shufflegrad.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=120).stdout
+                 for argv in calls]
+        assert fresh[0] != fresh[1]
+        assert main(calls[0]) == 0
+        assert capsys.readouterr().out == fresh[0]
+        with pytest.raises(SystemExit) as err:  # a usage error between the two calls
+            main(base + ["--seed", "-1"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(calls[1]) == 0
+        assert capsys.readouterr().out == fresh[1]
+
 
 class TestCheckCommand:
     def test_suite_names(self):
@@ -279,6 +299,43 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (f"error: arm 'planned': plan file {str(plan)!r} has "
                                            "eta = -0.5, which must be finite and >= 0\n")
+
+    def test_numeric_string_step_size_is_a_number(self, tmp_path):
+        config = _run_config(tmp_path)
+        main(["run", "--config", str(config), "--out", str(tmp_path / "a"), "--jobs", "1"])
+        cfg = json.loads(config.read_text())
+        for arm in cfg["arms"]:
+            arm["step_size"] = str(arm["step_size"])
+        config.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "b"),
+                     "--jobs", "1"]) == 0
+        strip = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
+        assert strip(tmp_path / "a" / "raw.csv") == strip(tmp_path / "b" / "raw.csv")
+
+    @pytest.mark.parametrize("step", ["fast", [0.1], {"value": 0.1}])
+    def test_non_number_step_size_is_refused(self, tmp_path, capsys, step):
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["arms"][0]["step_size"] = step
+        config.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: arm 'rr': step_size must be a number, got {step!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("plan", [{"eta": -1, "n": 4}, {"eta": 0.1, "n": 5}, {"n": 4}])
+    def test_refused_plan_file_leaves_no_output_directory(self, tmp_path, capsys, plan):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["arms"][0] = {"name": "planned", "method": "shuffling", "scheme": "random_reshuffle",
+                          "plan_file": str(plan_path)}
+        config.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out" / "nested"
+        assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),

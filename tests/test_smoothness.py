@@ -98,6 +98,52 @@ class TestSolveGradientBound:
             solve_gradient_bound(EllFunction.constant(1.0), -1.0)
 
 
+def _scalar_solve_gradient_bound(ell, budget):
+    """solve_gradient_bound with its grid scanned one Python float at a
+    time, as the scan was written before it took one array."""
+    def residual(u):
+        return u * u - 2.0 * float(ell.evaluate(2.0 * u)) * budget
+
+    grid = [0.0] + [budget * 2.0**k for k in range(-60, 201)]
+    vals = [residual(u) for u in grid]
+    brackets = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)
+                if vals[i] <= 0 < vals[i + 1]]
+    if not brackets:
+        return grid, vals, None
+    lo, hi = brackets[-1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return grid, vals, 0.5 * (lo + hi)
+
+
+_DECADES = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+_OFFSETS = st.one_of(st.just(0.0), _DECADES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ell=st.one_of(st.builds(EllFunction.constant, _DECADES),
+                     st.builds(EllFunction.affine, _OFFSETS, _DECADES),
+                     st.builds(EllFunction.power, _DECADES, st.floats(0.0, 1.99), _OFFSETS)),
+       budget=st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+def test_bracket_scan_has_the_bits_of_the_scalar_scan(ell, budget):
+    with np.errstate(all="ignore"):  # residuals overflow to inf/nan at the top of the grid
+        grid, vals, expected = _scalar_solve_gradient_bound(ell, budget)
+        u = np.array(grid)
+        array_vals = u * u - 2.0 * ell.evaluate(2.0 * u) * budget
+    assert array_vals.tobytes() == np.array(vals).tobytes()
+    if expected is None:
+        with pytest.raises(ValueError, match="no crossing"):
+            solve_gradient_bound(ell, budget)
+    else:
+        got = solve_gradient_bound(ell, budget)
+        assert type(got) is float
+        assert got.hex() == expected.hex()
+
+
 def test_component_gradient_bound_closed_form():
     # sqrt(2(1+nA))*G + sqrt(2n)*sigma with n=2, A=0, sigma=1, G=3
     got = component_gradient_bound(3.0, 2, 0.0, 1.0)
@@ -450,7 +496,11 @@ class TestSublevelEstimate:
 
     @staticmethod
     def _reference(problem, budget, seed):
-        """The sampler one point and one scalar oracle call at a time."""
+        """The sampler's definition, one point and one scalar oracle call at
+        a time: sample k takes the k-th direction of stream 0x6E and, when k
+        is even, radius * u**(1/dim) for the (k/2)-th uniform u of stream
+        0x6F (numpy's pow, as the block draw).  Returns (best, accepted)
+        after each of the first ``budget`` samples."""
         w0 = problem.initial_point
         f0 = problem.full_value(w0)
         center = problem.optimum_point if problem.optimum_point is not None else w0
@@ -464,17 +514,20 @@ class TestSublevelEstimate:
         radius = max(radius, 1e-12)
         best = max(problem.max_component_gradient_norm(w0),
                    problem.max_component_gradient_norm(center))
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x6E,)))
-        accepted = 0
+        directions, uniforms = (
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+            for key in (0x6E, 0x6F))
+        accepted, prefixes = 0, []
         for k in range(budget):
-            direction = rng.standard_normal(problem.dim)
+            direction = directions.standard_normal(problem.dim)
             direction /= np.linalg.norm(direction)
-            r = radius * rng.uniform() ** (1.0 / problem.dim) if k % 2 == 0 else radius
+            r = radius * np.power(uniforms.uniform(), 1.0 / problem.dim) if k % 2 == 0 else radius
             w = center + r * direction
             if problem.full_value(w) <= f0 + abs(f0) * 1e-12 + 1e-12:
                 accepted += 1
                 best = max(best, problem.max_component_gradient_norm(w))
-        return best, accepted
+            prefixes.append((best, accepted))
+        return prefixes
 
     @pytest.mark.parametrize("make", [
         QuarticProblem, ExpStrongProblem, TinyQuadraticProblem,
@@ -483,14 +536,38 @@ class TestSublevelEstimate:
                            np.random.default_rng(6).standard_normal(30)),
     ], ids=["quartic", "exp_strong", "tiny_quadratic", "phase_retrieval", "dro"])
     def test_matches_scalar_reference_loop(self, make):
-        problem, budget = make(), 700  # two full blocks and a partial one
-        est = estimate_sublevel_gradient_bound(problem, budget=budget, seed=3)
-        best, accepted = self._reference(problem, budget, seed=3)
-        assert est.samples_accepted == accepted
-        assert est.samples_drawn == budget
-        assert abs(est.value - best) <= 1e-12 * best
+        problem = make()
+        prefixes = self._reference(problem, 700, seed=3)
+        # one sample, a block less one, a block, a block and one, and two
+        # full blocks and a partial one: each budget's block draws are a
+        # prefix of the larger budgets' draws
+        for budget in (1, 255, 256, 257, 700):
+            est = estimate_sublevel_gradient_bound(problem, budget=budget, seed=3)
+            best, accepted = prefixes[budget - 1]
+            assert est.samples_accepted == accepted
+            assert est.samples_drawn == budget
+            assert abs(est.value - best) <= 1e-12 * best
         if isinstance(problem, PhaseRetrievalProblem):
             assert 0 < accepted < budget  # rejects some samples, accepts others
+
+    def test_zero_direction_is_dropped_without_a_warning(self, monkeypatch):
+        default_rng = np.random.default_rng
+
+        class FirstRowZero:  # the direction stream with each block's first row zeroed
+            def __init__(self, seed_seq):
+                self.rng = default_rng(seed_seq)
+
+            def standard_normal(self, shape):
+                rows = self.rng.standard_normal(shape)
+                rows[0] = 0.0
+                return rows
+
+            def uniform(self, size):
+                return self.rng.uniform(size=size)
+
+        monkeypatch.setattr(np.random, "default_rng", FirstRowZero)
+        est = estimate_sublevel_gradient_bound(TinyQuadraticProblem(), budget=300, seed=0)
+        assert (est.samples_accepted, est.samples_drawn) == (298, 300)  # 256 + 44 rows
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
