@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="experiment config JSON file")
     run.add_argument("--out", required=True, help="output directory for CSVs")
     run.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: available parallelism)")
+                     help="most worker processes to fork; runs too small to split stay "
+                          "in this process (default: available parallelism)")
     run.add_argument("--seed", type=_seed, default=None,
                      help="override the config's base seed")
 

@@ -5,13 +5,13 @@ count.  Every (arm, repetition) pair gets its own derived seed
 (sha256 of the packed (base_seed, arm_index, repetition) triple, first
 8 little-endian bytes), so no two runs ever share randomness and the
 assignment is stable across versions.  All (arm, repetition) runs
-advance in lockstep as one iterate block; with a process pool the flat
-run list is split into one contiguous block per worker, and the results
-are merged in deterministic (arm, repetition) order.  The problem and
-its dataset are built once per experiment and sent to the workers, so a
-CSV dataset is read once however many workers run.  A run's rows do
-not depend on the block it ran in, so the output never depends on
-``jobs`` or scheduling.
+advance in lockstep as one iterate block.  ``jobs`` caps the worker
+count: the run list is split into at most ``jobs`` contiguous blocks of
+at least ``_FORK_ENTRIES`` iterate entries (runs x dim) each, and a lone
+block runs in this process, with no pool.  Results are merged in (arm,
+repetition) order.  The problem and its dataset are built once and sent
+to the workers, so a CSV dataset is read once.  A run's rows do not
+depend on its block, so the output never depends on ``jobs``.
 
 Two CSV files are written: a raw per-run file with one row per epoch,
 and an aggregate with mean and 5%/95% percentiles per (arm, epoch,
@@ -52,6 +52,19 @@ __all__ = [
 RAW_HEADER = "arm,rep,epoch,objective,grad_norm_sq,dist_sq,evals,wall_ms"
 AGGREGATE_HEADER = "arm,epoch,metric,mean,p05,p95,count"
 METRIC_NAMES = ("objective", "grad_norm_sq", "dist_sq")
+# below this many iterate entries (runs x dim) a step's cost is per-call
+# overhead, the same for any block size, so a split into blocks that
+# small would fork workers and save no work
+_FORK_ENTRIES = 2048
+
+
+def _convert(kind, value, what: str):
+    """``kind(value)``, refusing a value of the wrong type with a ValueError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = {int: "an integer", float: "a number", dict: "an object", tuple: "a list"}[kind]
+        raise ValueError(f"{what} must be {noun}, got {value!r}") from None
 
 
 def derive_seed(base_seed: int, arm_index: int, rep: int) -> int:
@@ -78,8 +91,8 @@ class ArmSpec:
     plan_file: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("arm needs a non-empty name")
+        if not self.name or not isinstance(self.name, str):
+            raise ValueError(f"arm needs a non-empty name, got {self.name!r}")
         if self.method not in ("shuffling", "sgd"):
             raise ValueError(f"arm {self.name!r}: unknown method {self.method!r}")
         if self.method == "shuffling":
@@ -92,27 +105,30 @@ class ArmSpec:
                 raise ValueError(f"arm {self.name!r}: sgd takes no scheme or order")
         if (self.step_size is None) == (self.plan_file is None):
             raise ValueError(f"arm {self.name!r}: set exactly one of step_size or plan_file")
+        if not isinstance(self.plan_file, (str, type(None))):
+            raise ValueError(f"arm {self.name!r}: plan_file must be a path, got {self.plan_file!r}")
         if self.step_size is not None and not 0 <= self.step_size < np.inf:
             raise ValueError(f"arm {self.name!r}: step_size must be finite and >= 0, "
                              f"got {self.step_size}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArmSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"arm entry must be an object, got {d!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown arm keys: {sorted(unknown)}")
-        order, step = d.get("order"), d.get("step_size")
+        name, order, step = d.get("name", ""), d.get("order"), d.get("step_size")
+        if order is not None:
+            order = tuple(_convert(int, i, f"arm {name!r}: order entry")
+                          for i in _convert(tuple, order, f"arm {name!r}: order"))
         if step is not None:  # a number or a numeric string, as a plan file's eta
-            try:
-                step = float(step)
-            except (TypeError, ValueError):
-                raise ValueError(f"arm {d.get('name', '')!r}: step_size must be a number, "
-                                 f"got {step!r}") from None
+            step = _convert(float, step, f"arm {name!r}: step_size")
         return cls(
-            name=d.get("name", ""),
+            name=name,
             method=d.get("method", "shuffling"),
             scheme=d.get("scheme"),
-            order=None if order is None else tuple(int(i) for i in order),
+            order=order,
             step_size=step,
             plan_file=d.get("plan_file"),
         )
@@ -149,9 +165,9 @@ class ExperimentConfig:
             if not self.metrics:
                 raise ValueError(f"metrics must name at least one metric of {METRIC_NAMES}, "
                                  "or be left out for the default set")
-            unknown = set(self.metrics) - set(METRIC_NAMES)
+            unknown = [m for m in self.metrics if m not in METRIC_NAMES]
             if unknown:
-                raise ValueError(f"unknown metrics: {sorted(unknown)}")
+                raise ValueError(f"unknown metrics: {unknown}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -162,11 +178,13 @@ class ExperimentConfig:
             if key not in d:
                 raise ValueError(f"experiment config needs {key!r}")
         # only the keys given; the others take the field defaults
-        convert = {"problem": dict, "arms": lambda arms: tuple(map(ArmSpec.from_dict, arms)),
-                   "epochs": int, "repetitions": int, "base_seed": int, "batch_size": int,
-                   "metrics": lambda m: None if m is None else tuple(m),
-                   "divergence_threshold": float}
-        return cls(**{f.name: convert[f.name](d[f.name]) for f in fields(cls) if f.name in d})
+        kinds = {"problem": dict, "arms": tuple, "epochs": int, "repetitions": int,
+                 "base_seed": int, "batch_size": int, "metrics": tuple,
+                 "divergence_threshold": float}
+        given = {k: _convert(kinds[k], v, k) for k, v in d.items()
+                 if k != "metrics" or v is not None}
+        given["arms"] = tuple(map(ArmSpec.from_dict, given["arms"]))
+        return cls(**given)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -214,13 +232,15 @@ def _arm_step_size(arm: ArmSpec, n: int, batch_size: int) -> float:
         return float(arm.step_size)
     with open(arm.plan_file) as fh:
         plan = json.load(fh)
+    if not isinstance(plan, dict):
+        raise ValueError(f"plan file {arm.plan_file!r} must hold an object, got {plan!r}")
     for key in ("eta", "n"):
         if key not in plan:
             raise ValueError(f"plan file {arm.plan_file!r} lacks {key!r}")
-    if int(plan["n"]) != n:
+    if _convert(int, plan["n"], f"plan file {arm.plan_file!r}: n") != n:
         raise ValueError(
             f"plan file {arm.plan_file!r} was made for n = {plan['n']}, problem has n = {n}")
-    eta = float(plan["eta"])
+    eta = _convert(float, plan["eta"], f"plan file {arm.plan_file!r}: eta")
     if not 0 <= eta < np.inf:
         raise ValueError(f"arm {arm.name!r}: plan file {arm.plan_file!r} has eta = {eta}, "
                          "which must be finite and >= 0")
@@ -276,7 +296,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
         for rep in range(config.repetitions)
     ]
     runs = [(config.arms[a], seed, arm_steps[a]) for a, _, seed in tasks]
-    blocks = np.array_split(np.arange(len(runs)), min(jobs, len(runs)))
+    n_blocks = max(1, min(jobs, len(runs), len(runs) * problem.dim // _FORK_ENTRIES))
+    blocks = np.array_split(np.arange(len(runs)), n_blocks)
     if len(blocks) == 1:
         outcomes = _run_runs(problem, run_config, runs)
     else:

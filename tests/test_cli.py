@@ -337,6 +337,53 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", [3], "epochs must be an integer, got [3]"),
+        ("repetitions", None, "repetitions must be an integer, got None"),
+        ("base_seed", "x", "base_seed must be an integer, got 'x'"),
+        ("batch_size", {"b": 1}, "batch_size must be an integer, got {'b': 1}"),
+        ("divergence_threshold", [1e6], "divergence_threshold must be a number, got [1000000.0]"),
+        ("problem", 5, "problem must be an object, got 5"),
+        ("metrics", 5, "metrics must be a list, got 5"),
+        ("metrics", [["objective"]], "unknown metrics: [['objective']]"),
+        ("arms", 5, "arms must be a list, got 5"),
+        ("arms", [1], "arm entry must be an object, got 1"),
+        ("arms", [{"name": "f", "scheme": "fixed", "order": [[0]], "step_size": 0.1}],
+         "arm 'f': order entry must be an integer, got [0]"),
+        ("arms", [{"name": "f", "scheme": "fixed", "order": 3, "step_size": 0.1}],
+         "arm 'f': order must be a list, got 3"),
+        ("arms", [{"name": ["a"], "method": "sgd", "step_size": 0.1}],
+         "arm needs a non-empty name, got ['a']"),
+        ("arms", [{"name": "a", "method": "sgd", "plan_file": ["p.json"]}],
+         "arm 'a': plan_file must be a path, got ['p.json']"),
+    ])
+    def test_malformed_config_field_is_refused(self, tmp_path, capsys, key, value, message):
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg[key] = value
+        config.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"eta": [0.1], "n": 4}, "plan file {path}: eta must be a number, got [0.1]"),
+        ({"eta": 0.1, "n": [4]}, "plan file {path}: n must be an integer, got [4]"),
+        ({"eta": 0.1, "n": None}, "plan file {path}: n must be an integer, got None"),
+        ([0.1, 4], "plan file {path} must hold an object, got [0.1, 4]"),
+    ])
+    def test_malformed_plan_file_is_refused(self, tmp_path, capsys, plan, message):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["arms"][0] = {"name": "planned", "method": "shuffling", "scheme": "random_reshuffle",
+                          "plan_file": str(plan_path)}
+        config.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=repr(str(plan_path)))}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")])

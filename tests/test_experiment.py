@@ -343,23 +343,17 @@ class TestSpecValidation:
             run_experiment(_config(), tmp_path / "out", jobs=0)
 
 
-def test_worker_pool_matches_inline(tmp_path):
-    config = _config(epochs=3, repetitions=2)
-    run_experiment(config, tmp_path / "inline", jobs=1)
-    run_experiment(config, tmp_path / "pool", jobs=2)
-    assert _strip_wall(tmp_path / "inline" / "raw.csv") == \
-        _strip_wall(tmp_path / "pool" / "raw.csv")
-
-
-def _write_dro_csv(path):
-    """60 rows of five features, the two default categorical columns and a
-    target, after a comment line; some cells are empty, "nan", outliers,
-    whitespace-padded or in exponent notation."""
+def _write_dro_csv(path, features=5):
+    """60 rows of ``features`` (at least five) features, the two default
+    categorical columns and a target, after a comment line; some cells are
+    empty, "nan", outliers, whitespace-padded or in exponent notation."""
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((60, 5))
-    y = x @ rng.standard_normal(5) + rng.standard_normal(60)
+    x = rng.standard_normal((60, features))
+    y = x @ rng.standard_normal(features) + rng.standard_normal(60)
     x[::17, 2] *= 40.0
-    lines = ["# dro test data", "x0,x1,country,x2,x3,status,x4,target"]
+    header = [f"x{j}" for j in range(features)]
+    header[2:2], header[5:5] = ["country"], ["status"]
+    lines = ["# dro test data", ",".join(header + ["target"])]
     for r, (row, target) in enumerate(zip(x, y)):
         cells = [f"{v:.9g}" for v in row]
         if r % 7 == 0:
@@ -375,31 +369,74 @@ def _write_dro_csv(path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_pool_builds_the_problem_once(tmp_path, monkeypatch):
-    # forked workers inherit the counting wrappers; the run_block lines
-    # show that the workers ran under them
-    log = tmp_path / "calls.log"
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            with open(log, "a") as fh:
-                fh.write(f"{name} {os.getpid()}\n")
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(experiment, "build_problem")
-    counted(experiment, "run_block")
-    counted(ingest, "load_csv")
-    _write_dro_csv(tmp_path / "dro.csv")
+def _pool_config(tmp_path):
+    """A dro experiment on a wide CSV: its 6 runs hold at least
+    2 * _FORK_ENTRIES iterate entries, so ``jobs=2`` forks two workers.
+    The "sweep" arm diverges in both repetitions."""
+    runs = 6
+    dim = -(-2 * experiment._FORK_ENTRIES // runs)  # the features and theta
+    _write_dro_csv(tmp_path / "dro.csv", features=dim - 1)
     problem = {"id": "dro", "lam": 1.0, "dataset": {"csv": {"path": str(tmp_path / "dro.csv")}}}
-    run_experiment(_config(problem=problem, epochs=2, repetitions=2), tmp_path / "out", jobs=2)
+    arms = (ArmSpec(name="rr", method="shuffling", scheme="random_reshuffle", step_size=1e-6),
+            ArmSpec(name="sgd", method="sgd", step_size=1e-6),
+            ArmSpec(name="sweep", method="shuffling", scheme="random_reshuffle", step_size=0.3))
+    return _config(problem=problem, arms=arms, epochs=2, repetitions=runs // len(arms))
+
+
+def _count_calls(monkeypatch, log, module, name):
+    """Log each call of ``module.name`` with its pid; forked workers
+    inherit the wrapper."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{name} {os.getpid()}\n")
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_worker_pool_matches_inline(tmp_path, monkeypatch):
+    config = _pool_config(tmp_path)
+    results, blocks = {}, {}
+    for jobs in (1, 2, 3):
+        log = tmp_path / f"calls{jobs}.log"
+        _count_calls(monkeypatch, log, experiment, "run_block")
+        results[jobs] = run_experiment(config, tmp_path / f"jobs{jobs}", jobs=jobs)
+        blocks[jobs] = {pid for _, pid in map(str.split, log.read_text().splitlines())}
+        monkeypatch.undo()
+    # jobs=3 still makes two blocks: each holds at least _FORK_ENTRIES entries
+    assert blocks[1] == {str(os.getpid())}
+    assert len(blocks[2]) == len(blocks[3]) == 2 and str(os.getpid()) not in blocks[2] | blocks[3]
+    assert {arm for arm, _ in results[1].diverged} == {"sweep"}
+    for jobs in (2, 3):
+        assert _strip_wall(results[jobs].raw_path) == _strip_wall(results[1].raw_path)
+        assert results[jobs].aggregate_path.read_bytes() == \
+            results[1].aggregate_path.read_bytes()
+        assert (results[jobs].diverged, results[jobs].diverged_at) == \
+            (results[1].diverged, results[1].diverged_at)
+
+
+def test_pool_builds_the_problem_once(tmp_path, monkeypatch):
+    # the run_block lines show that the workers ran under the wrappers
+    log = tmp_path / "calls.log"
+    for module, name in ((experiment, "build_problem"), (experiment, "run_block"),
+                         (ingest, "load_csv")):
+        _count_calls(monkeypatch, log, module, name)
+    run_experiment(_pool_config(tmp_path), tmp_path / "out", jobs=2)
     calls = [line.split() for line in log.read_text().splitlines()]
     assert sorted(name for name, _ in calls) == ["build_problem", "load_csv", "run_block",
                                                  "run_block"]
     workers = {pid for name, pid in calls if name == "run_block"}
     assert len(workers) == 2 and str(os.getpid()) not in workers
+
+
+def test_small_experiment_runs_in_the_parent(tmp_path, monkeypatch):
+    log = tmp_path / "calls.log"
+    _count_calls(monkeypatch, log, experiment, "run_block")
+    config = _config()  # 6 runs of dim 2
+    assert 6 * build_problem(config.problem).dim < experiment._FORK_ENTRIES
+    run_experiment(config, tmp_path / "out", jobs=2)
+    assert log.read_text().splitlines() == [f"run_block {os.getpid()}"]
 
 
 # (problem, step size of the four regular arms, step size of a "sweep"

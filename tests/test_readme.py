@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from shufflegrad.cli import main
+from shufflegrad import experiment
 from shufflegrad.experiment import ExperimentConfig
 from shufflegrad.smoothness import RECIPE_NAMES, EllFunction, constants_for_recipe
 
@@ -74,6 +75,11 @@ def _prints(argv, transcript, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert transcript and all(line in out for line in transcript), transcript
+
+
+def test_fork_threshold_matches_code():
+    text = " ".join(_section("Seeds and determinism").split())
+    assert f"blocks of at least {experiment._FORK_ENTRIES:,} iterate entries" in text
 
 
 def test_run_and_check_transcripts(tmp_path, monkeypatch, capsys):
