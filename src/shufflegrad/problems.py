@@ -54,7 +54,8 @@ class FiniteSumProblem:
     A problem may also set ``component_epoch(W, orders, steps)``: the
     block after one epoch of single-component steps, in place of the
     step loop of :func:`shufflegrad.optimize.run_block`.  A row's bits do
-    not depend on R; quartic's are the loop's, exp_strong's agree to rounding.
+    not depend on R; quartic's, phase_retrieval's and dro's are the loop's,
+    exp_strong's agree to rounding.
     """
 
     n: int
@@ -132,6 +133,27 @@ class FiniteSumProblem:
     def optimum_point(self) -> np.ndarray | None:
         pt = getattr(self, "_optimum_point", None)
         return None if pt is None else pt.copy()
+
+
+# Steps per gather of _gathered_epoch: a chunk's (32, R, d) rows stay
+# small; a chunk of 256 raised the peak memory of a run
+_EPOCH_CHUNK = 32
+
+
+def _gathered_epoch(W, orders, steps, gradients, *tables):
+    """The step loop of :func:`shufflegrad.optimize.run_block` at batch
+    size 1, bit for bit: step k is ``g = gradients(W, *rows); g *= step;
+    W -= g`` with ``rows`` each table's rows ``table[orders[k]]``, gathered
+    once per chunk of ``_EPOCH_CHUNK`` steps rather than once per step."""
+    W = W.copy()
+    step = steps[:, None]
+    for lo in range(0, len(orders), _EPOCH_CHUNK):
+        chunk = [table[orders[lo:lo + _EPOCH_CHUNK]] for table in tables]
+        for rows in zip(*chunk):
+            g = gradients(W, *rows)
+            g *= step
+            W -= g
+    return W
 
 
 def _lane_epoch(W, coord, offset, orders, steps, visit, idle=None):
@@ -339,10 +361,19 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         q = a @ w
         return (2.0 * (q * q - self.targets[i]) * q) * a
 
+    @staticmethod
+    def _gradients(W, A, y):
+        """Row r: the gradient at ``W[r]`` of the component with vector
+        ``A[r]`` and target ``y[r]``."""
+        q = np.vecdot(A, W)
+        return (2.0 * (q * q - y) * q)[:, None] * A
+
     def component_gradients(self, W, idx):
-        A = self.vectors[idx]
-        q = np.einsum("rd,rd->r", A, W)
-        return (2.0 * (q * q - self.targets[idx]) * q)[:, None] * A
+        return self._gradients(W, self.vectors[idx], self.targets[idx])
+
+    def component_epoch(self, W, orders, steps):
+        """One epoch of single-component steps, bit for bit the step loop."""
+        return _gathered_epoch(W, orders, steps, self._gradients, self.vectors, self.targets)
 
     def _projections(self, W):
         # one matrix-vector product per row: a product across rows could
@@ -425,13 +456,26 @@ class DROProblem(FiniteSumProblem):
         loss_grad = -r * x + self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
         return np.append(coef * loss_grad, 1.0 - coef)
 
-    def component_gradients(self, V, idx):
-        W, theta, X = V[:, :-1], V[:, -1], self.features[idx]
-        r = self.targets[idx] - np.einsum("rd,rd->r", X, W)
-        loss = 0.5 * r * r + self.REG_WEIGHT * np.sum(np.log1p(np.abs(W)), axis=1)
+    def _gradients(self, V, X, y):
+        """Row r: the gradient at ``V[r]`` of the component with features
+        ``X[r]`` and target ``y[r]``."""
+        W, theta = V[:, :-1], V[:, -1]
+        r = y - np.vecdot(X, W)
+        a = np.abs(W)
+        loss = 0.5 * r * r + self.REG_WEIGHT * np.add.reduce(np.log1p(a), axis=1)
         coef = _psi_star_prime((loss - theta) / self.lam) / self.lam
-        loss_grad = -r[:, None] * X + self.REG_WEIGHT * np.sign(W) / (1.0 + np.abs(W))
-        return np.concatenate([coef[:, None] * loss_grad, (1.0 - coef)[:, None]], axis=1)
+        G = np.empty(V.shape)
+        np.multiply(coef[:, None], -r[:, None] * X + self.REG_WEIGHT * np.sign(W) / (1.0 + a),
+                    out=G[:, :-1])
+        np.subtract(1.0, coef, out=G[:, -1])
+        return G
+
+    def component_gradients(self, V, idx):
+        return self._gradients(V, self.features[idx], self.targets[idx])
+
+    def component_epoch(self, V, orders, steps):
+        """One epoch of single-component steps, bit for bit the step loop."""
+        return _gathered_epoch(V, orders, steps, self._gradients, self.features, self.targets)
 
     def full_values(self, V):
         # row by row: the (n, d) work per row is the data's own size

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shufflegrad.cli import _CHECK_PROBLEMS
 from shufflegrad.optimize import (
     DivergenceError,
     RunConfig,
@@ -267,14 +268,15 @@ class TestDivergence:
         assert e.step_index == escaped
 
 
-def _generic(problem_class):
-    problem = problem_class()
+# the shapes `shufflegrad check` uses: phase_retrieval m=60, dim=12 and
+# dro on an 80-row synthetic dataset
+_SPECS = {spec["id"]: spec for spec in _CHECK_PROBLEMS}
+
+
+def _generic(problem_id):
+    problem = build_problem(_SPECS[problem_id])
     problem.component_epoch = None  # _epoch_pass falls back to its step loop
     return problem
-
-
-def _generic_quartic():
-    return _generic(QuarticProblem)
 
 
 def _mixed_orders(rng, n, rows):
@@ -284,16 +286,18 @@ def _mixed_orders(rng, n, rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.integers(1, 40), log_scale=st.floats(-3, 2), zero_steps=st.integers(0, 40),
+@given(problem_id=st.sampled_from(["quartic", "phase_retrieval", "dro"]),
+       rows=st.integers(1, 40), log_scale=st.floats(-3, 2), zero_steps=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1))
-def test_quartic_epoch_is_the_step_loop_bit_for_bit(rows, log_scale, zero_steps, seed):
+def test_component_epoch_is_the_step_loop_bit_for_bit(problem_id, rows, log_scale, zero_steps,
+                                                      seed):
     # R changes the lane counts, the prefix lengths and the SIMD tails of
-    # pow; large scales overflow to inf and NaN within the epoch
+    # pow and of the row dots; large scales overflow to inf and NaN within
+    # the epoch
     rng = np.random.default_rng(seed)
-    problem = QuarticProblem()
+    problem = build_problem(_SPECS[problem_id])
     n = problem.n
-    orders = np.stack([rng.permutation(n) if rng.random() < 0.5 else rng.integers(0, n, n)
-                       for _ in range(rows)], axis=1)
+    orders = _mixed_orders(rng, n, rows)
     W = 10.0**log_scale * rng.standard_normal((rows, problem.dim))
     W[rng.random(W.shape) < 0.02] = 0.0
     W[rng.random(W.shape) < 0.02] = -0.0
@@ -301,7 +305,7 @@ def test_quartic_epoch_is_the_step_loop_bit_for_bit(rows, log_scale, zero_steps,
     steps[:zero_steps] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         fast = problem.component_epoch(W, orders, steps)
-        slow, last = _epoch_pass(_generic_quartic(), W, orders, steps, _batch_bounds(n, 1))
+        slow, last = _epoch_pass(_generic(problem_id), W, orders, steps, _batch_bounds(n, 1))
     assert last == n - 1
     np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
 
@@ -356,12 +360,19 @@ def test_exp_strong_epoch_is_the_step_loop_to_rounding(rows, log_scale, zero_ste
     np.testing.assert_array_equal(lane[:zero_steps], W[:zero_steps])
 
 
+def _bits(x):
+    """The int64 view of ``x`` with every NaN as the one NaN ``np.nan``."""
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
 @settings(max_examples=30, deadline=None)
-@given(problem_class=st.sampled_from([QuarticProblem, ExpStrongProblem]),
+@given(problem_id=st.sampled_from(["quartic", "exp_strong", "phase_retrieval", "dro"]),
        rows=st.integers(2, 40), log_scale=st.floats(-3, 1), seed=st.integers(0, 2**32 - 1))
-def test_lane_epoch_row_bits_do_not_depend_on_the_block(problem_class, rows, log_scale, seed):
+def test_lane_epoch_row_bits_do_not_depend_on_the_block(problem_id, rows, log_scale, seed):
+    # dro's step loop, like its epoch, can give a NaN entry another sign
+    # alone than in a block; a NaN row diverges and never reaches a CSV
     rng = np.random.default_rng(seed)
-    problem = problem_class()
+    problem = build_problem(_SPECS[problem_id])
     orders = _mixed_orders(rng, problem.n, rows)
     W = 10.0**log_scale * rng.standard_normal((rows, problem.dim))
     steps = 10.0 ** rng.uniform(-9, -2, rows)
@@ -369,42 +380,52 @@ def test_lane_epoch_row_bits_do_not_depend_on_the_block(problem_class, rows, log
     with np.errstate(over="ignore", invalid="ignore"):
         block = problem.component_epoch(W, orders, steps)
         alone = problem.component_epoch(W[r:r + 1], orders[:, r:r + 1], steps[r:r + 1])
-    np.testing.assert_array_equal(alone[0].view(np.int64), block[r].view(np.int64))
+    bits = _bits if problem_id == "dro" else lambda x: x.view(np.int64)
+    np.testing.assert_array_equal(bits(alone[0]), bits(block[r]))
 
 
-@pytest.mark.parametrize("problem_class,batch_size,step,calls", [
-    # every epoch; exp_strong diverges at 1e-4
-    pytest.param(QuarticProblem, 1, 1e-4, 3, id="1-0.0001-3"),
-    pytest.param(ExpStrongProblem, 1, 1e-5, 3, id="exp_strong-1-1e-05-3"),
+def _param(problem_id, batch_size, step, calls):
+    name = f"{batch_size}-{step}-{calls}"
+    return pytest.param(problem_id, batch_size, step, calls,
+                        id=name if problem_id == "quartic" else f"{problem_id}-{name}")
+
+
+@pytest.mark.parametrize("problem_id,batch_size,step,calls", [
+    # every epoch; exp_strong diverges at 1e-4; two dro rows diverge in
+    # epoch 1 at 1e-5 and the third goes on
+    *(_param(p, 1, step, 3) for p, step in [("quartic", 1e-4), ("exp_strong", 1e-5),
+                                            ("phase_retrieval", 1e-4), ("dro", 1e-6),
+                                            ("dro", 1e-5)]),
     # batches of two take the step loop
-    pytest.param(QuarticProblem, 2, 1e-4, 0, id="2-0.0001-0"),
-    pytest.param(ExpStrongProblem, 2, 1e-5, 0, id="exp_strong-2-1e-05-0"),
+    *(_param(p, 2, step, 0) for p, step in [("quartic", 1e-4), ("exp_strong", 1e-5),
+                                            ("phase_retrieval", 1e-4), ("dro", 1e-6)]),
     # a -0.0 step runs as +0.0
-    pytest.param(QuarticProblem, 1, -0.0, 3, id="1--0.0-3"),
-    pytest.param(ExpStrongProblem, 1, -0.0, 3, id="exp_strong-1--0.0-3"),
+    *(_param(p, 1, -0.0, 3) for p in ["quartic", "exp_strong", "phase_retrieval", "dro"]),
     # diverges in epoch 1; the replay takes the step loop
-    pytest.param(QuarticProblem, 1, 10.0, 1, id="1-10.0-1"),
-    pytest.param(ExpStrongProblem, 1, 10.0, 1, id="exp_strong-1-10.0-1"),
+    *(_param(p, 1, step, 1) for p, step in [("quartic", 10.0), ("exp_strong", 10.0),
+                                            ("phase_retrieval", 1.0), ("dro", 1.0)]),
 ])
-def test_quartic_epoch_serves_single_component_steps(problem_class, batch_size, step, calls):
-    problem = problem_class()
+def test_quartic_epoch_serves_single_component_steps(problem_id, batch_size, step, calls):
+    problem = build_problem(_SPECS[problem_id])
     seen = []
     epoch = problem.component_epoch
     problem.component_epoch = lambda *args: seen.append(1) or epoch(*args)
-    # from -0.0, so that an unvisited coordinate shows the sign W - 0.0 * step leaves
-    config = RunConfig(step_size=0.0, epochs=3, batch_size=batch_size,
-                       initial_point=np.full(problem.dim, -0.0))
+    # from -0.0, so that an unvisited coordinate shows the sign W - 0.0 * step
+    # leaves; phase_retrieval from its own point, as the origin is stationary
+    start = None if problem_id == "phase_retrieval" else np.full(problem.dim, -0.0)
+    config = RunConfig(step_size=0.0, epochs=3, batch_size=batch_size, initial_point=start)
 
     def run(p):  # a shuffling row, a with-replacement row, a row on component 0 alone
         streams = [scheme_stream(Scheme.random_reshuffle(p.n, 1)), sgd_stream(p.n, 2),
                    lambda t: np.zeros(p.n, dtype=np.int64)]
         return run_block(p, config, streams, [step] * 3)
 
-    outcomes, reference = run(problem), run(_generic(problem_class))
+    outcomes, reference = run(problem), run(_generic(problem_id))
     assert len(seen) == calls
-    # quartic's lane epoch is its step loop bit for bit; exp_strong's
-    # agrees to rounding (test_exp_strong_epoch_is_the_step_loop_to_rounding)
-    exact = problem_class is QuarticProblem or calls == 0
+    # the epochs of quartic, phase_retrieval and dro are their step loops bit
+    # for bit; exp_strong's agrees to rounding
+    # (test_exp_strong_epoch_is_the_step_loop_to_rounding)
+    exact = problem_id != "exp_strong" or calls == 0
     for got, want in zip(outcomes, reference):
         if isinstance(want, DivergenceError):
             assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
@@ -419,10 +440,14 @@ def test_quartic_epoch_serves_single_component_steps(problem_class, batch_size, 
                                        atol=1e-12 * np.abs(want.final_point).max())
 
 
-@pytest.mark.parametrize("step", [0.01, 1.0, 1.5])
-def test_exp_strong_divergence_is_located_by_the_step_loop(step):
-    # the lane epoch finds the diverging epoch, the step loop replays it:
-    # the same (epoch, step_index) as a problem without the lane epoch
+@pytest.mark.parametrize("problem_id,step", [
+    *(pytest.param("exp_strong", step, id=str(step)) for step in [0.01, 1.0, 1.5]),
+    *(pytest.param(p, step, id=f"{p}-{step}") for p, step in [
+        ("phase_retrieval", 1e-3), ("phase_retrieval", 1.0), ("dro", 1e-5), ("dro", 1.0)]),
+])
+def test_exp_strong_divergence_is_located_by_the_step_loop(problem_id, step):
+    # the component epoch finds the diverging epoch, the step loop replays
+    # it: the same (epoch, step_index) as a problem without component_epoch
     config = RunConfig(step_size=0.0, epochs=3)
 
     def run(p):
@@ -431,8 +456,8 @@ def test_exp_strong_divergence_is_located_by_the_step_loop(step):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = run(ExpStrongProblem())
-    reference = run(_generic(ExpStrongProblem))
+        outcomes = run(build_problem(_SPECS[problem_id]))
+    reference = run(_generic(problem_id))
     for got, want in zip(outcomes, reference):
         assert isinstance(want, DivergenceError)
         assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
