@@ -262,8 +262,15 @@ def _run_runs(problem, run_config: RunConfig, runs) -> list:
     return run_block(problem, run_config, streams, [step for _, _, step in runs])
 
 
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.17g}"
+def _raw_rows(arm_name: str, rep: int, record, metrics) -> str:
+    """One run's raw.csv rows: one %-template over the record's columns.
+    ``"%.17g" % x`` has the bytes of ``f"{x:.17g}"``; a metric not in
+    ``metrics`` leaves an empty field."""
+    cells = ",".join("%.17g" if m in metrics else "" for m in METRIC_NAMES)
+    template = f"{arm_name.replace('%', '%%')},{rep},%d,{cells},%d,%.17g\n"
+    columns = [getattr(record, m).tolist() for m in METRIC_NAMES if m in metrics]
+    return "".join(map(template.__mod__, zip(record.epoch.tolist(), *columns,
+                                            record.evals.tolist(), record.wall_ms.tolist())))
 
 
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> ExperimentResult:
@@ -319,13 +326,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
     with open(raw_path, "w", newline="") as fh:
         fh.write(RAW_HEADER + "\n")
         for (arm_index, rep, _), record in zip(tasks, records):
-            arm_name = config.arms[arm_index].name
-            blank = [None] * record.completed_epochs
-            columns = [getattr(record, m) if m in metrics else blank for m in METRIC_NAMES]
-            for epoch, objective, grad_sq, d, evals, wall in zip(
-                    record.epoch, *columns, record.evals, record.wall_ms):
-                fh.write(f"{arm_name},{rep},{epoch},{_fmt(objective)},"
-                         f"{_fmt(grad_sq)},{_fmt(d)},{evals},{_fmt(wall)}\n")
+            fh.write(_raw_rows(config.arms[arm_index].name, rep, record, metrics))
 
     aggregate = _aggregate(config, records, metrics)
     aggregate_path = out_dir / "aggregate.csv"

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shuffling import Scheme, permutation_for_epoch
+from .shuffling import (_PERM_STREAM, Scheme, _generator, _nonnegative_int, _seed_states,
+                        permutation_for_epoch)
 from .smoothness import row_dots
 
 __all__ = [
@@ -196,6 +197,11 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
     ``component_epoch``'s, or only the objective crossed the threshold).
     Overflow raises no warnings.  ``wall_ms`` is the block's clock.  A
     step of -0.0 runs as +0.0, the sign ``component_epoch`` assumes.
+    The block seeds the streams of :func:`scheme_stream` and
+    :func:`sgd_stream` in bulk, with the bits of one seeding per stream:
+    the shuffle_once orders and sgd generators at its start (one pass per
+    spawn key), the random_reshuffle orders of the live rows once every
+    ``_RESHUFFLE_CHUNK`` = 64 epochs (one pass).
 
     Returns, per row, its :class:`TrajectoryRecord` or the
     :class:`DivergenceError` that ended it.
@@ -213,11 +219,15 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
     bounds = _batch_bounds(problem.n, config.batch_size)
     threshold = config.divergence_threshold
     opt = problem.optimum_point
+    _seed_once(streams)
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.epochs + 1):
             if t > 1:
                 avg += (W - avg) / t
+            if (t - 1) % _RESHUFFLE_CHUNK == 0:
+                _seed_reshuffles([streams[r] for r in live], t,
+                                 min(t + _RESHUFFLE_CHUNK, config.epochs + 1))
             orders = np.stack([streams[r](t) for r in live], axis=1)
             W_next, _ = _epoch_pass(problem, W, orders, steps, bounds)
             finite = np.isfinite(W_next).all(axis=1)
@@ -254,15 +264,83 @@ def _solo(outcomes: list) -> TrajectoryRecord:
     return outcome
 
 
+# epochs of random_reshuffle orders that run_block seeds in one pass; the
+# pass's fixed cost is spread over this many draws of a lone run
+_RESHUFFLE_CHUNK = 64
+
+
+class _Reshuffle:
+    """random_reshuffle stream: the scheme's permutation of each epoch,
+    from seed words :func:`run_block` hands it for a chunk of epochs
+    (``states[k]`` seeds epoch ``first + k``); any other epoch is seeded
+    alone."""
+
+    __slots__ = ("scheme", "first", "states")
+
+    def __init__(self, scheme: Scheme):
+        self.scheme, self.first, self.states = scheme, 1, ()
+
+    def __call__(self, t):
+        if 0 <= t - self.first < len(self.states):
+            return _generator(self.states[t - self.first]).permutation(self.scheme.n)
+        return permutation_for_epoch(self.scheme, t)
+
+
+class _SeededOnce:
+    """Stream of one generator seeded with ``(seed, key)``: ``build(rng)``
+    returns the per-epoch callable.  :func:`run_block` seeds the streams
+    of a block at its start; a stream called first seeds itself."""
+
+    __slots__ = ("seed", "key", "build", "draw")
+
+    def __init__(self, seed: int, key: tuple, build):
+        self.seed, self.key, self.build, self.draw = seed, key, build, None
+
+    def seed_with(self, state: np.ndarray) -> None:
+        self.draw = self.build(_generator(state))
+
+    def __call__(self, t):
+        if self.draw is None:
+            self.seed_with(_seed_states([self.seed], [self.key])[0, 0])
+        return self.draw(t)
+
+
+def _seed_once(streams) -> None:
+    """Seed every :class:`_SeededOnce` stream not yet seeded, one pass per key."""
+    pending: dict[tuple, list[_SeededOnce]] = {}
+    for stream in streams:
+        if isinstance(stream, _SeededOnce) and stream.draw is None:
+            pending.setdefault(stream.key, []).append(stream)
+    for key, group in pending.items():
+        for stream, state in zip(group, _seed_states([s.seed for s in group], [key])[:, 0]):
+            stream.seed_with(state)
+
+
+def _seed_reshuffles(streams, first: int, stop: int) -> None:
+    """Hand every :class:`_Reshuffle` stream the seed words of epochs
+    ``first .. stop - 1``, computed in one pass."""
+    group = [s for s in streams if isinstance(s, _Reshuffle)]
+    if group:
+        keys = [(_PERM_STREAM, t) for t in range(first, stop)]
+        for stream, states in zip(group, _seed_states([s.scheme.seed for s in group], keys)):
+            stream.first, stream.states = first, states
+
+
+def _repeat(order: np.ndarray):
+    order.setflags(write=False)
+    return lambda t: order
+
+
 def scheme_stream(scheme: Scheme):
     """Index stream of a shuffling run: the scheme's permutation per epoch.
     A scheme that repeats one order draws it once and returns that
     read-only array every epoch."""
     if scheme.kind == "random_reshuffle":
-        return lambda t: permutation_for_epoch(scheme, t)
-    order = permutation_for_epoch(scheme, 1)
-    order.setflags(write=False)
-    return lambda t: order
+        return _Reshuffle(scheme)
+    if scheme.kind == "shuffle_once":
+        return _SeededOnce(scheme.seed, (_PERM_STREAM, 1),
+                           lambda rng: _repeat(rng.permutation(scheme.n)))
+    return _repeat(permutation_for_epoch(scheme, 1))
 
 
 _SGD_STREAM = (1,)
@@ -271,8 +349,8 @@ _SGD_STREAM = (1,)
 def sgd_stream(n: int, seed: int):
     """Index stream of the with-replacement baseline: n uniform draws per
     epoch from a generator seeded apart from the permutation streams."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=_SGD_STREAM))
-    return lambda t: rng.integers(0, n, size=n)
+    seed = _nonnegative_int(seed, "seed")
+    return _SeededOnce(seed, _SGD_STREAM, lambda rng: lambda t: rng.integers(0, n, size=n))
 
 
 def run_shuffling(problem, scheme: Scheme, config: RunConfig) -> TrajectoryRecord:

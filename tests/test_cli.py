@@ -36,6 +36,13 @@ def _run_config(tmp_path, epochs=4, step=0.05):
     return path
 
 
+def _child_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(shufflegrad.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestPlanCommand:
     def test_manual_stats_example(self, tmp_path, capsys):
         assert main(_plan_args(tmp_path)) == 0
@@ -112,20 +119,23 @@ class TestPlanCommand:
         assert err.value.code == 2
 
     def test_module_entry_point_writes_the_plan(self, tmp_path):
-        src = str(Path(shufflegrad.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "shufflegrad.cli", *_plan_args(tmp_path)],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "epochs = 27713" in proc.stdout
         plan = json.loads((tmp_path / "plan.json").read_text())
         assert (plan["recipe"], plan["epochs"]) == (2, 27713)
 
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the order streams load numpy.random on their first draw, not at import
+        code = "import sys, shufflegrad.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_cached_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
-        src = str(Path(shufflegrad.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         base = ["plan", "--theorem", "6", "--eps", "0.1", "--problem", "tiny_quadratic",
                 "--out", str(tmp_path / "plan.json")]
         calls = (base + ["--seed", "5"], base)  # the second falls back to --seed 0

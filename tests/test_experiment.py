@@ -18,7 +18,8 @@ from shufflegrad.experiment import (
     derive_seed,
     run_experiment,
 )
-from shufflegrad.optimize import DivergenceError, RunConfig, run_sgd, run_shuffling
+from shufflegrad.optimize import (DivergenceError, RunConfig, TrajectoryRecord, run_sgd,
+                                  run_shuffling)
 from shufflegrad.problems import build_problem
 from shufflegrad.shuffling import KINDS, Scheme
 
@@ -169,6 +170,24 @@ class TestMetricsSelection:
         assert metrics == {"objective", "grad_norm_sq"}
         raw = (tmp_path / "out" / "raw.csv").read_text().splitlines()[1]
         assert ",," in raw  # empty dist_sq field
+
+    @pytest.mark.parametrize("metrics", [METRIC_NAMES, ("objective", "dist_sq"),
+                                         ("grad_norm_sq",)])
+    def test_raw_rows_have_the_bytes_of_17g(self, metrics):
+        # "%.17g" % x against f"{x:.17g}" on the floats whose text is special
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                            0.1, -2.5e-310])
+        epoch = np.arange(1, len(special) + 1)
+        columns = {"objective": special, "grad_norm_sq": special[::-1].copy(),
+                   "dist_sq": np.roll(special, 3)}
+        record = TrajectoryRecord(epoch=epoch, evals=epoch * 16, wall_ms=np.roll(special, 5),
+                                  final_point=np.zeros(2), averaged_point=None, **columns)
+        want = "".join(
+            f"a%b,7,{e},"
+            + ",".join(f"{columns[m][i]:.17g}" if m in metrics else "" for m in METRIC_NAMES)
+            + f",{16 * e},{record.wall_ms[i]:.17g}\n"
+            for i, e in enumerate(epoch.tolist()))
+        assert experiment._raw_rows("a%b", 7, record, metrics) == want
 
     def test_deselected_metric_leaves_raw_field_empty(self, tmp_path):
         result = run_experiment(_config(metrics=("objective", "dist_sq")), tmp_path / "out")

@@ -471,6 +471,55 @@ def test_repeated_orders_are_drawn_once(kind):
     np.testing.assert_array_equal(stream(4), permutation_for_epoch(scheme, 4))
 
 
+def _seed_sequence_stream(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def test_block_rows_get_their_solo_orders_and_bits():
+    # T = 70 runs past one 64-epoch chunk of reshuffle seeds; the two fast
+    # reshuffle rows diverge, one in each chunk, so the second chunk is
+    # seeded for fewer rows
+    problem = TinyQuadraticProblem()
+    n = problem.n
+    config = RunConfig(step_size=0.0, epochs=70, divergence_threshold=1e4)
+    rows = [("random_reshuffle", 11, 0.3), ("shuffle_once", 12, 0.3), ("fixed", 0, 0.3),
+            ("sgd", 13, 0.3), ("callable", 0, 0.3), ("random_reshuffle", 14, 2.2),
+            ("random_reshuffle", 15, 2.008), ("random_reshuffle", 16, 0.3)]
+
+    def stream(kind, seed):
+        if kind == "sgd":
+            return sgd_stream(n, seed)
+        if kind == "callable":
+            return lambda t: np.full(n, t % n)
+        return scheme_stream(Scheme(kind, n, seed))
+
+    def reference(kind, seed):  # the streams' definitions, one epoch at a time
+        if kind == "sgd":
+            rng = _seed_sequence_stream(seed, (1,))
+            return lambda t: rng.integers(0, n, size=n)
+        if kind in ("random_reshuffle", "shuffle_once"):
+            return lambda t: _seed_sequence_stream(
+                seed, (0x5A, t if kind == "random_reshuffle" else 1)).permutation(n)
+        return stream(kind, seed)
+
+    outcomes = run_block(problem, config, [stream(k, s) for k, s, _ in rows],
+                         [step for _, _, step in rows])
+    for (kind, seed, step), got in zip(rows, outcomes):
+        (want,) = run_block(problem, config, [reference(kind, seed)], [step])
+        if isinstance(want, DivergenceError):
+            assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
+            got, want = got.record, want.record
+        np.testing.assert_array_equal(got.objective, want.objective)
+        np.testing.assert_array_equal(got.final_point, want.final_point)
+    diverged = [o.epoch for o in outcomes if isinstance(o, DivergenceError)]
+    assert len(diverged) == 2 and min(diverged) <= 64 < max(diverged) <= 70
+
+
+def test_sgd_seed_must_be_an_integer():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        sgd_stream(4, 1.5)
+
+
 def test_one_full_value_per_epoch():
     problem = TinyQuadraticProblem()
     rows = []

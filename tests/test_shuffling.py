@@ -10,6 +10,8 @@ from shufflegrad.shuffling import (
     KINDS,
     Scheme,
     descending_gradient_order,
+    _generator,
+    _seed_states,
     permutation_for_epoch,
     without_replacement_variance_factor,
 )
@@ -101,6 +103,71 @@ def test_scheme_validation():
         Scheme.fixed(3, order=(0, 1))
     with pytest.raises(ValueError):
         Scheme("shuffle_once", n=3, seed=0, order=(0, 1, 2))
+
+
+def test_seed_and_epoch_must_be_integers():
+    # a float seed would lose its fraction in the split into words
+    for seed in (1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            Scheme("random_reshuffle", 4, seed=seed)
+    scheme = Scheme("random_reshuffle", 4, seed=np.uint64(3))
+    assert type(scheme.seed) is int and scheme.seed == 3
+    for epoch in (1.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="epoch must be a non-negative integer"):
+            permutation_for_epoch(scheme, epoch)
+    np.testing.assert_array_equal(permutation_for_epoch(scheme, np.int64(2)),
+                                  permutation_for_epoch(scheme, 2))
+
+
+_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200)
+_KEYS = ((), (1,), (0x5A, 1), (0x5A, 70), (0x5A, 2**40))
+
+
+def _reference(seed, key):
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+
+
+def test_bulk_seed_states_are_seed_sequence_states():
+    # one call mixes seeds of 1, 2, 3 and 7 words with keys of 0, 1, 2 and 3 words
+    states = _seed_states(_SEEDS, _KEYS)
+    assert states.shape == (len(_SEEDS), len(_KEYS), 4) and states.dtype == np.uint64
+    for i, seed in enumerate(_SEEDS):
+        for j, key in enumerate(_KEYS):
+            np.testing.assert_array_equal(states[i, j],
+                                          _reference(seed, key).generate_state(4, np.uint64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**160), min_size=1, max_size=4),
+       keys=st.lists(st.lists(st.integers(0, 2**70), max_size=3).map(tuple),
+                     min_size=1, max_size=4))
+def test_bulk_seed_states_match_any_seed_and_key(seeds, keys):
+    states = _seed_states(seeds, keys)
+    for i, seed in enumerate(seeds):
+        for j, key in enumerate(keys):
+            np.testing.assert_array_equal(states[i, j],
+                                          _reference(seed, key).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("key", _KEYS)
+def test_generators_from_seed_states_draw_the_seed_sequence_streams(key):
+    for seed, state in zip(_SEEDS, _seed_states(_SEEDS, [key])[:, 0]):
+        got, want = _generator(state), np.random.default_rng(_reference(seed, key))
+        np.testing.assert_array_equal(got.permutation(50), want.permutation(50))
+        for _ in range(3):
+            np.testing.assert_array_equal(got.integers(0, 17, size=17),
+                                          want.integers(0, 17, size=17))
+
+
+def test_permutation_for_epoch_is_the_seed_sequence_stream():
+    for seed in _SEEDS:
+        for epoch in (1, 2, 70, 2**40):
+            want = np.random.default_rng(_reference(seed, (0x5A, epoch))).permutation(9)
+            scheme = Scheme.random_reshuffle(9, seed)
+            np.testing.assert_array_equal(permutation_for_epoch(scheme, epoch), want)
+            if epoch == 1:
+                np.testing.assert_array_equal(
+                    permutation_for_epoch(Scheme.shuffle_once(9, seed), 5), want)
 
 
 def test_reshuffle_frequencies_are_uniform():
