@@ -93,6 +93,9 @@ class ArmSpec:
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"arm needs a non-empty name, got {self.name!r}")
+        if any(c in self.name for c in ',"\r\n'):
+            raise ValueError(f"arm {self.name!r}: name must not contain a comma, a double quote, "
+                             "CR or LF, as the CSV files write it unquoted")
         if self.method not in ("shuffling", "sgd"):
             raise ValueError(f"arm {self.name!r}: unknown method {self.method!r}")
         if self.method == "shuffling":

@@ -10,6 +10,10 @@ a declared smoothness modulus (see :mod:`shufflegrad.smoothness`).
 from __future__ import annotations
 
 import numpy as np
+# the gradient kernels' ufuncs by plain name: on a few rows, a module
+# attribute lookup is a visible share of an operation's cost
+from numpy import (absolute, add, divide, log1p, maximum, multiply, negative, sign, subtract,
+                   vecdot)
 
 from .smoothness import EllFunction, row_dots
 
@@ -139,14 +143,24 @@ class FiniteSumProblem:
 # small; a chunk of 256 raised the peak memory of a run
 _EPOCH_CHUNK = 32
 
+# the gradient kernels' literal constants, as 0-d arrays: a Python float
+# operand costs a conversion on every ufunc call, and gives the same bits
+_HALF, _ONE, _TWO, _ZERO = (np.array(c) for c in (0.5, 1.0, 2.0, 0.0))
+
+
+def _buffers(R, *shapes):
+    """Work arrays of shapes (R, *shape) for a gradient kernel."""
+    return [np.empty((R, *shape)) for shape in shapes]
+
 
 def _gathered_epoch(W, orders, steps, gradients, *tables):
     """The step loop of :func:`shufflegrad.optimize.run_block` at batch
     size 1, bit for bit: step k is ``g = gradients(W, *rows); g *= step;
     W -= g`` with ``rows`` each table's rows ``table[orders[k]]``, gathered
-    once per chunk of ``_EPOCH_CHUNK`` steps rather than once per step."""
+    once per chunk of ``_EPOCH_CHUNK`` steps rather than once per step.
+    ``step`` is the row steps broadcast to ``W``'s shape, once."""
     W = W.copy()
-    step = steps[:, None]
+    step = np.repeat(steps[:, None], W.shape[1], axis=1)
     for lo in range(0, len(orders), _EPOCH_CHUNK):
         chunk = [table[orders[lo:lo + _EPOCH_CHUNK]] for table in tables]
         for rows in zip(*chunk):
@@ -362,18 +376,27 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         return (2.0 * (q * q - self.targets[i]) * q) * a
 
     @staticmethod
-    def _gradients(W, A, y):
+    def _gradients(W, A, y, x1=None, x2=None, x3=None, G=None):
         """Row r: the gradient at ``W[r]`` of the component with vector
-        ``A[r]`` and target ``y[r]``."""
-        q = np.vecdot(A, W)
-        return (2.0 * (q * q - y) * q)[:, None] * A
+        ``A[r]`` and target ``y[r]``, ``2 (q^2 - y[r]) q A[r]`` with q the
+        row dot.  Each operation writes into the work array it names (x1,
+        x2, x3 of shape (R,), G of W's shape), or allocates its result when
+        that is None.  No operation writes over its own operand, which numpy
+        does slowly for one-element arrays."""
+        q = vecdot(A, W, out=x1)
+        c = subtract(multiply(q, q, out=x2), y, out=x3)
+        c = multiply(multiply(_TWO, c, out=x2), q, out=x3)
+        return multiply(c[:, None], A, out=G)
 
     def component_gradients(self, W, idx):
         return self._gradients(W, self.vectors[idx], self.targets[idx])
 
     def component_epoch(self, W, orders, steps):
-        """One epoch of single-component steps, bit for bit the step loop."""
-        return _gathered_epoch(W, orders, steps, self._gradients, self.vectors, self.targets)
+        """One epoch of single-component steps, bit for bit the step loop:
+        :meth:`_gradients` in work arrays allocated once."""
+        work = _buffers(len(W), (), (), (), (self.dim,))
+        return _gathered_epoch(W, orders, steps, lambda W, A, y: self._gradients(W, A, y, *work),
+                               self.vectors, self.targets)
 
     def _projections(self, W):
         # one matrix-vector product per row: a product across rows could
@@ -423,6 +446,7 @@ class DROProblem(FiniteSumProblem):
         self.features = features
         self.targets = targets
         self.lam = float(lam)
+        self._lam, self._reg = np.array(self.lam), np.array(self.REG_WEIGHT)  # kernel operands
         self.n, self.feature_dim = features.shape
         self.dim = self.feature_dim + 1
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD0,)))
@@ -456,26 +480,49 @@ class DROProblem(FiniteSumProblem):
         loss_grad = -r * x + self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
         return np.append(coef * loss_grad, 1.0 - coef)
 
-    def _gradients(self, V, X, y):
+    def _gradients(self, V, X, y, x1=None, x2=None, x3=None, x4=None, A=None, B=None, C=None,
+                   G=None):
         """Row r: the gradient at ``V[r]`` of the component with features
-        ``X[r]`` and target ``y[r]``."""
+        ``X[r]`` and target ``y[r]``.  Work arrays as in
+        :meth:`PhaseRetrievalProblem._gradients`: x1 to x4 of shape (R,),
+        A, B, C of shape (R, features) and G of V's shape.  Operations
+        write over A, B and C in place, which costs nothing extra at that
+        size.  Only the last weights operation writes into G's strided
+        weights block, where an operation costs about twice as much."""
+        lam, reg = self._lam, self._reg
         W, theta = V[:, :-1], V[:, -1]
-        r = y - np.vecdot(X, W)
-        a = np.abs(W)
-        loss = 0.5 * r * r + self.REG_WEIGHT * np.add.reduce(np.log1p(a), axis=1)
-        coef = _psi_star_prime((loss - theta) / self.lam) / self.lam
-        G = np.empty(V.shape)
-        np.multiply(coef[:, None], -r[:, None] * X + self.REG_WEIGHT * np.sign(W) / (1.0 + a),
-                    out=G[:, :-1])
-        np.subtract(1.0, coef, out=G[:, -1])
+        r = subtract(y, vecdot(X, W, out=x1), out=x2)
+        a = absolute(W, out=A)
+        # loss = 0.5 r r + 0.1 sum_j log(1 + |w_j|)
+        t = multiply(multiply(_HALF, r, out=x1), r, out=x3)
+        s = add.reduce(log1p(a, out=B), axis=1, out=x1)
+        loss = add(t, multiply(reg, s, out=x4), out=x1)
+        # coef = psi*'((loss - theta) / lam) / lam, psi*'(t) = 0.5 max(t + 2, 0)
+        t = divide(subtract(loss, theta, out=x3), lam, out=x4)
+        t = maximum(add(t, _TWO, out=x3), _ZERO, out=x4)
+        coef = divide(multiply(_HALF, t, out=x3), lam, out=x1)
+        # weights coef (-r x + 0.1 sign(w) / (1 + |w|)), shift 1 - coef
+        g = multiply(negative(r, out=x3)[:, None], X, out=C)
+        u = sign(W, out=B)
+        multiply(reg, u, out=u)
+        divide(u, add(_ONE, a, out=a), out=u)
+        add(g, u, out=g)
+        if G is None:
+            G = np.empty(V.shape)
+        multiply(coef[:, None], g, out=G[:, :-1])
+        subtract(_ONE, coef, out=G[:, -1])
         return G
 
     def component_gradients(self, V, idx):
         return self._gradients(V, self.features[idx], self.targets[idx])
 
     def component_epoch(self, V, orders, steps):
-        """One epoch of single-component steps, bit for bit the step loop."""
-        return _gathered_epoch(V, orders, steps, self._gradients, self.features, self.targets)
+        """One epoch of single-component steps, bit for bit the step loop:
+        :meth:`_gradients` in work arrays allocated once."""
+        m = self.feature_dim
+        work = _buffers(len(V), (), (), (), (), (m,), (m,), (m,), (m + 1,))
+        return _gathered_epoch(V, orders, steps, lambda V, X, y: self._gradients(V, X, y, *work),
+                               self.features, self.targets)
 
     def full_values(self, V):
         # row by row: the (n, d) work per row is the data's own size

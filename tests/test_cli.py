@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -290,6 +291,31 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == \
             f"error: base_seed must be an unsigned 64-bit integer, got {seed}\n"
+
+    @pytest.mark.parametrize("name", ["rr,fast", 'rr"fast', "rr\rfast", "rr\nfast"])
+    def test_arm_name_that_would_shift_csv_columns_is_refused(self, tmp_path, capsys, name):
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["arms"][0]["name"] = name
+        config.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: arm {name!r}: name must not contain a comma, a double quote, CR or LF, "
+            "as the CSV files write it unquoted\n")
+        assert not out_dir.exists()
+
+    def test_arm_name_with_percent_sign_runs(self, tmp_path):
+        config = _run_config(tmp_path, epochs=2)
+        cfg = json.loads(config.read_text())
+        cfg["arms"][0]["name"] = "rr 100%"
+        config.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out_dir), "--jobs", "1"]) == 0
+        with open(out_dir / "raw.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["arm"] for row in rows} == {"rr 100%", "sgd"}
+        assert all(None not in row for row in rows)  # no spilled fields
 
     def test_nan_step_size_is_refused(self, tmp_path, capsys):
         config = _run_config(tmp_path, step=float("nan"))

@@ -104,6 +104,84 @@ def test_batched_oracle_matches_component_gradient(which, rows, scale, seed):
         assert np.linalg.norm(G[r] - g) <= tol, (r, G[r], g)
 
 
+def _phase_reference(problem, W, idx):
+    # the unbuffered formula of phase_retrieval's component gradients
+    A, y = problem.vectors[idx], problem.targets[idx]
+    q = np.vecdot(A, W)
+    return (2.0 * (q * q - y) * q)[:, None] * A
+
+
+def _dro_reference(problem, V, idx):
+    # the unbuffered formula of dro's component gradients
+    X, y = problem.features[idx], problem.targets[idx]
+    W, theta = V[:, :-1], V[:, -1]
+    r = y - np.vecdot(X, W)
+    a = np.abs(W)
+    loss = 0.5 * r * r + problem.REG_WEIGHT * np.add.reduce(np.log1p(a), axis=1)
+    coef = 0.5 * np.maximum((loss - theta) / problem.lam + 2.0, 0.0) / problem.lam
+    G = np.empty(V.shape)
+    np.multiply(coef[:, None], -r[:, None] * X + problem.REG_WEIGHT * np.sign(W) / (1.0 + a),
+                out=G[:, :-1])
+    np.subtract(1.0, coef, out=G[:, -1])
+    return G
+
+
+def _dro(lam):
+    return build_problem({"id": "dro", "lam": lam,
+                          "dataset": {"synthetic": {"seed": 7, "rows": 80, "dim": 6}}})
+
+
+# dro at lam 1 divides exactly by lam; 0.01 and 0.3 round
+_KERNEL_PROBLEMS = {"phase_retrieval": PhaseRetrievalProblem(m=60, dim=12, seed=0),
+                    "dro-0.01": _dro(0.01), "dro-0.3": _dro(0.3)}
+
+
+def _one_nan_bits(x):
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_KERNEL_PROBLEMS)), rows=st.integers(1, 40),
+       log_scale=st.one_of(st.floats(-3, 2), st.floats(60, 200)), seed=st.integers(0, 2**32 - 1))
+def test_component_gradients_are_the_unbuffered_formula_bit_for_bit(name, rows, log_scale, seed):
+    # large scales overflow to inf, and injected inf and NaN entries, as a
+    # diverging epoch makes them, give NaN; dro's NaN entries compare as
+    # one NaN, as their sign can follow the loop numpy picks
+    problem = _KERNEL_PROBLEMS[name]
+    rng = np.random.default_rng(seed)
+    W = 10.0**log_scale * rng.standard_normal((rows, problem.dim))
+    for value, share in [(0.0, 0.05), (-0.0, 0.05), (np.inf, 0.01), (-np.inf, 0.01),
+                         (np.nan, 0.01)]:
+        W[rng.random(W.shape) < share] = value
+    idx = rng.integers(0, problem.n, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = problem.component_gradients(W, idx)
+        if name == "phase_retrieval":
+            want, bits = _phase_reference(problem, W, idx), lambda x: x.view(np.int64)
+        else:
+            want, bits = _dro_reference(problem, W, idx), _one_nan_bits
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PROBLEMS))
+def test_component_gradients_return_fresh_arrays(name):
+    # _epoch_pass adds a batch's later gradients into its first result
+    problem = _KERNEL_PROBLEMS[name]
+    rng = np.random.default_rng(3)
+    W = rng.standard_normal((5, problem.dim))
+    first = problem.component_gradients(W, np.arange(5))
+    kept = first.copy()
+    second = problem.component_gradients(W, np.arange(5, 10))
+    assert second is not first and not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
+    before = W.copy()
+    orders = np.stack([rng.permutation(problem.n) for _ in range(5)], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # dro at lam 0.01 overflows
+        problem.component_epoch(W, orders, np.full(5, 1e-4))
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(W.view(np.int64), before.view(np.int64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(which=st.integers(0, len(_ORACLE_PROBLEMS) - 1), rows=st.integers(1, 8),
        scale=st.sampled_from((0.01, 0.3, 2.0)), seed=st.integers(0, 2**32 - 1))
