@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .optimize import DivergenceError, RunConfig, run_block, scheme_stream, sgd_stream
-from .problems import build_problem
+from .problems import _convert, build_problem
 from .shuffling import KINDS, Scheme
 
 __all__ = [
@@ -56,15 +56,6 @@ METRIC_NAMES = ("objective", "grad_norm_sq", "dist_sq")
 # overhead, the same for any block size, so a split into blocks that
 # small would fork workers and save no work
 _FORK_ENTRIES = 2048
-
-
-def _convert(kind, value, what: str):
-    """``kind(value)``, refusing a value of the wrong type with a ValueError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = {int: "an integer", float: "a number", dict: "an object", tuple: "a list"}[kind]
-        raise ValueError(f"{what} must be {noun}, got {value!r}") from None
 
 
 def derive_seed(base_seed: int, arm_index: int, rep: int) -> int:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .problems import _convert
+
 __all__ = [
     "RegressionDataset",
     "load_csv",
@@ -228,6 +230,8 @@ def dataset_from_config(cfg: dict) -> RegressionDataset:
     present; "normalize" applies to both.  A key left out takes the
     default of :func:`synthesize`, :func:`load_csv` or :func:`preprocess`.
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"dataset config must be an object, got {cfg!r}")
     known = {"synthetic", "csv", "normalize"}
     unknown = set(cfg) - known
     if unknown:
@@ -236,15 +240,17 @@ def dataset_from_config(cfg: dict) -> RegressionDataset:
     if ("synthetic" in cfg) == ("csv" in cfg):
         raise ValueError("dataset config needs exactly one of 'synthetic' or 'csv'")
     if "synthetic" in cfg:
-        sub = dict(cfg["synthetic"])
+        sub = _convert(dict, cfg["synthetic"], "synthetic dataset config")
         unknown = set(sub) - {"seed", "rows", "dim"}
         if unknown:
             raise ValueError(f"unknown synthetic dataset keys: {sorted(unknown)}")
         return preprocess(synthesize(**sub), **normalize)
-    sub = dict(cfg["csv"])
+    sub = _convert(dict, cfg["csv"], "csv dataset config")
     unknown = set(sub) - {"path", "target_column", "drop_columns", "max_rows", "noise_seed"}
     if unknown:
         raise ValueError(f"unknown csv dataset keys: {sorted(unknown)}")
     if "path" not in sub:
         raise ValueError("csv dataset config needs a 'path'")
+    if not isinstance(sub["path"], str):
+        raise ValueError(f"csv dataset path must be a string, got {sub['path']!r}")
     return load_csv(**sub, **normalize)

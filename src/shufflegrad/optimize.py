@@ -65,9 +65,9 @@ class RunConfig:
     def __post_init__(self):
         if not np.isfinite(self.step_size) or self.step_size < 0:
             raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
-        if self.epochs < 1:
+        if _nonnegative_int(self.epochs, "epochs") < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
+        if _nonnegative_int(self.batch_size, "batch_size") < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.divergence_threshold <= 0:
             raise ValueError("divergence_threshold must be positive")
@@ -122,10 +122,6 @@ class DivergenceError(RuntimeError):
         return type(self), (self.epoch, self.step_index, self.last_value, self.record)
 
 
-def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
-
-
 def _record(table: np.ndarray, r: int, epochs: int, n: int, final_point, averaged_point,
             has_dist: bool) -> TrajectoryRecord:
     """Row ``r``'s first ``epochs`` columns of the (4, R, T) metric table."""
@@ -154,33 +150,51 @@ def _outside(W: np.ndarray, threshold: float) -> np.ndarray:
     return ~np.isfinite(W).all(axis=1) | (np.sqrt(np.einsum("rd,rd->r", W, W)) > threshold)
 
 
-def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, bounds,
+# components per gather of _epoch_pass: a chunk's (32, R, d) rows stay
+# small; a chunk of 256 raised the peak memory of a run
+_EPOCH_CHUNK = 32
+
+
+def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, batch_size: int,
                 threshold: float | None = None) -> tuple[np.ndarray, int]:
     """Advance every row of ``W`` through one epoch.
 
-    ``orders[k]`` holds each row's k-th component.  Returns the new block
-    and the index of the last inner step taken: all of them, unless a
-    ``threshold`` is given, in which case the pass stops after the first
-    step that takes a row outside the finite/threshold region.  Without
-    one, single-component steps go to the problem's ``component_epoch``
-    when it has one.
+    ``orders[k]`` holds each row's k-th component.  A step is ``g *= step;
+    W -= g``, with ``step`` the row steps broadcast to the block's shape
+    once, on the mean gradient g of ``batch_size`` consecutive components
+    (fewer in the last): the problem's kernel on the components' table
+    rows, gathered ``_EPOCH_CHUNK`` components at a time, with the first
+    gradient of a batch in the epoch's work arrays and the others, new
+    arrays, added into it.  Returns the new block and the index of the
+    last step taken: all of them, unless a ``threshold`` is given, in
+    which case the pass stops after the first step that takes a row
+    outside the finite/threshold region.  Without one, single-component
+    steps go to the problem's ``component_epoch`` when it has one.
     """
-    if threshold is None and len(bounds) == len(orders) and problem.component_epoch:
-        return problem.component_epoch(W, orders, steps), len(bounds) - 1
-    grads = problem.component_gradients
-    step = steps[:, None]
+    n = len(orders)
+    if threshold is None and batch_size == 1 and problem.component_epoch:
+        return problem.component_epoch(W, orders, steps), n - 1
+    gradients, tables = problem._gradients, problem._tables
+    work = [np.empty((len(W), *shape)) for shape in problem._work]
     W = W.copy()
-    for j, (lo, hi) in enumerate(bounds):
-        g = grads(W, orders[lo])
-        if hi - lo > 1:
-            for k in range(lo + 1, hi):
-                g += grads(W, orders[k])
-            g /= hi - lo
-        g *= step
-        W -= g
-        if threshold is not None and _outside(W, threshold).any():
-            break
-    return W, j
+    step = np.repeat(steps[:, None], W.shape[1], axis=1)
+    for lo in range(0, n, _EPOCH_CHUNK):
+        chunk = [table[orders[lo:lo + _EPOCH_CHUNK]] for table in tables]
+        for k, rows in enumerate(zip(*chunk), lo):
+            i = k % batch_size  # the component's place in its batch
+            if i:
+                g += gradients(W, *rows)
+            else:
+                g = gradients(W, *rows, *work)
+            if i + 1 < batch_size and k + 1 < n:
+                continue  # the batch goes on
+            if i:
+                g /= i + 1
+            g *= step
+            W -= g
+            if threshold is not None and _outside(W, threshold).any():
+                return W, k // batch_size
+    return W, (n - 1) // batch_size
 
 
 def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
@@ -216,7 +230,6 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
     # objective, grad_norm_sq, dist_sq and wall_ms per (row, epoch)
     table = np.empty((4, size, config.epochs))
     outcomes: list = [None] * size
-    bounds = _batch_bounds(problem.n, config.batch_size)
     threshold = config.divergence_threshold
     opt = problem.optimum_point
     _seed_once(streams)
@@ -229,7 +242,7 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
                 _seed_reshuffles([streams[r] for r in live], t,
                                  min(t + _RESHUFFLE_CHUNK, config.epochs + 1))
             orders = np.stack([streams[r](t) for r in live], axis=1)
-            W_next, _ = _epoch_pass(problem, W, orders, steps, bounds)
+            W_next, _ = _epoch_pass(problem, W, orders, steps, config.batch_size)
             finite = np.isfinite(W_next).all(axis=1)
             next_values = np.full(len(W_next), np.nan)
             next_values[finite] = problem.full_values(W_next[finite])
@@ -242,7 +255,7 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
             table[3, live, t - 1] = (time.perf_counter() - t0) * 1e3
             for i in np.flatnonzero(bad):
                 _, j = _epoch_pass(problem, W[i:i + 1], orders[:, i:i + 1], steps[i:i + 1],
-                                   bounds, threshold)
+                                   config.batch_size, threshold)
                 record = _record(table, live[i], t - 1, problem.n, W[i],
                                  avg[i] if config.track_average else None, opt is not None)
                 outcomes[live[i]] = DivergenceError(t, j, float(values[i]), record)

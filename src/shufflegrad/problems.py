@@ -36,30 +36,36 @@ _NORM_BLOCK = 1 << 16
 class FiniteSumProblem:
     """Interface shared by all problems.
 
-    Subclasses set ``n``, ``dim`` and implement ``_component_value``,
-    ``_component_gradient`` and three unvalidated oracles on an (R, d)
-    block of points W:
+    Subclasses set ``n``, ``dim``, implement ``_component_value``,
+    ``_component_gradient`` and two unvalidated oracles on an (R, d)
+    block of points W, ``full_values(W)`` (the (R,) objective values) and
+    ``full_gradients(W)`` (the (R, d) full gradients), and supply the
+    component gradients as a kernel over row tables:
 
-    - ``component_gradients(W, idx)``: a new (R, d) array whose row r is
-      the gradient of component ``idx[r]`` at ``W[r]``;
-    - ``full_values(W)``: the (R,) objective values;
-    - ``full_gradients(W)``: the (R, d) full gradients.
+    - ``_tables``: arrays whose row i holds component i's data;
+    - ``_gradients(W, *rows, *work)``: the (R, d) array whose row r is the
+      gradient at ``W[r]`` of the component whose table rows are
+      ``rows[.][r]``;
+    - ``_work``: the shapes of the kernel's optional work arrays, each
+      (R, *shape).  Given them, the kernel writes into them and may
+      return one; without them it returns a new array.
 
-    They use only row-wise elementwise operations and row reductions, so
-    a row's bits do not depend on R.  The base class derives
-    ``max_component_gradient_norms(W)``, the (R,) largest component
-    gradient norms, from ``component_gradients``.  ``full_value(w)``,
+    The oracles use only row-wise elementwise operations and row
+    reductions, so a row's bits do not depend on R.  The base class
+    derives ``component_gradients(W, idx)``, the kernel on the rows
+    ``idx``, a new array, and from it ``max_component_gradient_norms(W)``,
+    the (R,) largest component gradient norms.  ``full_value(w)``,
     ``full_gradient(w)`` and ``max_component_gradient_norm(w)`` are the
     one-row cases, so the scalar and batched forms cannot drift apart;
     ``_component_gradient`` is a separate scalar formula, the reference
     ``component_gradients`` is tested against.  The public component
-    accessors validate inputs.
+    accessors validate inputs.  :func:`shufflegrad.optimize.run_block`
+    steps an epoch with the kernel, in the work arrays.
 
     A problem may also set ``component_epoch(W, orders, steps)``: the
-    block after one epoch of single-component steps, in place of the
-    step loop of :func:`shufflegrad.optimize.run_block`.  A row's bits do
-    not depend on R; quartic's, phase_retrieval's and dro's are the loop's,
-    exp_strong's agree to rounding.
+    block after one epoch of single-component steps, computed another
+    way than step by step.  A row's bits do not depend on R; quartic's
+    are the step loop's, exp_strong's agree to rounding.
     """
 
     n: int
@@ -89,8 +95,14 @@ class FiniteSumProblem:
     def _component_gradient(self, w: np.ndarray, i: int) -> np.ndarray:
         raise NotImplementedError
 
-    def component_gradients(self, W: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    _tables: tuple
+    _work: tuple = ()
+
+    def _gradients(self, W: np.ndarray, *rows_and_work) -> np.ndarray:
         raise NotImplementedError
+
+    def component_gradients(self, W: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return self._gradients(W, *(table[idx] for table in self._tables))
 
     def full_values(self, W: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -139,35 +151,9 @@ class FiniteSumProblem:
         return None if pt is None else pt.copy()
 
 
-# Steps per gather of _gathered_epoch: a chunk's (32, R, d) rows stay
-# small; a chunk of 256 raised the peak memory of a run
-_EPOCH_CHUNK = 32
-
 # the gradient kernels' literal constants, as 0-d arrays: a Python float
 # operand costs a conversion on every ufunc call, and gives the same bits
 _HALF, _ONE, _TWO, _ZERO = (np.array(c) for c in (0.5, 1.0, 2.0, 0.0))
-
-
-def _buffers(R, *shapes):
-    """Work arrays of shapes (R, *shape) for a gradient kernel."""
-    return [np.empty((R, *shape)) for shape in shapes]
-
-
-def _gathered_epoch(W, orders, steps, gradients, *tables):
-    """The step loop of :func:`shufflegrad.optimize.run_block` at batch
-    size 1, bit for bit: step k is ``g = gradients(W, *rows); g *= step;
-    W -= g`` with ``rows`` each table's rows ``table[orders[k]]``, gathered
-    once per chunk of ``_EPOCH_CHUNK`` steps rather than once per step.
-    ``step`` is the row steps broadcast to ``W``'s shape, once."""
-    W = W.copy()
-    step = np.repeat(steps[:, None], W.shape[1], axis=1)
-    for lo in range(0, len(orders), _EPOCH_CHUNK):
-        chunk = [table[orders[lo:lo + _EPOCH_CHUNK]] for table in tables]
-        for rows in zip(*chunk):
-            g = gradients(W, *rows)
-            g *= step
-            W -= g
-    return W
 
 
 def _lane_epoch(W, coord, offset, orders, steps, visit, idle=None):
@@ -236,6 +222,7 @@ class QuarticProblem(FiniteSumProblem):
         self.n = self.DIM * len(self.OFFSETS)
         self._coord = np.repeat(np.arange(self.DIM), len(self.OFFSETS))
         self._offset = np.tile(self.OFFSETS, self.DIM).astype(float)
+        self._tables = (self._coord, self._offset)
         self._initial = np.ones(self.DIM)
         self._optimum_point = np.zeros(self.DIM)
         self.optimum_value = 0.0
@@ -251,18 +238,19 @@ class QuarticProblem(FiniteSumProblem):
         g[c] = 4.0 * w[c] ** 3 + self._offset[i]
         return g
 
-    def component_gradients(self, W, idx):
-        rows, c = np.arange(len(idx)), self._coord[idx]
+    @staticmethod
+    def _gradients(W, c, k):
+        rows = np.arange(len(c))
         G = np.zeros(W.shape)
         x = W[rows, c]
-        G[rows, c] = 4.0 * (x * x * x) + self._offset[idx]
+        G[rows, c] = 4.0 * (x * x * x) + k
         return G
 
     def component_epoch(self, W, orders, steps):
         """One epoch of single-component steps ``steps[r]`` (>= +0.0) along
         ``orders[:, r]``, bit for bit the step loop: a visit has the
-        operations of ``component_gradients`` then ``g *= step; W -= g``,
-        and the other steps leave a coordinate as ``W - 0.0 * step`` does."""
+        operations of ``_gradients`` then ``g *= step; W -= g``, and the
+        other steps leave a coordinate as ``W - 0.0 * step`` does."""
         return _lane_epoch(W, self._coord, self._offset, orders, steps,
                            lambda x, s, k: x - (4.0 * (x * x * x) + k) * s)
 
@@ -290,6 +278,7 @@ class ExpStrongProblem(FiniteSumProblem):
         self.n = self.DIM * len(self.OFFSETS)
         self._coord = np.repeat(np.arange(self.DIM), len(self.OFFSETS))
         self._offset = np.tile(self.OFFSETS, self.DIM).astype(float)
+        self._tables = (self._coord, self._offset)
         # sum_k exp(k) over k = -10..10; symmetric under k -> -k
         self._exp_sum = float(np.sum(np.exp(self.OFFSETS.astype(float))))
         self._initial = np.ones(self.DIM)
@@ -310,8 +299,9 @@ class ExpStrongProblem(FiniteSumProblem):
         g[c] += np.exp(w[c] - k) - np.exp(k - w[c])
         return g
 
-    def component_gradients(self, W, idx):
-        rows, c, k = np.arange(len(idx)), self._coord[idx], self._offset[idx]
+    @staticmethod
+    def _gradients(W, c, k):
+        rows = np.arange(len(c))
         x = W[rows, c]
         G = W.copy()
         G[rows, c] += np.exp(x - k) - np.exp(k - x)
@@ -358,6 +348,7 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         self.vectors = vectors
         self.targets = targets
         self.n, self.dim = vectors.shape
+        self._tables, self._work = (vectors, targets), ((), (), (), (self.dim,))
         self._initial = initial
         self.signal = signal
         self.noise_std = float(noise_std)
@@ -387,16 +378,6 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         c = subtract(multiply(q, q, out=x2), y, out=x3)
         c = multiply(multiply(_TWO, c, out=x2), q, out=x3)
         return multiply(c[:, None], A, out=G)
-
-    def component_gradients(self, W, idx):
-        return self._gradients(W, self.vectors[idx], self.targets[idx])
-
-    def component_epoch(self, W, orders, steps):
-        """One epoch of single-component steps, bit for bit the step loop:
-        :meth:`_gradients` in work arrays allocated once."""
-        work = _buffers(len(W), (), (), (), (self.dim,))
-        return _gathered_epoch(W, orders, steps, lambda W, A, y: self._gradients(W, A, y, *work),
-                               self.vectors, self.targets)
 
     def _projections(self, W):
         # one matrix-vector product per row: a product across rows could
@@ -449,6 +430,9 @@ class DROProblem(FiniteSumProblem):
         self._lam, self._reg = np.array(self.lam), np.array(self.REG_WEIGHT)  # kernel operands
         self.n, self.feature_dim = features.shape
         self.dim = self.feature_dim + 1
+        m = self.feature_dim
+        self._tables = (features, targets)
+        self._work = ((), (), (), (), (m,), (m,), (m,), (m + 1,))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD0,)))
         self._initial = np.concatenate([rng.standard_normal(self.feature_dim), [0.1]])
 
@@ -513,17 +497,6 @@ class DROProblem(FiniteSumProblem):
         subtract(_ONE, coef, out=G[:, -1])
         return G
 
-    def component_gradients(self, V, idx):
-        return self._gradients(V, self.features[idx], self.targets[idx])
-
-    def component_epoch(self, V, orders, steps):
-        """One epoch of single-component steps, bit for bit the step loop:
-        :meth:`_gradients` in work arrays allocated once."""
-        m = self.feature_dim
-        work = _buffers(len(V), (), (), (), (), (m,), (m,), (m,), (m + 1,))
-        return _gathered_epoch(V, orders, steps, lambda V, X, y: self._gradients(V, X, y, *work),
-                               self.features, self.targets)
-
     def full_values(self, V):
         # row by row: the (n, d) work per row is the data's own size
         return np.fromiter((np.mean(_psi_star((self._losses(v)[1] - v[-1]) / self.lam)) + v[-1]
@@ -556,6 +529,7 @@ class TinyQuadraticProblem(FiniteSumProblem):
             raise ValueError("centers must be a non-empty (n, dim) array")
         self.centers = centers
         self.n, self.dim = centers.shape
+        self._tables, self._work = (centers,), ((self.dim,),)
         self._mean_center = centers.mean(axis=0)
         if initial_point is None:
             initial_point = np.full(self.dim, 2.0)
@@ -574,8 +548,9 @@ class TinyQuadraticProblem(FiniteSumProblem):
     def _component_gradient(self, w, i):
         return w - self.centers[i]
 
-    def component_gradients(self, W, idx):
-        return W - self.centers[idx]
+    @staticmethod
+    def _gradients(W, C, G=None):
+        return subtract(W, C, out=G)
 
     def full_values(self, W):
         d = W[:, None, :] - self.centers
@@ -590,34 +565,49 @@ class TinyQuadraticProblem(FiniteSumProblem):
         return float(np.mean(np.sum(d * d, axis=1)))
 
 
+def _convert(kind, value, what: str):
+    """``kind(value)``, refusing a value of the wrong type, or a float with
+    a fraction where an integer is due, with a ValueError."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or (kind is int and isinstance(value, float) and converted != value):
+        noun = {int: "an integer", float: "a number", dict: "an object", tuple: "a list"}[kind]
+        raise ValueError(f"{what} must be {noun}, got {value!r}") from None
+    return converted
+
+
+# each problem id's class and the kind of each of its parameters
+_PROBLEMS = {
+    "quartic": (QuarticProblem, {}),
+    "exp_strong": (ExpStrongProblem, {}),
+    "phase_retrieval": (PhaseRetrievalProblem,
+                        {"m": int, "dim": int, "seed": int, "noise_std": float}),
+    "dro": (DROProblem, {"lam": float, "seed": int, "dataset": dict}),
+    "tiny_quadratic": (TinyQuadraticProblem, {"centers": tuple, "initial_point": tuple}),
+}
+
+
 def build_problem(spec: dict) -> FiniteSumProblem:
     """Construct a problem from a config mapping with an ``id`` field."""
     if "id" not in spec:
         raise ValueError("problem config needs an 'id' field")
-    params = {k: v for k, v in spec.items() if k != "id"}
     pid = spec["id"]
-    if pid == "quartic":
-        _check_keys(params, set(), pid)
-        return QuarticProblem()
-    if pid == "exp_strong":
-        _check_keys(params, set(), pid)
-        return ExpStrongProblem()
-    if pid == "phase_retrieval":
-        _check_keys(params, {"m", "dim", "seed", "noise_std"}, pid)
-        return PhaseRetrievalProblem(**params)
-    if pid == "dro":
-        _check_keys(params, {"lam", "seed", "dataset"}, pid)
-        from .ingest import dataset_from_config
-
-        dataset = dataset_from_config(params.pop("dataset", {"synthetic": {"seed": 7}}))
-        return DROProblem(dataset.features, dataset.targets, **params)
-    if pid == "tiny_quadratic":
-        _check_keys(params, {"centers", "initial_point"}, pid)
-        return TinyQuadraticProblem(**params)
-    raise ValueError(f"unknown problem id {pid!r}")
-
-
-def _check_keys(params: dict, allowed: set[str], context: str) -> None:
-    unknown = set(params) - allowed
+    if not isinstance(pid, str) or pid not in _PROBLEMS:
+        raise ValueError(f"unknown problem id {pid!r}")
+    cls, kinds = _PROBLEMS[pid]
+    unknown = set(spec) - {"id", *kinds}
     if unknown:
-        raise ValueError(f"unknown keys for problem {context!r}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys for problem {pid!r}: {sorted(unknown)}")
+    params = {k: _convert(kinds[k], v, f"problem {pid!r}: {k}")
+              for k, v in spec.items() if k != "id"}
+    if cls is not DROProblem:
+        return cls(**params)
+    from .ingest import dataset_from_config
+
+    try:
+        dataset = dataset_from_config(params.pop("dataset", {"synthetic": {"seed": 7}}))
+    except ValueError as err:
+        raise ValueError(f"problem {pid!r}: {err}") from None
+    return DROProblem(dataset.features, dataset.targets, **params)

@@ -46,7 +46,6 @@ __all__ = [
     "solve_gradient_bound",
     "component_gradient_bound",
     "constants_for_recipe",
-    "candidate_stepsize",
     "stepsize_plan",
     "reevaluate_plan",
     "SublevelGradientEstimate",
@@ -366,7 +365,7 @@ class PlanInfeasibleError(RuntimeError):
         self.checks = checks
 
 
-def candidate_stepsize(bundle: ConstantsBundle) -> float | None:
+def _candidate_stepsize(bundle: ConstantsBundle) -> float | None:
     """Closed-form suggested stepsize for recipes with a free stepsize.
 
     Returns None for recipes 3 and 4, whose stepsize is pinned to the
@@ -543,7 +542,7 @@ def _audit_failures(plan: StepsizePlan) -> list[str]:
 
 def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> StepsizePlan:
     """Planner for recipes 1, 2, 5, 6 (stepsize not pinned to T)."""
-    candidate = candidate_stepsize(bundle)
+    candidate = _candidate_stepsize(bundle)
     eta = min(candidate, _free_eta_upper_bounds(bundle))
     epoch_floor = _TABLES[bundle.recipe]["epoch_floor"][0]
     if target_epochs is None:

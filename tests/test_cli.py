@@ -392,6 +392,15 @@ class TestRunCommand:
          "arm needs a non-empty name, got ['a']"),
         ("arms", [{"name": "a", "method": "sgd", "plan_file": ["p.json"]}],
          "arm 'a': plan_file must be a path, got ['p.json']"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("problem", {"id": "dro", "lam": [1]}, "problem 'dro': lam must be a number, got [1]"),
+        ("problem", {"id": "phase_retrieval", "m": [3]},
+         "problem 'phase_retrieval': m must be an integer, got [3]"),
+        ("problem", {"id": "phase_retrieval", "m": 2.5},
+         "problem 'phase_retrieval': m must be an integer, got 2.5"),
+        ("problem", {"id": "dro", "dataset": 5}, "problem 'dro': dataset must be an object, got 5"),
+        ("problem", {"id": "dro", "dataset": {"csv": {"path": ["x"]}}},
+         "problem 'dro': csv dataset path must be a string, got ['x']"),
     ])
     def test_malformed_config_field_is_refused(self, tmp_path, capsys, key, value, message):
         config = _run_config(tmp_path)

@@ -318,6 +318,14 @@ class TestDatasetConfig:
         with pytest.raises(ValueError, match="'path'"):
             dataset_from_config({"csv": {}})
 
+    def test_malformed_values_rejected(self):
+        with pytest.raises(ValueError, match="dataset config must be an object, got 5"):
+            dataset_from_config(5)
+        with pytest.raises(ValueError, match="csv dataset config must be an object, got 5"):
+            dataset_from_config({"csv": 5})
+        with pytest.raises(ValueError, match=r"csv dataset path must be a string, got \['x'\]"):
+            dataset_from_config({"csv": {"path": ["x"]}})
+
 
 def test_dataset_shape_validation():
     with pytest.raises(ValueError):

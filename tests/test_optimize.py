@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shufflegrad import optimize
 from shufflegrad.cli import _CHECK_PROBLEMS
 from shufflegrad.optimize import (
     DivergenceError,
     RunConfig,
-    _batch_bounds,
     _epoch_pass,
     averaged_iterate,
     run_block,
@@ -191,6 +191,10 @@ def test_run_config_validation():
         RunConfig(step_size=0.1, epochs=1, batch_size=0)
     with pytest.raises(ValueError):
         RunConfig(step_size=0.1, epochs=1, divergence_threshold=0.0)
+    with pytest.raises(ValueError, match="epochs must be a non-negative integer, got 2.5"):
+        RunConfig(step_size=0.1, epochs=2.5)
+    with pytest.raises(ValueError, match="batch_size must be a non-negative integer, got 1.5"):
+        RunConfig(step_size=0.1, epochs=1, batch_size=1.5)
 
 
 class TestDivergence:
@@ -285,29 +289,61 @@ def _mixed_orders(rng, n, rows):
                      for _ in range(rows)], axis=1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(problem_id=st.sampled_from(["quartic", "phase_retrieval", "dro"]),
-       rows=st.integers(1, 40), log_scale=st.floats(-3, 2), zero_steps=st.integers(0, 40),
+def _reference_pass(problem, W, orders, steps, batch_size, threshold=None):
+    """The step loop written plainly, with the signature of _epoch_pass: a
+    step is the mean of one component_gradients call per component of
+    its batch, then ``g *= steps[:, None]; W -= g``; with a threshold the
+    loop stops after the first step that takes a row outside the region."""
+    W = W.copy()
+    for j, lo in enumerate(range(0, len(orders), batch_size)):
+        batch = orders[lo:lo + batch_size]
+        g = problem.component_gradients(W, batch[0])
+        for idx in batch[1:]:
+            g += problem.component_gradients(W, idx)
+        g /= len(batch)
+        g *= steps[:, None]
+        W -= g
+        norms = np.sqrt(np.sum(W * W, axis=1))
+        if threshold is not None and (~np.isfinite(W).all(axis=1) | (norms > threshold)).any():
+            break
+    return W, j
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem_id=st.sampled_from(["quartic", "quartic-lanes", "exp_strong", "phase_retrieval",
+                                   "dro", "tiny_quadratic"]),
+       batch=st.sampled_from(["1", "2", "uneven"]), stop=st.booleans(), rows=st.integers(1, 40),
+       log_scale=st.floats(-3, 2), zero_steps=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1))
-def test_component_epoch_is_the_step_loop_bit_for_bit(problem_id, rows, log_scale, zero_steps,
-                                                      seed):
-    # R changes the lane counts, the prefix lengths and the SIMD tails of
-    # pow and of the row dots; large scales overflow to inf and NaN within
-    # the epoch
+def test_epoch_pass_is_the_reference_loop_bit_for_bit(problem_id, batch, stop, rows, log_scale,
+                                                      zero_steps, seed):
+    # every problem's step loop, and quartic's lane epoch ("quartic-lanes",
+    # batch size 1 without a threshold).  R changes the lane counts, the
+    # prefix lengths and the SIMD tails of pow and of the row dots; large
+    # scales overflow to inf and NaN within the epoch.  An uneven batch
+    # size does not divide n, so the last batch is shorter, and on every
+    # problem but tiny_quadratic a batch spans two gathers of rows.
     rng = np.random.default_rng(seed)
-    problem = build_problem(_SPECS[problem_id])
+    lanes = problem_id == "quartic-lanes"
+    problem = build_problem(_SPECS["quartic"]) if lanes else _generic(problem_id)
     n = problem.n
+    batch_size = 1 if lanes else {"1": 1, "2": 2, "uneven": n // 2 + 1}[batch]
+    assert batch != "uneven" or lanes or n % batch_size
     orders = _mixed_orders(rng, n, rows)
     W = 10.0**log_scale * rng.standard_normal((rows, problem.dim))
     W[rng.random(W.shape) < 0.02] = 0.0
     W[rng.random(W.shape) < 0.02] = -0.0
     steps = rng.uniform(0.0, 1e-2, rows)
     steps[:zero_steps] = 0.0
+    threshold = None
+    if stop and not lanes:  # crossed at a step of the epoch, or never
+        threshold = 10.0 ** rng.uniform(0, 3) * np.sqrt(np.sum(W * W, axis=1)).max()
     with np.errstate(over="ignore", invalid="ignore"):
-        fast = problem.component_epoch(W, orders, steps)
-        slow, last = _epoch_pass(_generic(problem_id), W, orders, steps, _batch_bounds(n, 1))
-    assert last == n - 1
-    np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+        got, last = _epoch_pass(problem, W, orders, steps, batch_size, threshold)
+        want, want_last = _reference_pass(problem, W, orders, steps, batch_size, threshold)
+    assert last == want_last
+    assert threshold is not None or last == (n - 1) // batch_size
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _exp_strong_loop(problem, W, orders, steps):
@@ -369,8 +405,10 @@ def _bits(x):
 @given(problem_id=st.sampled_from(["quartic", "exp_strong", "phase_retrieval", "dro"]),
        rows=st.integers(2, 40), log_scale=st.floats(-3, 1), seed=st.integers(0, 2**32 - 1))
 def test_lane_epoch_row_bits_do_not_depend_on_the_block(problem_id, rows, log_scale, seed):
-    # dro's step loop, like its epoch, can give a NaN entry another sign
-    # alone than in a block; a NaN row diverges and never reaches a CSV
+    # an epoch of single-component steps: quartic's and exp_strong's lane
+    # epochs, phase_retrieval's and dro's step loop in its work arrays.
+    # dro's step loop can give a NaN entry another sign alone than in a
+    # block; a NaN row diverges and never reaches a CSV
     rng = np.random.default_rng(seed)
     problem = build_problem(_SPECS[problem_id])
     orders = _mixed_orders(rng, problem.n, rows)
@@ -378,8 +416,8 @@ def test_lane_epoch_row_bits_do_not_depend_on_the_block(problem_id, rows, log_sc
     steps = 10.0 ** rng.uniform(-9, -2, rows)
     r = int(rng.integers(rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        block = problem.component_epoch(W, orders, steps)
-        alone = problem.component_epoch(W[r:r + 1], orders[:, r:r + 1], steps[r:r + 1])
+        block, _ = _epoch_pass(problem, W, orders, steps, 1)
+        alone, _ = _epoch_pass(problem, W[r:r + 1], orders[:, r:r + 1], steps[r:r + 1], 1)
     bits = _bits if problem_id == "dro" else lambda x: x.view(np.int64)
     np.testing.assert_array_equal(bits(alone[0]), bits(block[r]))
 
@@ -391,8 +429,9 @@ def _param(problem_id, batch_size, step, calls):
 
 
 @pytest.mark.parametrize("problem_id,batch_size,step,calls", [
-    # every epoch; exp_strong diverges at 1e-4; two dro rows diverge in
-    # epoch 1 at 1e-5 and the third goes on
+    # every epoch takes single-component steps, which the lane epochs of
+    # quartic and exp_strong serve; exp_strong diverges at 1e-4; two dro
+    # rows diverge in epoch 1 at 1e-5 and the third goes on
     *(_param(p, 1, step, 3) for p, step in [("quartic", 1e-4), ("exp_strong", 1e-5),
                                             ("phase_retrieval", 1e-4), ("dro", 1e-6),
                                             ("dro", 1e-5)]),
@@ -405,25 +444,38 @@ def _param(problem_id, batch_size, step, calls):
     *(_param(p, 1, step, 1) for p, step in [("quartic", 10.0), ("exp_strong", 10.0),
                                             ("phase_retrieval", 1.0), ("dro", 1.0)]),
 ])
-def test_quartic_epoch_serves_single_component_steps(problem_id, batch_size, step, calls):
+def test_quartic_epoch_serves_single_component_steps(problem_id, batch_size, step, calls,
+                                                     monkeypatch):
     problem = build_problem(_SPECS[problem_id])
-    seen = []
+    single, seen = [], []
+    epoch_pass = optimize._epoch_pass
+
+    def counted(p, W, orders, steps, batch_size, threshold=None):
+        if batch_size == 1 and threshold is None:
+            single.append(1)
+        return epoch_pass(p, W, orders, steps, batch_size, threshold)
+
+    monkeypatch.setattr(optimize, "_epoch_pass", counted)
     epoch = problem.component_epoch
-    problem.component_epoch = lambda *args: seen.append(1) or epoch(*args)
+    if epoch:
+        problem.component_epoch = lambda *args: seen.append(1) or epoch(*args)
     # from -0.0, so that an unvisited coordinate shows the sign W - 0.0 * step
     # leaves; phase_retrieval from its own point, as the origin is stationary
     start = None if problem_id == "phase_retrieval" else np.full(problem.dim, -0.0)
     config = RunConfig(step_size=0.0, epochs=3, batch_size=batch_size, initial_point=start)
 
-    def run(p):  # a shuffling row, a with-replacement row, a row on component 0 alone
-        streams = [scheme_stream(Scheme.random_reshuffle(p.n, 1)), sgd_stream(p.n, 2),
-                   lambda t: np.zeros(p.n, dtype=np.int64)]
-        return run_block(p, config, streams, [step] * 3)
+    def run():  # a shuffling row, a with-replacement row, a row on component 0 alone
+        n = problem.n
+        streams = [scheme_stream(Scheme.random_reshuffle(n, 1)), sgd_stream(n, 2),
+                   lambda t: np.zeros(n, dtype=np.int64)]
+        return run_block(problem, config, streams, [step] * 3)
 
-    outcomes, reference = run(problem), run(_generic(problem_id))
-    assert len(seen) == calls
-    # the epochs of quartic, phase_retrieval and dro are their step loops bit
-    # for bit; exp_strong's agrees to rounding
+    outcomes = run()
+    assert len(single) == calls and len(seen) == (calls if epoch else 0)
+    monkeypatch.setattr(optimize, "_epoch_pass", _reference_pass)
+    reference = run()
+    # the runs are the reference loop's bit for bit, but where exp_strong's
+    # lane epoch agrees to rounding
     # (test_exp_strong_epoch_is_the_step_loop_to_rounding)
     exact = problem_id != "exp_strong" or calls == 0
     for got, want in zip(outcomes, reference):
@@ -445,19 +497,22 @@ def test_quartic_epoch_serves_single_component_steps(problem_id, batch_size, ste
     *(pytest.param(p, step, id=f"{p}-{step}") for p, step in [
         ("phase_retrieval", 1e-3), ("phase_retrieval", 1.0), ("dro", 1e-5), ("dro", 1.0)]),
 ])
-def test_exp_strong_divergence_is_located_by_the_step_loop(problem_id, step):
-    # the component epoch finds the diverging epoch, the step loop replays
-    # it: the same (epoch, step_index) as a problem without component_epoch
+def test_exp_strong_divergence_is_located_by_the_step_loop(problem_id, step, monkeypatch):
+    # the epoch pass finds the diverging epoch, the step loop replays it:
+    # the same (epoch, step_index) as the reference loop
     config = RunConfig(step_size=0.0, epochs=3)
+    problem = build_problem(_SPECS[problem_id])
 
-    def run(p):
-        return run_block(p, config, [scheme_stream(Scheme.random_reshuffle(p.n, 4)),
-                                     sgd_stream(p.n, 5)], [step] * 2)
+    def run():
+        n = problem.n
+        return run_block(problem, config, [scheme_stream(Scheme.random_reshuffle(n, 4)),
+                                           sgd_stream(n, 5)], [step] * 2)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = run(build_problem(_SPECS[problem_id]))
-    reference = run(_generic(problem_id))
+        outcomes = run()
+    monkeypatch.setattr(optimize, "_epoch_pass", _reference_pass)
+    reference = run()
     for got, want in zip(outcomes, reference):
         assert isinstance(want, DivergenceError)
         assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
@@ -537,14 +592,3 @@ def test_averaged_iterate_requires_tracking():
                         RunConfig(step_size=0.1, epochs=2, track_average=False))
     with pytest.raises(ValueError):
         averaged_iterate(rec)
-
-
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 500), batch_size=st.integers(1, 600))
-def test_batch_bounds_tile_the_components(n, batch_size):
-    bounds = _batch_bounds(n, batch_size)
-    starts = [lo for lo, _ in bounds]
-    ends = [hi for _, hi in bounds]
-    assert starts == [0] + ends[:-1] and ends[-1] == n
-    sizes = [hi - lo for lo, hi in bounds]
-    assert set(sizes[:-1]) <= {batch_size} and 1 <= sizes[-1] <= batch_size

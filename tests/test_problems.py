@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shufflegrad.optimize import _epoch_pass
 from shufflegrad.problems import (
     _NORM_BLOCK,
     DROProblem,
@@ -176,10 +177,11 @@ def test_component_gradients_return_fresh_arrays(name):
     np.testing.assert_array_equal(first, kept)
     before = W.copy()
     orders = np.stack([rng.permutation(problem.n) for _ in range(5)], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # dro at lam 0.01 overflows
-        problem.component_epoch(W, orders, np.full(5, 1e-4))
-    np.testing.assert_array_equal(first, kept)
-    np.testing.assert_array_equal(W.view(np.int64), before.view(np.int64))
+    for batch_size in (1, 2):  # the epoch's work arrays are its own
+        with np.errstate(over="ignore", invalid="ignore"):  # dro at lam 0.01 overflows
+            _epoch_pass(problem, W, orders, np.full(5, 1e-4), batch_size)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(W.view(np.int64), before.view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)
