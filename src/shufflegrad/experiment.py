@@ -27,14 +27,14 @@ import hashlib
 import json
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .optimize import DivergenceError, RunConfig, run_block, scheme_stream, sgd_stream
-from .problems import _convert, build_problem
+from .problems import _convert, _read, build_problem
 from .shuffling import KINDS, Scheme
 
 __all__ = [
@@ -75,14 +75,17 @@ class ArmSpec:
     """
 
     name: str
-    method: str
+    method: str = "shuffling"
     scheme: str | None = None
     order: tuple[int, ...] | None = None
     step_size: float | None = None
     plan_file: str | None = None
+    # the kind of each key of an arm object
+    _KEY_KINDS = {"name": str, "method": str, "scheme": str, "order": tuple, "step_size": float,
+                  "plan_file": str}
 
     def __post_init__(self):
-        if not self.name or not isinstance(self.name, str):
+        if not self.name:
             raise ValueError(f"arm needs a non-empty name, got {self.name!r}")
         if any(c in self.name for c in ',"\r\n'):
             raise ValueError(f"arm {self.name!r}: name must not contain a comma, a double quote, "
@@ -94,38 +97,22 @@ class ArmSpec:
                 raise ValueError(f"arm {self.name!r}: scheme must be one of {KINDS}")
             if self.order is not None and self.scheme != "fixed":
                 raise ValueError(f"arm {self.name!r}: explicit order needs the fixed scheme")
-        else:
-            if self.scheme is not None or self.order is not None:
-                raise ValueError(f"arm {self.name!r}: sgd takes no scheme or order")
+        elif self.scheme is not None or self.order is not None:
+            raise ValueError(f"arm {self.name!r}: sgd takes no scheme or order")
         if (self.step_size is None) == (self.plan_file is None):
             raise ValueError(f"arm {self.name!r}: set exactly one of step_size or plan_file")
-        if not isinstance(self.plan_file, (str, type(None))):
-            raise ValueError(f"arm {self.name!r}: plan_file must be a path, got {self.plan_file!r}")
         if self.step_size is not None and not 0 <= self.step_size < np.inf:
             raise ValueError(f"arm {self.name!r}: step_size must be finite and >= 0, "
                              f"got {self.step_size}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArmSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"arm entry must be an object, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown arm keys: {sorted(unknown)}")
-        name, order, step = d.get("name", ""), d.get("order"), d.get("step_size")
-        if order is not None:
-            order = tuple(_convert(int, i, f"arm {name!r}: order entry")
-                          for i in _convert(tuple, order, f"arm {name!r}: order"))
-        if step is not None:  # a number or a numeric string, as a plan file's eta
-            step = _convert(float, step, f"arm {name!r}: step_size")
-        return cls(
-            name=name,
-            method=d.get("method", "shuffling"),
-            scheme=d.get("scheme"),
-            order=order,
-            step_size=step,
-            plan_file=d.get("plan_file"),
-        )
+        name = d.get("name") if isinstance(d, dict) else None
+        label = f"arm {name!r}: " if isinstance(name, str) else "arm entry "
+        given = _read(d, cls._KEY_KINDS, "arm entry", label, required=("name",))
+        if "order" in given:
+            given["order"] = tuple(_convert(int, i, f"{label}order entry") for i in given["order"])
+        return cls(**given)
 
 
 @dataclass(frozen=True)
@@ -140,6 +127,10 @@ class ExperimentConfig:
     batch_size: int = 1
     metrics: tuple[str, ...] | None = None
     divergence_threshold: float = RunConfig.divergence_threshold
+    # the kind of each key of a config object
+    _KEY_KINDS = {"problem": dict, "arms": tuple, "epochs": int, "repetitions": int,
+                  "base_seed": int, "batch_size": int, "metrics": tuple,
+                  "divergence_threshold": float}
 
     def __post_init__(self):
         if not 0 <= self.base_seed < 2**64:
@@ -165,18 +156,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        for key in ("problem", "arms", "epochs"):
-            if key not in d:
-                raise ValueError(f"experiment config needs {key!r}")
-        # only the keys given; the others take the field defaults
-        kinds = {"problem": dict, "arms": tuple, "epochs": int, "repetitions": int,
-                 "base_seed": int, "batch_size": int, "metrics": tuple,
-                 "divergence_threshold": float}
-        given = {k: _convert(kinds[k], v, k) for k, v in d.items()
-                 if k != "metrics" or v is not None}
+        if isinstance(d, dict) and d.get("metrics", ()) is None:  # null: the default set
+            d = {k: v for k, v in d.items() if k != "metrics"}
+        given = _read(d, cls._KEY_KINDS, "experiment config", "",
+                      required=("problem", "arms", "epochs"))
         given["arms"] = tuple(map(ArmSpec.from_dict, given["arms"]))
         return cls(**given)
 
@@ -286,11 +269,11 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
         raise ValueError("metric 'dist_sq' needs a problem with a known optimum")
 
     arm_steps = [_arm_step_size(arm, problem.n, config.batch_size) for arm in config.arms]
-    out_dir = Path(out_dir)  # made once the problem and the plan files are accepted
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_config = RunConfig(step_size=0.0, epochs=config.epochs, batch_size=config.batch_size,
                            divergence_threshold=config.divergence_threshold,
                            track_average=False)
+    out_dir = Path(out_dir)  # made once the problem, plan files and run config are accepted
+    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
         (arm_index, rep, derive_seed(config.base_seed, arm_index, rep))
         for arm_index in range(len(config.arms))

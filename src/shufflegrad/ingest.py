@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problems import _convert
+from .problems import _read
 
 __all__ = [
     "RegressionDataset",
@@ -122,6 +122,8 @@ def load_csv(path, *, target_column: str = "target",
     be numeric.  Keeps the first ``max_rows`` rows, then median-fills,
     winsorizes, normalizes, and adds seeded unit noise to the target.
     """
+    if max_rows < 1:
+        raise ValueError(f"max_rows must be >= 1, got {max_rows}")
     header, line_nos, data = _parse_csv(path)
     for col in (target_column, *drop_columns):
         if col not in header:
@@ -222,35 +224,29 @@ def synthesize(seed: int = 0, rows: int = 2000, dim: int = 34) -> RegressionData
                              noise_applied=True, planted_weights=weights)
 
 
-def dataset_from_config(cfg: dict) -> RegressionDataset:
-    """Build a dataset from a config mapping.
+# the kind of each key of the dataset config and of its two sub-configs
+_DATASET_KINDS = {"synthetic": dict, "csv": dict, "normalize": bool}
+_SYNTHETIC_KINDS = {"seed": int, "rows": int, "dim": int}
+_CSV_KINDS = {"path": str, "target_column": str, "drop_columns": tuple, "max_rows": int,
+              "noise_seed": int}
 
-    Exactly one of the keys "synthetic" ({seed, rows, dim}) or "csv"
-    ({path, target_column, drop_columns, max_rows, noise_seed}) must be
-    present; "normalize" applies to both.  A key left out takes the
-    default of :func:`synthesize`, :func:`load_csv` or :func:`preprocess`.
+
+def dataset_from_config(cfg: dict) -> RegressionDataset:
+    """Build a dataset from a config object.
+
+    Exactly one of "synthetic" ({seed, rows, dim}) or "csv" ({path,
+    target_column, drop_columns, max_rows, noise_seed}; path required)
+    must be present; "normalize" applies to both.  Each key has the kind
+    in the tables above (a number field takes a number or a numeric
+    string, any other field only its own JSON type).  A key left out takes
+    the default of :func:`synthesize`, :func:`load_csv` or :func:`preprocess`.
     """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"dataset config must be an object, got {cfg!r}")
-    known = {"synthetic", "csv", "normalize"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown dataset config keys: {sorted(unknown)}")
+    cfg = _read(cfg, _DATASET_KINDS, "dataset config", "dataset ")
     normalize = {"normalize": cfg["normalize"]} if "normalize" in cfg else {}
     if ("synthetic" in cfg) == ("csv" in cfg):
         raise ValueError("dataset config needs exactly one of 'synthetic' or 'csv'")
     if "synthetic" in cfg:
-        sub = _convert(dict, cfg["synthetic"], "synthetic dataset config")
-        unknown = set(sub) - {"seed", "rows", "dim"}
-        if unknown:
-            raise ValueError(f"unknown synthetic dataset keys: {sorted(unknown)}")
+        sub = _read(cfg["synthetic"], _SYNTHETIC_KINDS, "synthetic dataset", "synthetic dataset ")
         return preprocess(synthesize(**sub), **normalize)
-    sub = _convert(dict, cfg["csv"], "csv dataset config")
-    unknown = set(sub) - {"path", "target_column", "drop_columns", "max_rows", "noise_seed"}
-    if unknown:
-        raise ValueError(f"unknown csv dataset keys: {sorted(unknown)}")
-    if "path" not in sub:
-        raise ValueError("csv dataset config needs a 'path'")
-    if not isinstance(sub["path"], str):
-        raise ValueError(f"csv dataset path must be a string, got {sub['path']!r}")
+    sub = _read(cfg["csv"], _CSV_KINDS, "csv dataset", "csv dataset ", required=("path",))
     return load_csv(**sub, **normalize)

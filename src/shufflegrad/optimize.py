@@ -69,8 +69,8 @@ class RunConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if _nonnegative_int(self.batch_size, "batch_size") < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.divergence_threshold <= 0:
-            raise ValueError("divergence_threshold must be positive")
+        if not self.divergence_threshold > 0:
+            raise ValueError(f"divergence_threshold must be > 0, got {self.divergence_threshold}")
 
 
 @dataclass

@@ -9,6 +9,8 @@ a declared smoothness modulus (see :mod:`shufflegrad.smoothness`).
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 # the gradient kernels' ufuncs by plain name: on a few rows, a module
 # attribute lookup is a visible share of an operation's cost
@@ -337,6 +339,8 @@ class PhaseRetrievalProblem(FiniteSumProblem):
     def __init__(self, m: int = 3000, dim: int = 100, seed: int = 0, noise_std: float = 4.0):
         if m < 1 or dim < 1:
             raise ValueError("need m >= 1 measurements and dim >= 1")
+        if not 0 <= noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x50,)))
         scale = np.sqrt(0.5)
         signal = scale * rng.standard_normal(dim)
@@ -422,8 +426,8 @@ class DROProblem(FiniteSumProblem):
         targets = np.asarray(targets, dtype=float)
         if features.ndim != 2 or targets.shape != (features.shape[0],):
             raise ValueError("features must be (rows, dim) with matching targets (rows,)")
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise ValueError(f"lam must be finite and positive, got {lam}")
         self.features = features
         self.targets = targets
         self.lam = float(lam)
@@ -565,17 +569,40 @@ class TinyQuadraticProblem(FiniteSumProblem):
         return float(np.mean(np.sum(d * d, axis=1)))
 
 
+# each kind's noun and the types it takes
+_KINDS = {int: ("an integer", (Real, str)), float: ("a number", (Real, str)),
+          bool: ("a bool", bool), str: ("a string", str), tuple: ("a list", (list, tuple)),
+          dict: ("an object", dict)}
+
+
 def _convert(kind, value, what: str):
-    """``kind(value)``, refusing a value of the wrong type, or a float with
-    a fraction where an integer is due, with a ValueError."""
+    """``kind(value)``; a ValueError for a value of another JSON type.  A
+    number field takes a number or a numeric string (not a bool; an integer
+    field refuses a fraction), any other field only a value of its type."""
+    noun, takes = _KINDS[kind]
+    ok = isinstance(value, takes) and (kind is bool or not isinstance(value, bool))
     try:
-        converted = kind(value)
-    except (TypeError, ValueError, OverflowError):
+        converted = kind(value) if ok else None
+    except (ValueError, OverflowError):
         converted = None
     if converted is None or (kind is int and isinstance(value, float) and converted != value):
-        noun = {int: "an integer", float: "a number", dict: "an object", tuple: "a list"}[kind]
         raise ValueError(f"{what} must be {noun}, got {value!r}") from None
     return converted
+
+
+def _read(spec, kinds: dict, what: str, label: str, required=()) -> dict:
+    """The JSON object ``spec`` (named ``what``) with each value converted
+    by :func:`_convert` to its key's kind in ``kinds`` (field ``label +
+    key``); a ValueError for an unknown key or a missing ``required`` one."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be an object, got {spec!r}")
+    unknown = set(spec) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in spec:
+            raise ValueError(f"{what} needs {key!r}")
+    return {k: _convert(kinds[k], v, label + k) for k, v in spec.items()}
 
 
 # each problem id's class and the kind of each of its parameters
@@ -591,23 +618,17 @@ _PROBLEMS = {
 
 def build_problem(spec: dict) -> FiniteSumProblem:
     """Construct a problem from a config mapping with an ``id`` field."""
-    if "id" not in spec:
-        raise ValueError("problem config needs an 'id' field")
-    pid = spec["id"]
+    pid = spec.get("id")
     if not isinstance(pid, str) or pid not in _PROBLEMS:
-        raise ValueError(f"unknown problem id {pid!r}")
+        raise ValueError(f"problem id must be one of {list(_PROBLEMS)}, got {pid!r}")
     cls, kinds = _PROBLEMS[pid]
-    unknown = set(spec) - {"id", *kinds}
-    if unknown:
-        raise ValueError(f"unknown keys for problem {pid!r}: {sorted(unknown)}")
-    params = {k: _convert(kinds[k], v, f"problem {pid!r}: {k}")
-              for k, v in spec.items() if k != "id"}
-    if cls is not DROProblem:
-        return cls(**params)
-    from .ingest import dataset_from_config
-
     try:
+        params = _read({k: v for k, v in spec.items() if k != "id"}, kinds, "config", "")
+        if cls is not DROProblem:
+            return cls(**params)
+        from .ingest import dataset_from_config
+
         dataset = dataset_from_config(params.pop("dataset", {"synthetic": {"seed": 7}}))
+        return DROProblem(dataset.features, dataset.targets, **params)
     except ValueError as err:
         raise ValueError(f"problem {pid!r}: {err}") from None
-    return DROProblem(dataset.features, dataset.targets, **params)

@@ -150,10 +150,10 @@ class EllFunction:
 def solve_gradient_bound(ell: EllFunction, budget: float) -> float:
     """Largest u with u^2 <= 2*ell(2u)*budget.
 
-    Scans u = 0 and u = budget*2^k for k = -60..200, as one array, for the
-    last sign change of u^2 - 2*ell(2u)*budget and bisects it for 60
-    iterations.  Assumes a single crossing on the scanned range (true for
-    every sub-quadratic closed-form family here; multiple crossings would
+    Scans u = 0 and u = budget*2^k (k from -60 to the last finite u) as one
+    array for the last sign change of u^2 - 2*ell(2u)*budget and bisects it
+    for 60 iterations.  Assumes a single crossing on the scanned range (true
+    for every sub-quadratic closed-form family here; multiple crossings would
     take the last).  Overflow gives inf or nan, as in Python floats.
     """
     if budget < 0:
@@ -165,7 +165,7 @@ def solve_gradient_bound(ell: EllFunction, budget: float) -> float:
         return u * u - 2.0 * ell.evaluate(2.0 * u) * budget
 
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.r_[0.0, np.ldexp(float(budget), np.arange(-60, 201))]
+        grid = np.r_[0.0, np.ldexp(float(budget), np.arange(-60, 1025 - math.frexp(budget)[1]))]
         vals = residual(grid)
         crossings = np.flatnonzero((vals[:-1] <= 0) & (vals[1:] > 0))
         if not len(crossings):

@@ -389,9 +389,9 @@ class TestRunCommand:
         ("arms", [{"name": "f", "scheme": "fixed", "order": 3, "step_size": 0.1}],
          "arm 'f': order must be a list, got 3"),
         ("arms", [{"name": ["a"], "method": "sgd", "step_size": 0.1}],
-         "arm needs a non-empty name, got ['a']"),
+         "arm entry name must be a string, got ['a']"),
         ("arms", [{"name": "a", "method": "sgd", "plan_file": ["p.json"]}],
-         "arm 'a': plan_file must be a path, got ['p.json']"),
+         "arm 'a': plan_file must be a string, got ['p.json']"),
         ("epochs", 2.5, "epochs must be an integer, got 2.5"),
         ("problem", {"id": "dro", "lam": [1]}, "problem 'dro': lam must be a number, got [1]"),
         ("problem", {"id": "phase_retrieval", "m": [3]},
@@ -401,6 +401,30 @@ class TestRunCommand:
         ("problem", {"id": "dro", "dataset": 5}, "problem 'dro': dataset must be an object, got 5"),
         ("problem", {"id": "dro", "dataset": {"csv": {"path": ["x"]}}},
          "problem 'dro': csv dataset path must be a string, got ['x']"),
+        ("epochs", True, "epochs must be an integer, got True"),
+        ("problem", [["id", "tiny_quadratic"]],
+         "problem must be an object, got [['id', 'tiny_quadratic']]"),
+        ("metrics", "objective", "metrics must be a list, got 'objective'"),
+        ("arms", [{"name": "f", "scheme": "fixed", "order": "0123", "step_size": 0.1}],
+         "arm 'f': order must be a list, got '0123'"),
+        ("problem", {"id": "dro", "dataset": {"synthetic": {"rows": [3]}}},
+         "problem 'dro': synthetic dataset rows must be an integer, got [3]"),
+        ("problem", {"id": "dro", "dataset": {"csv": {"path": "d.csv", "max_rows": [2]}}},
+         "problem 'dro': csv dataset max_rows must be an integer, got [2]"),
+        ("problem", {"id": "dro", "dataset": {"csv": {"path": "d.csv", "drop_columns": "ab"}}},
+         "problem 'dro': csv dataset drop_columns must be a list, got 'ab'"),
+        ("problem", {"id": "dro", "dataset": {"synthetic": {}, "normalize": "no"}},
+         "problem 'dro': dataset normalize must be a bool, got 'no'"),
+        ("divergence_threshold", -1, "divergence_threshold must be > 0, got -1.0"),
+        ("divergence_threshold", float("nan"), "divergence_threshold must be > 0, got nan"),
+        ("problem", {"id": "dro", "lam": float("nan")},
+         "problem 'dro': lam must be finite and positive, got nan"),
+        ("problem", {"id": "phase_retrieval", "noise_std": -4},
+         "problem 'phase_retrieval': noise_std must be finite and >= 0, got -4.0"),
+        ("problem", {"id": "phase_retrieval", "noise_std": float("nan")},
+         "problem 'phase_retrieval': noise_std must be finite and >= 0, got nan"),
+        ("problem", {"id": "dro", "dataset": {"csv": {"path": "d.csv", "max_rows": -1}}},
+         "problem 'dro': max_rows must be >= 1, got -1"),
     ])
     def test_malformed_config_field_is_refused(self, tmp_path, capsys, key, value, message):
         config = _run_config(tmp_path)

@@ -324,7 +324,7 @@ class TestSpecValidation:
                 ArmSpec(name="a", method="sgd", step_size=bad)
 
     def test_arm_from_dict_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown arm keys"):
+        with pytest.raises(ValueError, match="unknown arm entry keys"):
             ArmSpec.from_dict({"name": "a", "method": "sgd", "step_size": 0.1,
                                "stepsize": 0.2})
 

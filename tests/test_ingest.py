@@ -80,6 +80,12 @@ class TestLoadCsv:
         assert data.row_count == 2
         np.testing.assert_allclose(data.features[:, 0], [-1.0, 1.0])
 
+    @pytest.mark.parametrize("max_rows", [-1, 0])
+    def test_max_rows_below_one_is_refused(self, tmp_path, max_rows):
+        path = _write(tmp_path, "a,target\n0,1\n10,1\n1000,1\n")
+        with pytest.raises(ValueError, match=f"max_rows must be >= 1, got {max_rows}"):
+            load_csv(path, drop_columns=(), max_rows=max_rows)
+
     def test_error_unparsable_cell(self, tmp_path):
         path = _write(tmp_path, "a,target\nabc,1\n2,3\n")
         with pytest.raises(ValueError, match=r"line 2.*'a'.*'abc'"):
@@ -321,7 +327,7 @@ class TestDatasetConfig:
     def test_malformed_values_rejected(self):
         with pytest.raises(ValueError, match="dataset config must be an object, got 5"):
             dataset_from_config(5)
-        with pytest.raises(ValueError, match="csv dataset config must be an object, got 5"):
+        with pytest.raises(ValueError, match="dataset csv must be an object, got 5"):
             dataset_from_config({"csv": 5})
         with pytest.raises(ValueError, match=r"csv dataset path must be a string, got \['x'\]"):
             dataset_from_config({"csv": {"path": ["x"]}})

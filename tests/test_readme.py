@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from shufflegrad.cli import main
-from shufflegrad import experiment
+from shufflegrad import experiment, ingest
 from shufflegrad.experiment import ExperimentConfig
+from shufflegrad.problems import _PROBLEMS
 from shufflegrad.smoothness import RECIPE_NAMES, EllFunction, constants_for_recipe
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -68,6 +69,27 @@ def test_experiment_config_table_matches_fields():
     shown = {MISSING: "required", None: "auto"}
     assert documented == [(f.name, shown.get(f.default, f.default))
                           for f in fields(ExperimentConfig)]
+
+
+# the word for each kind of the config reader's tables
+_WORDS = {int: "int", float: "number", bool: "bool", str: "string", tuple: "array", dict: "object"}
+
+
+def test_experiment_config_types_match_the_reader():
+    table = _section("Experiment config").split("### Problems")[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\w+)[^|]* \| [^|]* \| [^|]* \|$", table, flags=re.M)
+    assert rows == [(key, _WORDS[kind]) for key, kind in ExperimentConfig._KEY_KINDS.items()]
+
+
+def test_problem_params_and_dataset_keys_match_the_reader():
+    section = _section("Experiment config").split("### Problems")[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, flags=re.M)
+    assert [(pid, re.findall(r"`(\w+)` (\w+)", params)) for pid, params in rows] == [
+        (pid, [(key, _WORDS[kind]) for key, kind in kinds.items()])
+        for pid, (_, kinds) in _PROBLEMS.items()]
+    key_lists = re.findall(r"`\{([\w, ]+)\}`", " ".join(section.split()))
+    assert [keys.split(", ") for keys in key_lists] == [list(ingest._SYNTHETIC_KINDS),
+                                                        list(ingest._CSV_KINDS)]
 
 
 def _prints(argv, transcript, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflegrad.problems import (
@@ -92,6 +92,17 @@ class TestSolveGradientBound:
                 # beyond the bound the inequality flips for good
                 assert (1.001 * g) ** 2 > 2.0 * float(ell(2.002 * g)) * h
 
+    def test_crossing_far_above_the_budget(self):
+        # the crossing, near 2.08e68, lies beyond budget * 2^200 = 6.43e65
+        ell = EllFunction.power(10.0, 1.890625)
+        g = solve_gradient_bound(ell, 4e5)
+        assert 2.07e68 < g < 2.08e68
+        assert abs(g * g - 2.0 * float(ell(2.0 * g)) * 4e5) <= 1e-8 * g * g
+        bundle = constants_for_recipe(3, ell, initial_gap=1000.0, n=1, eps=1.0,
+                                      failure_prob=0.01, variance_slope=0.0, noise_std=0.0,
+                                      strong_convexity=1.0)
+        assert bundle.grad_norm_bound == g and stepsize_plan(bundle).epochs > 1e134
+
     def test_edge_cases(self):
         assert solve_gradient_bound(EllFunction.constant(1.0), 0.0) == 0.0
         with pytest.raises(ValueError):
@@ -104,7 +115,7 @@ def _scalar_solve_gradient_bound(ell, budget):
     def residual(u):
         return u * u - 2.0 * float(ell.evaluate(2.0 * u)) * budget
 
-    grid = [0.0] + [budget * 2.0**k for k in range(-60, 201)]
+    grid = [0.0] + [math.ldexp(budget, k) for k in range(-60, 1025 - math.frexp(budget)[1])]
     vals = [residual(u) for u in grid]
     brackets = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)
                 if vals[i] <= 0 < vals[i + 1]]
@@ -421,6 +432,8 @@ def _within_rounding(bundle, target):
        eps=st.floats(-4.0, 0.0).map(lambda e: 10.0**e), delta=st.floats(0.01, 0.99),
        slope=_NOISE, noise=_NOISE, mu=_POSITIVE, opt_noise=_NOISE, comp_bound=_POSITIVE,
        probe=st.floats(0.0, 3.0))
+@example(recipe=3, ell=EllFunction.power(10.0, 1.890625), gap=1000.0, n=1, eps=1.0, delta=0.01,
+         slope=0.0, noise=0.0, mu=1.0, opt_noise=0.0, comp_bound=1.0, probe=0.0)
 def test_pinned_plans_are_minimal_and_acceptance_is_monotone(recipe, ell, gap, n, eps, delta,
                                                             slope, noise, mu, opt_noise,
                                                             comp_bound, probe):
