@@ -23,6 +23,7 @@ only emitted for epochs that every counted repetition reached.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -81,8 +82,8 @@ class ArmSpec:
     step_size: float | None = None
     plan_file: str | None = None
     # the kind of each key of an arm object
-    _KEY_KINDS = {"name": str, "method": str, "scheme": str, "order": tuple, "step_size": float,
-                  "plan_file": str}
+    _KEY_KINDS = {"name": str, "method": str, "scheme": str, "order": (tuple, int),
+                  "step_size": float, "plan_file": str}
 
     def __post_init__(self):
         if not self.name:
@@ -109,10 +110,7 @@ class ArmSpec:
     def from_dict(cls, d: dict) -> "ArmSpec":
         name = d.get("name") if isinstance(d, dict) else None
         label = f"arm {name!r}: " if isinstance(name, str) else "arm entry "
-        given = _read(d, cls._KEY_KINDS, "arm entry", label, required=("name",))
-        if "order" in given:
-            given["order"] = tuple(_convert(int, i, f"{label}order entry") for i in given["order"])
-        return cls(**given)
+        return cls(**_read(d, cls._KEY_KINDS, "arm entry", label, required=("name",)))
 
 
 @dataclass(frozen=True)
@@ -239,15 +237,15 @@ def _run_runs(problem, run_config: RunConfig, runs) -> list:
     return run_block(problem, run_config, streams, [step for _, _, step in runs])
 
 
-def _raw_rows(arm_name: str, rep: int, record, metrics) -> str:
+def _raw_rows(arm_name: str, rep: int, record, metrics, wall_text="%.17g".__mod__) -> str:
     """One run's raw.csv rows: one %-template over the record's columns.
     ``"%.17g" % x`` has the bytes of ``f"{x:.17g}"``; a metric not in
-    ``metrics`` leaves an empty field."""
+    ``metrics`` leaves an empty field; ``wall_text`` formats a wall_ms."""
     cells = ",".join("%.17g" if m in metrics else "" for m in METRIC_NAMES)
-    template = f"{arm_name.replace('%', '%%')},{rep},%d,{cells},%d,%.17g\n"
+    template = f"{arm_name.replace('%', '%%')},{rep},%d,{cells},%d,%s\n"
     columns = [getattr(record, m).tolist() for m in METRIC_NAMES if m in metrics]
-    return "".join(map(template.__mod__, zip(record.epoch.tolist(), *columns,
-                                            record.evals.tolist(), record.wall_ms.tolist())))
+    return "".join(map(template.__mod__, zip(record.epoch.tolist(), *columns, record.evals.tolist(),
+                                            map(wall_text, record.wall_ms.tolist()))))
 
 
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> ExperimentResult:
@@ -300,10 +298,11 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
         records.append(record)
 
     raw_path = out_dir / "raw.csv"
+    wall_text = functools.cache("%.17g".__mod__)  # a wall_ms is never -0.0
     with open(raw_path, "w", newline="") as fh:
         fh.write(RAW_HEADER + "\n")
         for (arm_index, rep, _), record in zip(tasks, records):
-            fh.write(_raw_rows(config.arms[arm_index].name, rep, record, metrics))
+            fh.write(_raw_rows(config.arms[arm_index].name, rep, record, metrics, wall_text))
 
     aggregate = _aggregate(config, records, metrics)
     aggregate_path = out_dir / "aggregate.csv"

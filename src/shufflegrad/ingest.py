@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problems import _read
+from .shuffling import _nonnegative_int
 
 __all__ = [
     "RegressionDataset",
@@ -177,6 +178,7 @@ def preprocess(dataset: RegressionDataset, *, noise_seed: int = 0,
     Running preprocess again changes features by at most float noise
     and never re-applies the target noise.
     """
+    noise_seed = _nonnegative_int(noise_seed, "noise_seed")
     features = dataset.features.copy()
     targets = dataset.targets.copy()
     for j in range(features.shape[1]):
@@ -216,6 +218,7 @@ def synthesize(seed: int = 0, rows: int = 2000, dim: int = 34) -> RegressionData
     """
     if rows < 1 or dim < 1:
         raise ValueError(f"need rows >= 1 and dim >= 1, got ({rows}, {dim})")
+    seed = _nonnegative_int(seed, "synthetic dataset seed")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=_SYNTH_STREAM))
     features = rng.standard_normal((rows, dim))
     weights = rng.standard_normal(dim)
@@ -227,7 +230,7 @@ def synthesize(seed: int = 0, rows: int = 2000, dim: int = 34) -> RegressionData
 # the kind of each key of the dataset config and of its two sub-configs
 _DATASET_KINDS = {"synthetic": dict, "csv": dict, "normalize": bool}
 _SYNTHETIC_KINDS = {"seed": int, "rows": int, "dim": int}
-_CSV_KINDS = {"path": str, "target_column": str, "drop_columns": tuple, "max_rows": int,
+_CSV_KINDS = {"path": str, "target_column": str, "drop_columns": (tuple, str), "max_rows": int,
               "noise_seed": int}
 
 

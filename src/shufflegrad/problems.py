@@ -17,6 +17,7 @@ import numpy as np
 from numpy import (absolute, add, divide, log1p, maximum, multiply, negative, sign, subtract,
                    vecdot)
 
+from .shuffling import _nonnegative_int
 from .smoothness import EllFunction, row_dots
 
 __all__ = [
@@ -341,6 +342,7 @@ class PhaseRetrievalProblem(FiniteSumProblem):
             raise ValueError("need m >= 1 measurements and dim >= 1")
         if not 0 <= noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+        seed = _nonnegative_int(seed, "seed")
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x50,)))
         scale = np.sqrt(0.5)
         signal = scale * rng.standard_normal(dim)
@@ -428,6 +430,7 @@ class DROProblem(FiniteSumProblem):
             raise ValueError("features must be (rows, dim) with matching targets (rows,)")
         if not 0 < lam < np.inf:
             raise ValueError(f"lam must be finite and positive, got {lam}")
+        seed = _nonnegative_int(seed, "seed")
         self.features = features
         self.targets = targets
         self.lam = float(lam)
@@ -578,7 +581,12 @@ _KINDS = {int: ("an integer", (Real, str)), float: ("a number", (Real, str)),
 def _convert(kind, value, what: str):
     """``kind(value)``; a ValueError for a value of another JSON type.  A
     number field takes a number or a numeric string (not a bool; an integer
-    field refuses a fraction), any other field only a value of its type."""
+    field refuses a fraction), any other field only a value of its type.
+    The kind ``(tuple, entry)`` is a list whose entries, each a field
+    ``what + " entry"``, have the kind ``entry``."""
+    if isinstance(kind, tuple):
+        label = what if what.endswith(" entry") else f"{what} entry"
+        return tuple(_convert(kind[1], v, label) for v in _convert(tuple, value, what))
     noun, takes = _KINDS[kind]
     ok = isinstance(value, takes) and (kind is bool or not isinstance(value, bool))
     try:
@@ -612,7 +620,8 @@ _PROBLEMS = {
     "phase_retrieval": (PhaseRetrievalProblem,
                         {"m": int, "dim": int, "seed": int, "noise_std": float}),
     "dro": (DROProblem, {"lam": float, "seed": int, "dataset": dict}),
-    "tiny_quadratic": (TinyQuadraticProblem, {"centers": tuple, "initial_point": tuple}),
+    "tiny_quadratic": (TinyQuadraticProblem, {"centers": (tuple, (tuple, float)),
+                                              "initial_point": (tuple, float)}),
 }
 
 

@@ -467,8 +467,9 @@ _TABLES = {
         "noise_cap": (lambda c: 4.0 / c.mu * c.L * c.sig
                       * c.sqrt(8.0 / (c.n * c.mu * c.delta * c.eps)),
                       _per_log),
-        "gap_cube": (lambda c: 4.0 / c.mu * c.cbrt(c.T * c.sig * c.sig * c.L * c.L / (c.n * c.gap)),
-                     _per_log),
+        # cube roots of T and L apart, as T * sig^2 * L^2 can overflow a float
+        "gap_cube": (lambda c: 4.0 / c.mu * c.cbrt(c.T) * c.cbrt(c.sig * c.sig / (c.n * c.gap))
+                     * c.cbrt(c.L) ** 2, _per_log),
     },
     4: {
         "eta_formula": (lambda c: abs(c.eta - c.pinned_eta), lambda c: 1e-12 * c.pinned_eta),

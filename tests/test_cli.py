@@ -425,6 +425,21 @@ class TestRunCommand:
          "problem 'phase_retrieval': noise_std must be finite and >= 0, got nan"),
         ("problem", {"id": "dro", "dataset": {"csv": {"path": "d.csv", "max_rows": -1}}},
          "problem 'dro': max_rows must be >= 1, got -1"),
+        ("problem", {"id": "dro", "seed": -1},
+         "problem 'dro': seed must be a non-negative integer, got -1"),
+        ("problem", {"id": "phase_retrieval", "seed": -2},
+         "problem 'phase_retrieval': seed must be a non-negative integer, got -2"),
+        ("problem", {"id": "dro", "dataset": {"synthetic": {"seed": -3}}},
+         "problem 'dro': synthetic dataset seed must be a non-negative integer, got -3"),
+        ("problem", {"id": "tiny_quadratic", "centers": [["1", True], [0, "-2"]]},
+         "problem 'tiny_quadratic': centers entry must be a number, got True"),
+        ("problem", {"id": "tiny_quadratic", "centers": [[1, 0], 2]},
+         "problem 'tiny_quadratic': centers entry must be a list, got 2"),
+        ("problem", {"id": "tiny_quadratic", "initial_point": ["3", False]},
+         "problem 'tiny_quadratic': initial_point entry must be a number, got False"),
+        ("problem", {"id": "dro", "dataset": {"csv": {"path": "d.csv",
+                                                      "drop_columns": ["country", 7]}}},
+         "problem 'dro': csv dataset drop_columns entry must be a string, got 7"),
     ])
     def test_malformed_config_field_is_refused(self, tmp_path, capsys, key, value, message):
         config = _run_config(tmp_path)

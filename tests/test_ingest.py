@@ -44,6 +44,12 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.targets,
                                       np.array([10.0, 30.0, 20.0]) + _noise(4, 3))
 
+    def test_negative_noise_seed_is_named(self, tmp_path):
+        path = _write(tmp_path, "a,target\n1,2\n3,4\n")
+        message = r"^noise_seed must be a non-negative integer, got -1$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, drop_columns=(), noise_seed=-1)
+
     def test_drop_columns_removed(self, tmp_path):
         path = _write(tmp_path,
                       "country,a,status,target\nUS,1,ok,5\nFR,2,bad,6\nDE,3,ok,7\n")

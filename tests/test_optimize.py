@@ -570,6 +570,74 @@ def test_block_rows_get_their_solo_orders_and_bits():
     assert len(diverged) == 2 and min(diverged) <= 64 < max(diverged) <= 70
 
 
+def _epoch_orders(problem, streams, epochs, monkeypatch):
+    """The (R, n) order block of each epoch of a run_block call whose
+    epoch passes leave the iterates unchanged."""
+    seen = []
+
+    def recorded(problem, W, orders, steps, batch_size, threshold=None):
+        seen.append(orders.T.copy())
+        return W, len(orders) - 1
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_epoch_pass", recorded)
+        run_block(problem, RunConfig(step_size=0.0, epochs=epochs), streams, [0.0] * len(streams))
+    return np.stack(seen)
+
+
+@pytest.mark.parametrize("n,epochs", [
+    (7, 70),  # an odd n, across the 64-epoch chunk boundary
+    (1, 70),
+    (optimize._DRAW_ENTRIES, 3),  # the cap leaves one epoch per chunk
+    (optimize._DRAW_ENTRIES // 2 + 1, 3),  # and here too
+])
+def test_chunked_sgd_draws_are_the_per_epoch_draws(n, epochs, monkeypatch):
+    problem = TinyQuadraticProblem(centers=np.arange(n, dtype=float)[:, None])
+    got = _epoch_orders(problem, [sgd_stream(n, 5), sgd_stream(n, 6)], epochs, monkeypatch)
+    for row, seed in enumerate((5, 6)):
+        rng = _seed_sequence_stream(seed, (1,))
+        want = [rng.integers(0, n, size=n) for _ in range(epochs)]
+        np.testing.assert_array_equal(got[:, row], want)
+
+
+def _mixed_streams(n):
+    return [scheme_stream(Scheme.random_reshuffle(n, 3)), sgd_stream(n, 4),
+            scheme_stream(Scheme.shuffle_once(n, 5)), scheme_stream(Scheme.fixed(n)),
+            lambda t: np.full(n, t % n)]
+
+
+def test_order_rows_do_not_depend_on_the_block(monkeypatch):
+    problem = TinyQuadraticProblem()
+    block = _epoch_orders(problem, _mixed_streams(problem.n), 70, monkeypatch)
+    for row, stream in enumerate(_mixed_streams(problem.n)):
+        alone = _epoch_orders(problem, [stream], 70, monkeypatch)
+        np.testing.assert_array_equal(alone[:, 0], block[:, row])
+
+
+def test_repeated_orders_are_asked_for_once_per_run(monkeypatch):
+    calls, call = [], optimize._Repeat.__call__
+    monkeypatch.setattr(optimize._Repeat, "__call__",
+                        lambda self, t: calls.append(t) or call(self, t))
+    problem = TinyQuadraticProblem()
+    n = problem.n
+    streams = [scheme_stream(Scheme.fixed(n)), scheme_stream(Scheme.shuffle_once(n, 2))]
+    run_block(problem, RunConfig(step_size=0.1, epochs=5), streams, [0.1] * 2)
+    assert calls == [1, 1]
+
+
+def test_plain_callable_is_called_once_per_epoch_in_order():
+    problem = TinyQuadraticProblem()
+    n, calls = problem.n, []
+
+    def stream(t):
+        calls.append(t)
+        return np.arange(n)[::-1]
+
+    streams = [*_mixed_streams(n), stream]
+    run_block(problem, RunConfig(step_size=0.1, epochs=70), streams, [0.1] * len(streams))
+    assert calls == list(range(1, 71))
+
+
 def test_sgd_seed_must_be_an_integer():
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         sgd_stream(4, 1.5)

@@ -75,17 +75,22 @@ def test_experiment_config_table_matches_fields():
 _WORDS = {int: "int", float: "number", bool: "bool", str: "string", tuple: "array", dict: "object"}
 
 
+def _word(kind) -> str:
+    """The README's word for a reader kind; ``(tuple, entry)`` is an array."""
+    return _WORDS[tuple if isinstance(kind, tuple) else kind]
+
+
 def test_experiment_config_types_match_the_reader():
     table = _section("Experiment config").split("### Problems")[0]
     rows = re.findall(r"^\| `(\w+)` \| (\w+)[^|]* \| [^|]* \| [^|]* \|$", table, flags=re.M)
-    assert rows == [(key, _WORDS[kind]) for key, kind in ExperimentConfig._KEY_KINDS.items()]
+    assert rows == [(key, _word(kind)) for key, kind in ExperimentConfig._KEY_KINDS.items()]
 
 
 def test_problem_params_and_dataset_keys_match_the_reader():
     section = _section("Experiment config").split("### Problems")[1]
     rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, flags=re.M)
     assert [(pid, re.findall(r"`(\w+)` (\w+)", params)) for pid, params in rows] == [
-        (pid, [(key, _WORDS[kind]) for key, kind in kinds.items()])
+        (pid, [(key, _word(kind)) for key, kind in kinds.items()])
         for pid, (_, kinds) in _PROBLEMS.items()]
     key_lists = re.findall(r"`\{([\w, ]+)\}`", " ".join(section.split()))
     assert [keys.split(", ") for keys in key_lists] == [list(ingest._SYNTHETIC_KINDS),

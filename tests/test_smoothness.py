@@ -434,6 +434,10 @@ def _within_rounding(bundle, target):
        probe=st.floats(0.0, 3.0))
 @example(recipe=3, ell=EllFunction.power(10.0, 1.890625), gap=1000.0, n=1, eps=1.0, delta=0.01,
          slope=0.0, noise=0.0, mu=1.0, opt_noise=0.0, comp_bound=1.0, probe=0.0)
+@example(recipe=3, ell=EllFunction.power(10.0, 1.890625), gap=1000.0, n=1, eps=1.0, delta=0.5,
+         slope=0.0, noise=1.0, mu=1.0, opt_noise=0.0, comp_bound=1.0, probe=0.0)
+@example(recipe=3, ell=EllFunction.power(1000.0, 1.9), gap=1.0, n=1, eps=1.0, delta=0.5,
+         slope=0.0, noise=100.0, mu=1.0, opt_noise=0.0, comp_bound=1.0, probe=0.0)
 def test_pinned_plans_are_minimal_and_acceptance_is_monotone(recipe, ell, gap, n, eps, delta,
                                                             slope, noise, mu, opt_noise,
                                                             comp_bound, probe):
