@@ -157,14 +157,6 @@ def load_csv(path, *, target_column: str = "target",
     return preprocess(raw, noise_seed=noise_seed, normalize=normalize)
 
 
-def _winsorize_column(col: np.ndarray) -> np.ndarray:
-    # Order-statistic bounds: clipping at values present in the data
-    # keeps a second winsorization from moving anything.
-    lo = np.percentile(col, 1.0, method="lower")
-    hi = np.percentile(col, 99.0, method="higher")
-    return np.clip(col, lo, hi)
-
-
 _NOISE_STREAM = (0x1E,)
 
 
@@ -188,7 +180,12 @@ def preprocess(dataset: RegressionDataset, *, noise_seed: int = 0,
             raise DataFormatError(f"column {dataset.names()[j]!r} has no values")
         if missing.any():
             col[missing] = np.median(col[~missing])
-        features[:, j] = _winsorize_column(col)
+    # order-statistic bounds, so a second pass moves nothing; clipped a
+    # column at a time, as a whole-block clip can flip a zero's sign at a bound
+    lo = np.percentile(features, 1.0, axis=0, method="lower")
+    hi = np.percentile(features, 99.0, axis=0, method="higher")
+    for j in range(features.shape[1]):
+        np.clip(features[:, j], lo[j], hi[j], out=features[:, j])
     if np.isnan(targets).any():
         targets[np.isnan(targets)] = np.median(targets[~np.isnan(targets)])
     if normalize:

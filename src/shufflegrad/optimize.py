@@ -163,10 +163,10 @@ def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, b
     ``orders[k]`` holds each row's k-th component.  A step is ``g *= step;
     W -= g``, with ``step`` the row steps broadcast to the block's shape
     once, on the mean gradient g of ``batch_size`` consecutive components
-    (fewer in the last): the problem's kernel on the components' table
-    rows, gathered ``_EPOCH_CHUNK`` components at a time, with the first
-    gradient of a batch in the epoch's work arrays and the others, new
-    arrays, added into it.  Returns the new block and the index of the
+    (fewer in the last): the problem's kernel, bound to the epoch's block,
+    on the components' table rows, gathered ``_EPOCH_CHUNK`` components at
+    a time, with the later gradients of a batch, from a second kernel,
+    added into the first.  Returns the new block and the index of the
     last step taken: all of them, unless a ``threshold`` is given, in
     which case the pass stops after the first step that takes a row
     outside the finite/threshold region.  Without one, single-component
@@ -175,18 +175,18 @@ def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, b
     n = len(orders)
     if threshold is None and batch_size == 1 and problem.component_epoch:
         return problem.component_epoch(W, orders, steps), n - 1
-    gradients, tables = problem._gradients, problem._tables
-    work = [np.empty((len(W), *shape)) for shape in problem._work]
     W = W.copy()
+    first = problem._kernel(W)
+    later = problem._kernel(W) if batch_size > 1 else None
     step = np.repeat(steps[:, None], W.shape[1], axis=1)
     for lo in range(0, n, _EPOCH_CHUNK):
-        chunk = [table[orders[lo:lo + _EPOCH_CHUNK]] for table in tables]
+        chunk = [table[orders[lo:lo + _EPOCH_CHUNK]] for table in problem._tables]
         for k, rows in enumerate(zip(*chunk), lo):
             i = k % batch_size  # the component's place in its batch
             if i:
-                g += gradients(W, *rows)
+                g += later(*rows)
             else:
-                g = gradients(W, *rows, *work)
+                g = first(*rows)
             if i + 1 < batch_size and k + 1 < n:
                 continue  # the batch goes on
             if i:

@@ -46,24 +46,25 @@ class FiniteSumProblem:
     component gradients as a kernel over row tables:
 
     - ``_tables``: arrays whose row i holds component i's data;
-    - ``_gradients(W, *rows, *work)``: the (R, d) array whose row r is the
-      gradient at ``W[r]`` of the component whose table rows are
-      ``rows[.][r]``;
-    - ``_work``: the shapes of the kernel's optional work arrays, each
-      (R, *shape).  Given them, the kernel writes into them and may
-      return one; without them it returns a new array.
+    - ``_kernel(W)``: a function ``grad(*rows)`` bound to the (R, d) block
+      ``W``, returning the (R, d) array whose row r is the gradient at
+      ``W[r]`` of the component whose table rows are ``rows[.][r]``.  It
+      reads ``W`` in place, so it sees every update made to ``W``; its
+      work arrays, views and one output array are made with it, and every
+      call overwrites and returns that output.  Quartic's and
+      exp_strong's return a new array per call instead.
 
     The oracles use only row-wise elementwise operations and row
     reductions, so a row's bits do not depend on R.  The base class
-    derives ``component_gradients(W, idx)``, the kernel on the rows
-    ``idx``, a new array, and from it ``max_component_gradient_norms(W)``,
+    derives ``component_gradients(W, idx)``, a new kernel on the rows
+    ``idx``, so a new array, and from it ``max_component_gradient_norms(W)``,
     the (R,) largest component gradient norms.  ``full_value(w)``,
     ``full_gradient(w)`` and ``max_component_gradient_norm(w)`` are the
     one-row cases, so the scalar and batched forms cannot drift apart;
     ``_component_gradient`` is a separate scalar formula, the reference
     ``component_gradients`` is tested against.  The public component
     accessors validate inputs.  :func:`shufflegrad.optimize.run_block`
-    steps an epoch with the kernel, in the work arrays.
+    steps an epoch with a kernel bound to the epoch's block.
 
     A problem may also set ``component_epoch(W, orders, steps)``: the
     block after one epoch of single-component steps, computed another
@@ -99,13 +100,12 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     _tables: tuple
-    _work: tuple = ()
 
-    def _gradients(self, W: np.ndarray, *rows_and_work) -> np.ndarray:
+    def _kernel(self, W: np.ndarray):
         raise NotImplementedError
 
     def component_gradients(self, W: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self._gradients(W, *(table[idx] for table in self._tables))
+        return self._kernel(W)(*(table[idx] for table in self._tables))
 
     def full_values(self, W: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -242,17 +242,20 @@ class QuarticProblem(FiniteSumProblem):
         return g
 
     @staticmethod
-    def _gradients(W, c, k):
-        rows = np.arange(len(c))
-        G = np.zeros(W.shape)
-        x = W[rows, c]
-        G[rows, c] = 4.0 * (x * x * x) + k
-        return G
+    def _kernel(W):
+        rows = np.arange(len(W))
+
+        def grad(c, k):
+            G = np.zeros(W.shape)
+            x = W[rows, c]
+            G[rows, c] = 4.0 * (x * x * x) + k
+            return G
+        return grad
 
     def component_epoch(self, W, orders, steps):
         """One epoch of single-component steps ``steps[r]`` (>= +0.0) along
         ``orders[:, r]``, bit for bit the step loop: a visit has the
-        operations of ``_gradients`` then ``g *= step; W -= g``, and the
+        operations of ``_kernel`` then ``g *= step; W -= g``, and the
         other steps leave a coordinate as ``W - 0.0 * step`` does."""
         return _lane_epoch(W, self._coord, self._offset, orders, steps,
                            lambda x, s, k: x - (4.0 * (x * x * x) + k) * s)
@@ -303,12 +306,15 @@ class ExpStrongProblem(FiniteSumProblem):
         return g
 
     @staticmethod
-    def _gradients(W, c, k):
-        rows = np.arange(len(c))
-        x = W[rows, c]
-        G = W.copy()
-        G[rows, c] += np.exp(x - k) - np.exp(k - x)
-        return G
+    def _kernel(W):
+        rows = np.arange(len(W))
+
+        def grad(c, k):
+            x = W[rows, c]
+            G = W.copy()
+            G[rows, c] += np.exp(x - k) - np.exp(k - x)
+            return G
+        return grad
 
     def component_epoch(self, W, orders, steps):
         """One epoch of single-component steps ``steps[r]`` (>= +0.0) along
@@ -354,7 +360,7 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         self.vectors = vectors
         self.targets = targets
         self.n, self.dim = vectors.shape
-        self._tables, self._work = (vectors, targets), ((), (), (), (self.dim,))
+        self._tables = (vectors, targets)
         self._initial = initial
         self.signal = signal
         self.noise_std = float(noise_std)
@@ -373,17 +379,20 @@ class PhaseRetrievalProblem(FiniteSumProblem):
         return (2.0 * (q * q - self.targets[i]) * q) * a
 
     @staticmethod
-    def _gradients(W, A, y, x1=None, x2=None, x3=None, G=None):
+    def _kernel(W):
         """Row r: the gradient at ``W[r]`` of the component with vector
         ``A[r]`` and target ``y[r]``, ``2 (q^2 - y[r]) q A[r]`` with q the
-        row dot.  Each operation writes into the work array it names (x1,
-        x2, x3 of shape (R,), G of W's shape), or allocates its result when
-        that is None.  No operation writes over its own operand, which numpy
-        does slowly for one-element arrays."""
-        q = vecdot(A, W, out=x1)
-        c = subtract(multiply(q, q, out=x2), y, out=x3)
-        c = multiply(multiply(_TWO, c, out=x2), q, out=x3)
-        return multiply(c[:, None], A, out=G)
+        row dot.  Each operation writes into a work array (x1, x2, x3 of
+        shape (R,)) or the output G.  No operation writes over its own
+        operand, which numpy does slowly for one-element arrays."""
+        x1, x2, x3 = (np.empty(len(W)) for _ in range(3))
+        G, c = np.empty(W.shape), x3[:, None]
+
+        def grad(A, y):
+            q = vecdot(A, W, x1)
+            multiply(multiply(_TWO, subtract(multiply(q, q, x2), y, x3), x2), q, x3)
+            return multiply(c, A, G)
+        return grad
 
     def _projections(self, W):
         # one matrix-vector product per row: a product across rows could
@@ -437,9 +446,7 @@ class DROProblem(FiniteSumProblem):
         self._lam, self._reg = np.array(self.lam), np.array(self.REG_WEIGHT)  # kernel operands
         self.n, self.feature_dim = features.shape
         self.dim = self.feature_dim + 1
-        m = self.feature_dim
         self._tables = (features, targets)
-        self._work = ((), (), (), (), (m,), (m,), (m,), (m + 1,))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD0,)))
         self._initial = np.concatenate([rng.standard_normal(self.feature_dim), [0.1]])
 
@@ -471,38 +478,45 @@ class DROProblem(FiniteSumProblem):
         loss_grad = -r * x + self.REG_WEIGHT * np.sign(w) / (1.0 + np.abs(w))
         return np.append(coef * loss_grad, 1.0 - coef)
 
-    def _gradients(self, V, X, y, x1=None, x2=None, x3=None, x4=None, A=None, B=None, C=None,
-                   G=None):
+    def _kernel(self, V):
         """Row r: the gradient at ``V[r]`` of the component with features
         ``X[r]`` and target ``y[r]``.  Work arrays as in
-        :meth:`PhaseRetrievalProblem._gradients`: x1 to x4 of shape (R,),
-        A, B, C of shape (R, features) and G of V's shape.  Operations
-        write over A, B and C in place, which costs nothing extra at that
-        size.  Only the last weights operation writes into G's strided
-        weights block, where an operation costs about twice as much."""
+        :meth:`PhaseRetrievalProblem._kernel`: x1 to x4 of shape (R,), W,
+        A, B, C of shape (R, features).  Each call first copies the weights
+        ``V[:, :-1]`` into W, since an operation on that strided view costs
+        about twice as much.  Operations write over A, B and C in place,
+        which costs nothing extra at that size.  Only the last weights
+        operation writes into the output's strided weights block."""
         lam, reg = self._lam, self._reg
-        W, theta = V[:, :-1], V[:, -1]
-        r = subtract(y, vecdot(X, W, out=x1), out=x2)
-        a = absolute(W, out=A)
-        # loss = 0.5 r r + 0.1 sum_j log(1 + |w_j|)
-        t = multiply(multiply(_HALF, r, out=x1), r, out=x3)
-        s = add.reduce(log1p(a, out=B), axis=1, out=x1)
-        loss = add(t, multiply(reg, s, out=x4), out=x1)
-        # coef = psi*'((loss - theta) / lam) / lam, psi*'(t) = 0.5 max(t + 2, 0)
-        t = divide(subtract(loss, theta, out=x3), lam, out=x4)
-        t = maximum(add(t, _TWO, out=x3), _ZERO, out=x4)
-        coef = divide(multiply(_HALF, t, out=x3), lam, out=x1)
-        # weights coef (-r x + 0.1 sign(w) / (1 + |w|)), shift 1 - coef
-        g = multiply(negative(r, out=x3)[:, None], X, out=C)
-        u = sign(W, out=B)
-        multiply(reg, u, out=u)
-        divide(u, add(_ONE, a, out=a), out=u)
-        add(g, u, out=g)
-        if G is None:
-            G = np.empty(V.shape)
-        multiply(coef[:, None], g, out=G[:, :-1])
-        subtract(_ONE, coef, out=G[:, -1])
-        return G
+        x1, x2, x3, x4 = (np.empty(len(V)) for _ in range(4))
+        W, A, B, C = (np.empty((len(V), self.feature_dim)) for _ in range(4))
+        G = np.empty(V.shape)
+        weights, theta, G_w, G_theta = V[:, :-1], V[:, -1], G[:, :-1], G[:, -1]
+        neg_r, coef_col = x3[:, None], x1[:, None]
+
+        def grad(X, y):
+            np.copyto(W, weights)
+            r = subtract(y, vecdot(X, W, x1), x2)
+            a = absolute(W, A)
+            # loss = 0.5 r r + 0.1 sum_j log(1 + |w_j|)
+            t = multiply(multiply(_HALF, r, x1), r, x3)
+            s = add.reduce(log1p(a, B), axis=1, out=x1)
+            loss = add(t, multiply(reg, s, x4), x1)
+            # coef = psi*'((loss - theta) / lam) / lam, psi*'(t) = 0.5 max(t + 2, 0)
+            t = divide(subtract(loss, theta, x3), lam, x4)
+            t = maximum(add(t, _TWO, x3), _ZERO, out=x4)  # a positional out is deprecated
+            coef = divide(multiply(_HALF, t, x3), lam, x1)
+            # weights coef (-r x + 0.1 sign(w) / (1 + |w|)), shift 1 - coef
+            negative(r, x3)
+            g = multiply(neg_r, X, C)
+            u = sign(W, B)
+            multiply(reg, u, u)
+            divide(u, add(_ONE, a, a), u)
+            add(g, u, g)
+            multiply(coef_col, g, G_w)
+            subtract(_ONE, coef, G_theta)
+            return G
+        return grad
 
     def full_values(self, V):
         # row by row: the (n, d) work per row is the data's own size
@@ -531,12 +545,15 @@ class TinyQuadraticProblem(FiniteSumProblem):
     """
 
     def __init__(self, centers=((1, 0), (-1, 0), (0, 1), (0, -1)), initial_point=None):
+        if len({np.shape(row) for row in centers}) > 1:
+            raise ValueError(f"centers rows must have one length, got lengths "
+                             f"{[np.size(row) for row in centers]}")
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise ValueError("centers must be a non-empty (n, dim) array")
         self.centers = centers
         self.n, self.dim = centers.shape
-        self._tables, self._work = (centers,), ((self.dim,),)
+        self._tables = (centers,)
         self._mean_center = centers.mean(axis=0)
         if initial_point is None:
             initial_point = np.full(self.dim, 2.0)
@@ -556,8 +573,9 @@ class TinyQuadraticProblem(FiniteSumProblem):
         return w - self.centers[i]
 
     @staticmethod
-    def _gradients(W, C, G=None):
-        return subtract(W, C, out=G)
+    def _kernel(W):
+        G = np.empty(W.shape)
+        return lambda C: subtract(W, C, G)
 
     def full_values(self, W):
         d = W[:, None, :] - self.centers

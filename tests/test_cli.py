@@ -440,6 +440,8 @@ class TestRunCommand:
         ("problem", {"id": "dro", "dataset": {"csv": {"path": "d.csv",
                                                       "drop_columns": ["country", 7]}}},
          "problem 'dro': csv dataset drop_columns entry must be a string, got 7"),
+        ("problem", {"id": "tiny_quadratic", "centers": [[1, 2], [3]]},
+         "problem 'tiny_quadratic': centers rows must have one length, got lengths [2, 1]"),
     ])
     def test_malformed_config_field_is_refused(self, tmp_path, capsys, key, value, message):
         config = _run_config(tmp_path)

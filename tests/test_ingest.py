@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shufflegrad.ingest import (
     DataFormatError,
@@ -267,6 +268,28 @@ class TestPreprocess:
         twice = preprocess(once, normalize=False)
         assert np.array_equal(once.features, twice.features)
         assert once.features[0, 1] != -80.0  # the outlier was clipped
+
+    @settings(max_examples=60, deadline=None)
+    @given(features=arrays(np.float64, st.tuples(st.integers(1, 250), st.integers(1, 5)),
+                           elements=st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 2.5, np.nan)),
+                                              st.floats(-1e6, 1e6))),
+           flat=st.integers(0, 4), value=st.floats(-10, 10))
+    @example(features=np.array([[-1.0, -1.0, -1.0]] * 4 + [[-1.0, -1.0, 0.0], [-1.0, -1.0, -0.0]]),
+             flat=0, value=0.0)  # a whole-block clip turns the 0.0 into the bound -0.0
+    def test_winsorize_matches_per_column_reference(self, features, flat, value):
+        # few distinct values make ties; column `flat` is constant
+        features[0, np.isnan(features[0])] = 1.0  # every column has a value
+        features[:, flat % features.shape[1]] = value
+        want = features.copy()
+        for col in want.T:  # the per-column rule
+            missing = np.isnan(col)
+            col[missing] = np.median(col[~missing])
+            col[:] = np.clip(col, np.percentile(col, 1.0, method="lower"),
+                             np.percentile(col, 99.0, method="higher"))
+        data = RegressionDataset(features, np.zeros(len(features)), provenance="test",
+                                 noise_applied=True)
+        got = preprocess(data, normalize=False).features
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_normalized_columns(self):
         data = synthesize(4, rows=80, dim=3)

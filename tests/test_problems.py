@@ -137,6 +137,13 @@ _KERNEL_PROBLEMS = {"phase_retrieval": PhaseRetrievalProblem(m=60, dim=12, seed=
                     "dro-0.01": _dro(0.01), "dro-0.3": _dro(0.3)}
 
 
+def _with_special_entries(rng, X):
+    for value, share in [(0.0, 0.05), (-0.0, 0.05), (np.inf, 0.01), (-np.inf, 0.01),
+                         (np.nan, 0.01)]:
+        X[rng.random(X.shape) < share] = value
+    return X
+
+
 def _one_nan_bits(x):
     return np.where(np.isnan(x), np.nan, x).view(np.int64)
 
@@ -150,10 +157,7 @@ def test_component_gradients_are_the_unbuffered_formula_bit_for_bit(name, rows, 
     # one NaN, as their sign can follow the loop numpy picks
     problem = _KERNEL_PROBLEMS[name]
     rng = np.random.default_rng(seed)
-    W = 10.0**log_scale * rng.standard_normal((rows, problem.dim))
-    for value, share in [(0.0, 0.05), (-0.0, 0.05), (np.inf, 0.01), (-np.inf, 0.01),
-                         (np.nan, 0.01)]:
-        W[rng.random(W.shape) < share] = value
+    W = _with_special_entries(rng, 10.0**log_scale * rng.standard_normal((rows, problem.dim)))
     idx = rng.integers(0, problem.n, rows)
     with np.errstate(over="ignore", invalid="ignore"):
         got = problem.component_gradients(W, idx)
@@ -164,10 +168,15 @@ def test_component_gradients_are_the_unbuffered_formula_bit_for_bit(name, rows, 
     np.testing.assert_array_equal(bits(got), bits(want))
 
 
-@pytest.mark.parametrize("name", sorted(_KERNEL_PROBLEMS))
+_TINY = TinyQuadraticProblem(np.arange(36.0).reshape(12, 3) % 5 - 2)
+_ALL_KERNEL_PROBLEMS = {**_KERNEL_PROBLEMS, "quartic": QuarticProblem(),
+                        "exp_strong": ExpStrongProblem(), "tiny_quadratic": _TINY}
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_KERNEL_PROBLEMS))
 def test_component_gradients_return_fresh_arrays(name):
     # _epoch_pass adds a batch's later gradients into its first result
-    problem = _KERNEL_PROBLEMS[name]
+    problem = _ALL_KERNEL_PROBLEMS[name]
     rng = np.random.default_rng(3)
     W = rng.standard_normal((5, problem.dim))
     first = problem.component_gradients(W, np.arange(5))
@@ -182,6 +191,37 @@ def test_component_gradients_return_fresh_arrays(name):
             _epoch_pass(problem, W, orders, np.full(5, 1e-4), batch_size)
         np.testing.assert_array_equal(first, kept)
         np.testing.assert_array_equal(W.view(np.int64), before.view(np.int64))
+
+
+# the kernels that write one output array; dro at lam 1 divides exactly
+_BOUND_PROBLEMS = {"phase_retrieval": _KERNEL_PROBLEMS["phase_retrieval"],
+                   "dro-0.01": _KERNEL_PROBLEMS["dro-0.01"], "dro-1": _dro(1.0),
+                   "tiny_quadratic": _TINY}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_BOUND_PROBLEMS)), rows=st.sampled_from((1, 8)),
+       seed=st.integers(0, 2**32 - 1))
+def test_bound_kernel_reads_its_block_in_place(name, rows, seed):
+    # _epoch_pass binds one kernel to its block, then steps W -= g in place:
+    # each call must read the block as it is now and write one output
+    problem = _BOUND_PROBLEMS[name]
+    bits = _one_nan_bits if name.startswith("dro") else (lambda x: x.view(np.int64))
+    rng = np.random.default_rng(seed)
+    W = _with_special_entries(rng, rng.standard_normal((rows, problem.dim)))
+    grad = problem._kernel(W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = grad(*(table[rng.integers(0, problem.n, rows)] for table in problem._tables))
+        for _ in range(3):
+            D = _with_special_entries(rng, rng.standard_normal(W.shape))
+            same = rng.random(W.shape) < 0.1
+            D[same] = W[same]  # steps to exact zeros
+            W -= D
+            idx = rng.integers(0, problem.n, rows)
+            got = grad(*(table[idx] for table in problem._tables))
+            assert got is out
+            want = problem.component_gradients(W.copy(), idx)
+            np.testing.assert_array_equal(bits(got), bits(want))
 
 
 @settings(max_examples=60, deadline=None)
