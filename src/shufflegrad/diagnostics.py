@@ -221,15 +221,13 @@ def optimum_component_noise(problem, point=None) -> float:
 def _squared_deviation_sum(problem, w, center) -> float:
     """sum_i ||component gradient i at w - center||^2 from one validation
     of ``w`` and one ``component_gradients`` call (O(n*d) memory).  The
-    row dots are added in component order, as a per-component loop does
-    (Python 3.12's ``sum`` of floats compensates, changing the bits)."""
+    row dots are added strictly in component order, as a per-component loop
+    does: ``np.add.accumulate`` keeps that order, unlike ``np.sum``'s
+    pairwise sum or Python 3.12's compensated ``sum`` of floats."""
     w, n = problem._check(w), problem.n
     D = problem.component_gradients(np.broadcast_to(w, (n, w.size)), np.arange(n))
     D -= center
-    total = 0.0
-    for sq in row_dots(D, D).tolist():
-        total += sq
-    return total
+    return float(np.add.accumulate(row_dots(D, D))[-1])
 
 
 def sample_points_around(problem, count: int = 8, seed: int = 0, spread: float = 0.5,

@@ -27,7 +27,6 @@ import functools
 import hashlib
 import json
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -283,7 +282,10 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
     if len(blocks) == 1:
         outcomes = _run_runs(problem, run_config, runs)
     else:
-        # the workers get the built problem, so its dataset is read once
+        # the workers get the built problem, so its dataset is read once; the
+        # pool module is loaded only here, as most runs never fork
+        from concurrent.futures import ProcessPoolExecutor
+
         parts = [[runs[i] for i in block] for block in blocks]
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             done = pool.map(_run_runs, repeat(problem), repeat(run_config), parts)

@@ -23,19 +23,21 @@ largest component gradient over the initial sublevel set, usually from
 Each recipe's inequalities are written once, in one table of named
 ``lhs <= rhs`` pairs.  Every emitted plan stores the table evaluated in
 floats, with numeric margins; :func:`reevaluate_plan` evaluates the same
-table in 60-digit interval arithmetic as an independent audit that
+table in 60-digit interval arithmetic, on the standard library's
+``decimal`` with every end rounded outward, as an independent audit that
 never accepts an inequality exact arithmetic rejects.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from mpmath.ctx_iv import MPIntervalContext
 
 __all__ = [
     "EllFunction",
@@ -397,12 +399,189 @@ class _Arithmetic(NamedTuple):
 
 _FLOATS = _Arithmetic(float, math.sqrt, math.log, lambda x: x ** (1.0 / 3.0), math.inf)
 
-# The audit's own 60-digit interval context: mpmath.iv has no workdps,
-# and its global precision belongs to every other user of mpmath.
-_IV = MPIntervalContext()
-_IV.dps = 60
-_THIRD = _IV.mpf(1) / 3
-_INTERVALS = _Arithmetic(_IV.mpf, _IV.sqrt, _IV.log, lambda x: x ** _THIRD, _IV.inf)
+# The audit's interval type: 60-digit decimal ends, rounded outward by a
+# floor and a ceiling context of their own (the thread's context is never
+# used; its unary minus and abs round, so ends use copy_negate).  decimal
+# rounds sqrt and ln half-even whatever the context's rounding, so an
+# inexact result is widened by one unit outward.  Only what the recipe
+# tables use is here, with mpmath.iv's meaning: NaN and division by an
+# interval that holds 0 give the whole line, <= and >= answer True, False
+# or None (undecided), and == compares both ends exactly.
+_DOWN, _UP, _NEAR = (decimal.Context(prec=prec, rounding=rounding, Emin=decimal.MIN_EMIN,
+                                     Emax=decimal.MAX_EMAX, traps=[])
+                     for prec, rounding in ((60, decimal.ROUND_FLOOR), (60, decimal.ROUND_CEILING),
+                                            (70, decimal.ROUND_HALF_EVEN)))
+_ZERO, _INF = decimal.Decimal(0), decimal.Decimal("Infinity")
+_NINF = _INF.copy_negate()
+# ln(hi) <= ln(lo) + (hi - lo)/lo: an interval this narrow, relative to lo, takes one ln call
+_NARROW = decimal.Decimal("1e-55")
+
+
+def _nan_to(end, value):
+    return value if end.is_nan() else end
+
+
+class _Interval:
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def __repr__(self):
+        return f"_Interval({self.lo}, {self.hi})"
+
+    def __add__(self, other):
+        t = _coerce(other)
+        return _Interval(_nan_to(_DOWN.add(self.lo, t.lo), _NINF),
+                         _nan_to(_UP.add(self.hi, t.hi), _INF))
+
+    def __sub__(self, other):
+        t = _coerce(other)
+        return _Interval(_nan_to(_DOWN.subtract(self.lo, t.hi), _NINF),
+                         _nan_to(_UP.subtract(self.hi, t.lo), _INF))
+
+    def __mul__(self, other):
+        t = _coerce(other)
+        if self.lo >= 0 and t.lo >= 0:
+            return _Interval(_nan_to(_DOWN.multiply(self.lo, t.lo), _ZERO),
+                             _nan_to(_UP.multiply(self.hi, t.hi), _INF))
+        return _corners(_DOWN.multiply, _UP.multiply, self, t)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        t = _coerce(other)
+        if t.lo <= 0 <= t.hi:
+            return _WHOLE
+        if self.lo >= 0 and t.lo > 0:
+            return _Interval(_nan_to(_DOWN.divide(self.lo, t.hi), _ZERO),
+                             _nan_to(_UP.divide(self.hi, t.lo), _INF))
+        return _corners(_DOWN.divide, _UP.divide, self, t)
+
+    def __rtruediv__(self, other):
+        return _coerce(other) / self
+
+    def __pow__(self, k: int):
+        lo, hi = self.lo, self.hi
+        if k % 2 or lo >= 0:  # monotone
+            return _Interval(_power(lo, k, _DOWN), _power(hi, k, _UP))
+        if hi <= 0:  # an even power falls on the negatives
+            return _Interval(_power(hi, k, _DOWN), _power(lo, k, _UP))
+        return _Interval(_ZERO, _power(max(lo.copy_negate(), hi), k, _UP))
+
+    def __abs__(self):
+        if self.lo >= 0:
+            return self
+        if self.hi <= 0:
+            return _Interval(self.hi.copy_negate(), self.lo.copy_negate())
+        return _Interval(_ZERO, max(self.lo.copy_negate(), self.hi))
+
+    def __le__(self, other):
+        t = _coerce(other)
+        if self.hi <= t.lo:
+            return True
+        return False if self.lo > t.hi else None
+
+    def __ge__(self, other):
+        return _coerce(other) <= self
+
+    def __eq__(self, other):
+        t = _coerce(other)
+        return self.lo == t.lo and self.hi == t.hi
+
+
+_WHOLE = _Interval(_NINF, _INF)
+
+
+@functools.lru_cache(maxsize=64)
+def _point(x) -> _Interval:
+    """The exact interval of a float or int; NaN is the whole line."""
+    if x != x:
+        return _WHOLE
+    d = decimal.Decimal(x)
+    return _Interval(d, d) if d else _Interval(_ZERO, _ZERO)  # -0.0 is 0
+
+
+def _coerce(x) -> _Interval:
+    return x if type(x) is _Interval else _point(x)
+
+
+def _corners(down, up, s: _Interval, t: _Interval) -> _Interval:
+    """s op t for an op monotone in each argument over the box: its
+    extremes sit at the corners; a NaN corner gives the whole line."""
+    pairs = ((s.lo, t.lo), (s.lo, t.hi), (s.hi, t.lo), (s.hi, t.hi))
+    lows, highs = [down(x, y) for x, y in pairs], [up(x, y) for x, y in pairs]
+    if any(v.is_nan() for v in lows + highs):
+        return _WHOLE
+    return _Interval(min(lows), max(highs))
+
+
+def _power(x, k: int, ctx):
+    """x**k for an int k >= 1, rounded by ctx (_DOWN below, _UP above)."""
+    if x < 0 and k % 2:
+        return _power(x.copy_negate(), k, _UP if ctx is _DOWN else _DOWN).copy_negate()
+    x = x.copy_abs()
+    r = x
+    for _ in range(k - 1):
+        r = ctx.multiply(r, x)
+    return r
+
+
+def _widened(f, x):
+    """(below, above) enclosing f(x) for a decimal.Context method that rounds
+    half-even: its result, widened by one unit outward unless exact.  The
+    flags are read from a fresh copy of _DOWN, so threads share none."""
+    ctx = _DOWN.copy()
+    ctx.clear_flags()
+    r = f(ctx, x)
+    if r.is_nan():
+        return _NINF, _INF
+    if not ctx.flags[decimal.Inexact]:
+        return r, r
+    return ctx.next_minus(r), ctx.next_plus(r)
+
+
+def _iv_sqrt(x: _Interval) -> _Interval:
+    lo, hi = _widened(decimal.Context.sqrt, x.lo)
+    return _Interval(lo, hi if x.hi == x.lo else _widened(decimal.Context.sqrt, x.hi)[1])
+
+
+def _iv_log(x: _Interval) -> _Interval:
+    lo, hi = _widened(decimal.Context.ln, x.lo)
+    if x.hi != x.lo:
+        rel = _UP.divide(_UP.subtract(x.hi, x.lo), x.lo) if x.lo > 0 else _INF
+        hi = _UP.add(hi, rel) if rel <= _NARROW else _widened(decimal.Context.ln, x.hi)[1]
+    return _Interval(lo, hi)
+
+
+def _cube_root(x, up: bool):
+    """A bound on the real cube root of x, above if ``up``: Newton's
+    iteration from the float root to 70 digits, rounded to 60 and moved
+    outward until its cube, rounded the other way, confirms it."""
+    if x < 0:  # the whole line's lower end, say
+        return _cube_root(x.copy_negate(), not up).copy_negate()
+    if not x or x == _INF:
+        return x
+    e = x.adjusted() // 3  # x = m * 10**(3e) with 1 <= m < 1000
+    y = _NEAR.scaleb(decimal.Decimal(float(_NEAR.scaleb(x, -3 * e)) ** (1.0 / 3.0)), e)
+    for _ in range(3):
+        y = _NEAR.divide(_NEAR.add(_NEAR.multiply(2, y), _NEAR.divide(x, _NEAR.multiply(y, y))), 3)
+    if up:
+        y = _UP.plus(y)
+        while _power(y, 3, _DOWN) < x:
+            y = _UP.next_plus(y)
+    else:
+        y = _DOWN.plus(y)
+        while _power(y, 3, _UP) > x:
+            y = _DOWN.next_minus(y)
+    return y
+
+
+def _iv_cbrt(x: _Interval) -> _Interval:
+    return _Interval(_cube_root(x.lo, False), _cube_root(x.hi, True))
+
+
+_INTERVALS = _Arithmetic(_point, _iv_sqrt, _iv_log, _iv_cbrt, _Interval(_INF, _INF))
 
 # Recipes 3 and 4 pin eta to coeff * ln / (mu * T); ln is the log of
 # the second entry.

@@ -21,7 +21,7 @@ from shufflegrad.problems import (
     TinyQuadraticProblem,
 )
 from shufflegrad.shuffling import without_replacement_variance_factor
-from shufflegrad.smoothness import EllFunction
+from shufflegrad.smoothness import EllFunction, row_dots
 
 
 class _Scalar1D:
@@ -79,6 +79,46 @@ def test_estimators_match_scalar_reference_loops(problem):
         reference = math.sqrt(_squared_deviation_loop(problem, w, 0.0) / problem.n)
         got = optimum_component_noise(problem, point=w)
         assert abs(got - reference) <= 1e-12 * reference
+
+
+class _Rows:
+    """Stub problem whose component gradients are fixed rows, whatever w."""
+
+    def __init__(self, rows):
+        self.rows, self.n = rows, len(rows)
+
+    def _check(self, w):
+        return np.asarray(w, dtype=float)
+
+    def component_gradients(self, W, idx):
+        return self.rows[idx].copy()
+
+
+def _in_order_sum(values):
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+def test_squared_deviation_sum_adds_in_component_order():
+    rng = np.random.default_rng(11)
+    order_matters = False
+    for n in (1, 2, 3, 1050, 3000):
+        rows = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-15, 15, size=(n, 1))
+        center = rng.standard_normal(3)
+        got = diagnostics._squared_deviation_sum(_Rows(rows), np.zeros(3), center)
+        sq = row_dots(rows - center, rows - center)
+        assert got.hex() == _in_order_sum(sq).hex()
+        order_matters |= float(np.sum(sq)) != got
+    assert order_matters  # the rows tell an in-order sum from numpy's pairwise one
+    for problem in _five_problems():
+        w = problem.initial_point + 0.3
+        center = problem.full_gradient(w)
+        D = problem.component_gradients(np.broadcast_to(w, (problem.n, problem.dim)),
+                                        np.arange(problem.n)) - center
+        got = diagnostics._squared_deviation_sum(problem, w, center)
+        assert got.hex() == _in_order_sum(row_dots(D, D)).hex()
 
 
 def test_estimators_keep_their_errors_for_bad_points():

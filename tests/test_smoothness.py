@@ -1,5 +1,8 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,11 +16,19 @@ from shufflegrad.problems import (
     QuarticProblem,
     TinyQuadraticProblem,
 )
+from shufflegrad import smoothness
 from shufflegrad.smoothness import (
+    _INTERVALS,
+    _TABLES,
     RECIPES,
     EllFunction,
     PlanInfeasibleError,
+    StepsizePlan,
+    _Arithmetic,
     _float_checks,
+    _Interval,
+    _per_log,
+    _values,
     component_gradient_bound,
     constants_for_recipe,
     estimate_sublevel_gradient_bound,
@@ -458,6 +469,287 @@ def test_pinned_plans_are_minimal_and_acceptance_is_monotone(recipe, ell, gap, n
     except PlanInfeasibleError:
         return
     assert _within_rounding(bundle, T + 1) and _within_rounding(bundle, 2 * T)
+
+
+# The audit's interval type.  Intervals are compared through their ends as
+# Fractions (or infinite floats), so no comparison rounds.
+
+
+def _dec_ends(x):
+    if isinstance(x, float):  # a table side that is a plain constant
+        return Fraction(x), Fraction(x)
+    return tuple(float(e) if e.is_infinite() else Fraction(e) for e in (x.lo, x.hi))
+
+
+def _mp_end(t):
+    from mpmath import libmp
+
+    return {libmp.finf: math.inf, libmp.fninf: -math.inf}.get(t) or Fraction(*libmp.to_rational(t))
+
+
+def _mp_ends(x):
+    return (Fraction(x), Fraction(x)) if isinstance(x, float) else tuple(map(_mp_end, x._mpi_))
+
+
+@pytest.fixture(scope="module")
+def mp():
+    """mpmath interval contexts: one at the audit's 60 digits for the table
+    sides, and one at 100 digits as the reference for single operations."""
+    ctx_iv = pytest.importorskip("mpmath.ctx_iv")
+    contexts = []
+    for dps in (60, 100):
+        iv = ctx_iv.MPIntervalContext()
+        iv.dps = dps
+        third = iv.mpf(1) / 3
+        contexts.append((iv, _Arithmetic(iv.mpf, iv.sqrt, iv.log, lambda x, t=third: x ** t,
+                                         iv.inf)))
+    return contexts
+
+
+class _Opaque:
+    """A value outside rational arithmetic: every result made from it is itself."""
+
+    def _same(self, *_):
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _same
+    __truediv__ = __rtruediv__ = __pow__ = __abs__ = __ne__ = _same
+
+
+_OPAQUE = _Opaque()
+
+
+class _Exact(Fraction):
+    """Exact rationals that take a float operand at its exact value (a
+    plain Fraction turns the result into a float)."""
+
+    def __pow__(self, k):
+        return _Exact(Fraction(self) ** k)
+
+    def __abs__(self):
+        return _Exact(abs(Fraction(self)))
+
+
+def _exact_op(name):
+    op = getattr(Fraction, name)
+    return lambda a, b: _OPAQUE if b is _OPAQUE else _Exact(op(Fraction(a), Fraction(b)))
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__"):
+    setattr(_Exact, _name, _exact_op(_name))
+
+# sqrt, ln and cbrt leave rational arithmetic; c.inf stays a float.
+_EXACT = _Arithmetic(_Exact, *(lambda x: _OPAQUE,) * 3, math.inf)
+
+_BUNDLES = st.builds(
+    lambda recipe, ell, gap, n, eps, delta, slope, noise, mu, opt_noise, dist_sq, comp_bound:
+    constants_for_recipe(recipe, ell, initial_gap=gap, n=n, eps=eps, failure_prob=delta,
+                         variance_slope=slope, noise_std=noise, strong_convexity=mu,
+                         optimum_noise_std=opt_noise, initial_distance_sq=dist_sq,
+                         component_grad_bound_value=comp_bound),
+    st.sampled_from(RECIPES), _MODULI, _POSITIVE, st.integers(1, 10**4),
+    st.floats(-4.0, 0.0).map(lambda e: 10.0**e), st.floats(0.01, 0.99), _NOISE, _NOISE,
+    _POSITIVE, _NOISE, _POSITIVE, _POSITIVE)
+
+
+def _near_plan(bundle):
+    """(eta, epochs) at the planner's plan and one ulp or epoch around it;
+    none when no plan exists."""
+    try:
+        plan = stepsize_plan(bundle)
+    except PlanInfeasibleError:
+        return []
+    eta, T = plan.eta, plan.epochs
+    return [(eta, T), (math.nextafter(eta, math.inf), T), (math.nextafter(eta, 0.0), T),
+            (eta, max(1, T - 1)), (eta, T + 1)]
+
+
+def _ties(bundle, eta):
+    """(eta * 2**-300, T) with T one epoch either side of the exact boundary
+    of each rational check that is affine in T (the epoch floors and cube
+    sums).  T then has far more than 60 digits, so only the audit's outward
+    rounding keeps it from accepting the side exact arithmetic rejects."""
+    tiny = math.ldexp(eta, -300)
+    at = [_values(bundle, _EXACT, tiny, T) for T in (1, 2)]
+    points = []
+    for lhs, rhs in _TABLES[bundle.recipe].values():
+        sides = [(lhs(c), rhs(c)) for c in at]
+        if any(v is _OPAQUE or v == math.inf for pair in sides for v in pair):
+            continue
+        d1, d2 = (_Exact(left) - right for left, right in sides)  # lhs - rhs at T = 1, 2
+        if d1 != d2:
+            root = math.floor(1 - d1 / (d2 - d1))
+            points += [(tiny, T) for T in (root, root + 1) if T >= 1]
+    return points
+
+
+def _audit(bundle, eta, epochs):
+    return dict(reevaluate_plan(StepsizePlan(bundle.recipe, eta, epochs, bundle, ())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bundle=_BUNDLES)
+def test_audit_accepts_no_rational_check_that_exact_arithmetic_rejects(bundle):
+    # Checks built from + - * / alone (the cube sums, the free recipes'
+    # epoch floors, recipe 4's eta_cap and positive_eta) are decided
+    # exactly in Fractions.
+    near = _near_plan(bundle)
+    for eta, epochs in near + (_ties(bundle, near[0][0]) if near else []):
+        verdicts = _audit(bundle, eta, epochs)
+        c = _values(bundle, _EXACT, eta, epochs)
+        for name, (lhs, rhs) in _TABLES[bundle.recipe].items():
+            sides = lhs(c), rhs(c)
+            if verdicts[name] and not any(s is _OPAQUE for s in sides):
+                assert sides[0] <= sides[1], (name, eta, epochs)
+
+
+def _assert_sides_agree_with_mpmath(mp, bundle, eta, epochs):
+    """Each table side's interval meets mpmath's 60-digit one and is at most
+    1e-50 wide relative to its size; where mpmath decides a check, the
+    audit decides it the same way."""
+    _, mp_arithmetic = mp[0]
+    cd = _values(bundle, _INTERVALS, eta, epochs)
+    cm = _values(bundle, mp_arithmetic, eta, epochs)
+    for name, (lhs, rhs) in _TABLES[bundle.recipe].items():
+        for side, which in ((lhs, "lhs"), (rhs, "rhs")):
+            (dlo, dhi), (mlo, mhi) = _dec_ends(side(cd)), _mp_ends(side(cm))
+            assert dlo <= mhi and mlo <= dhi, (name, which, (dlo, dhi), (mlo, mhi))
+            if math.inf not in (abs(dlo), abs(dhi)):
+                # |eta - pinned_eta|, the tables' one subtraction, cancels: measure it against eta
+                size = abs(Fraction(eta)) if name == "eta_formula" and which == "lhs" else \
+                    max(abs(dlo), abs(dhi))
+                assert dhi - dlo <= Fraction(1, 10**50) * size, (name, which)
+        expected = lhs(cm) <= rhs(cm)
+        if expected is not None:
+            assert (lhs(cd) <= rhs(cd)) == expected, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=_BUNDLES)
+def test_audit_agrees_with_mpmath_intervals(mp, bundle):
+    for eta, epochs in _near_plan(bundle):
+        _assert_sides_agree_with_mpmath(mp, bundle, eta, epochs)
+
+
+_GAP_CUBE_INPUTS = [  # the two gap_cube examples of the pinned-plan property
+    dict(ell=EllFunction.power(10.0, 1.890625), initial_gap=1000.0, noise_std=1.0),
+    dict(ell=EllFunction.power(1000.0, 1.9), initial_gap=1.0, noise_std=100.0),
+]
+
+
+def _gap_cube_bundle(inputs):
+    return constants_for_recipe(3, n=1, eps=1.0, failure_prob=0.5, variance_slope=0.0,
+                                strong_convexity=1.0, **inputs)
+
+
+_EDGE_PLANS = {
+    **{f"recipe{r}_T_2**1000": (lambda r=r: stepsize_plan(_bundle(r), target_epochs=2**1000))
+       for r in RECIPES},
+    **{f"gap_cube_{i}": (lambda i=i: stepsize_plan(_gap_cube_bundle(_GAP_CUBE_INPUTS[i])))
+       for i in range(2)},
+    "zero_noise": lambda: stepsize_plan(_bundle(5, noise_std=0.0, optimum_noise_std=0.0)),
+    "recipe3_n_T_1": lambda: StepsizePlan(3, 0.0, 1, _bundle(3, n=1), ()),
+}
+
+
+@pytest.mark.parametrize("make", _EDGE_PLANS.values(), ids=_EDGE_PLANS.keys())
+def test_edge_plans_agree_with_mpmath_intervals(mp, make):
+    plan = make()
+    _assert_sides_agree_with_mpmath(mp, plan.bundle, plan.eta, plan.epochs)
+
+
+_SIGNED = st.one_of(st.just(0.0), st.builds(lambda s, e: s * 10.0**e, st.sampled_from((-1.0, 1.0)),
+                                            st.floats(-30.0, 30.0)))
+
+
+def _interval(a, b):
+    return _Interval(*sorted((Decimal(a), Decimal(b))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_SIGNED, b=_SIGNED, c=_SIGNED, d=_SIGNED)
+def test_interval_operations_are_tight_enclosures(mp, a, b, c, d):
+    # Each result holds mpmath's 100-digit enclosure of the same operation, less
+    # 1e-90 of its size at each end (where decimal is exact, as -1/-10 = 0.1,
+    # mpmath's binary ends are the wider), and each end lies within 1e-50 of it.
+    iv, mp_arithmetic = mp[1]
+    x, y = _interval(a, b), _interval(c, d)
+    mx, my = iv.mpf(sorted((a, b))), iv.mpf(sorted((c, d)))
+    pairs = [(x + y, mx + my), (x - y, mx - my), (x * y, mx * my),
+             (x ** 2, mx ** 2), (x ** 3, mx ** 3), (abs(x), abs(mx))]
+    if not 0 in my:
+        pairs.append((x / y, mx / my))
+    if 0 < min(a, b):
+        # [lo, lo * (1 + 2**-190)] takes ln's one-call path; its ends are exact in both types
+        lo = min(a, b)
+        hi = decimal.Context(prec=1000).add(Decimal(lo), Decimal(math.ldexp(lo, -190)))
+        narrow = _Interval(Decimal(lo), hi)
+        m_narrow = iv.mpf([lo, iv.mpf(lo) + iv.mpf(math.ldexp(lo, -190))])
+        pairs += [(f(x), g(mx)) for f, g in ((_INTERVALS.sqrt, mp_arithmetic.sqrt),
+                                             (_INTERVALS.log, mp_arithmetic.log),
+                                             (_INTERVALS.cbrt, mp_arithmetic.cbrt))]
+        pairs += [(_INTERVALS.log(narrow), mp_arithmetic.log(m_narrow))]
+    for got, ref in pairs:
+        (dlo, dhi), (mlo, mhi) = _dec_ends(got), _mp_ends(ref)
+        for de, me, outward in ((dlo, mlo, 1), (dhi, mhi, -1)):
+            if de == me:
+                continue
+            assert outward * (me - de) >= -Fraction(1, 10**90) * abs(me), (a, b, c, d, got, ref)
+            assert abs(de - me) <= Fraction(1, 10**50) * abs(me), (got, ref)
+    if 0 in my:
+        assert (x / y) == _INTERVALS.num(math.nan)  # the whole line
+
+
+def test_recipe3_at_one_component_and_one_epoch_meets_the_whole_line():
+    bundle = _bundle(3, n=1)
+    c = _values(bundle, _INTERVALS, 0.0, 1)
+    assert c.ln == 0 and c.pinned_eta == 0  # ln(sqrt(1) * 1), exactly
+    whole = _INTERVALS.num(math.nan)
+    assert _per_log(c) == whole and (whole.lo, whole.hi) == (-Decimal("Infinity"), Decimal("Infinity"))
+    verdicts = _audit(bundle, 0.0, 1)
+    assert not any(verdicts[name] for name in ("iteration_floor", "curvature_cap", "noise_cap",
+                                               "gap_cube"))  # each rhs is T / ln
+    with pytest.raises(PlanInfeasibleError):
+        stepsize_plan(bundle, target_epochs=1)
+    # An even power and abs of the whole line stay at or above 0; its cube root is itself.
+    assert (whole ** 2 >= 0) is True and (abs(whole) >= 0) is True and (whole <= 0) is None
+    assert _INTERVALS.cbrt(whole) == whole
+
+
+@pytest.mark.parametrize("recipe, check, field", [
+    (1, "cube_sum", "noise_std"), (2, "cube_sum", "noise_std"), (5, "cube_sum_noise", "noise_std"),
+    (5, "cube_sum_optimum_noise", "optimum_noise_std"), (4, "eta_cap", "optimum_noise_std")])
+def test_zero_noise_gives_the_infinite_right_side(recipe, check, field):
+    bundle = _bundle(recipe, **{field: 0.0})
+    plan = stepsize_plan(bundle)
+    c = _values(bundle, _INTERVALS, plan.eta, plan.epochs)
+    assert _TABLES[recipe][check][1](c) == _INTERVALS.inf
+    assert all(ok for _, ok in reevaluate_plan(plan))
+
+
+def test_negative_zero_is_zero():
+    point = _INTERVALS.num(-0.0)
+    assert point == 0 and not point.lo.is_signed() and not point.hi.is_signed()
+    plain = stepsize_plan(_bundle(5, noise_std=0.0, optimum_noise_std=0.0))
+    signed = stepsize_plan(_bundle(5, noise_std=-0.0, optimum_noise_std=-0.0))
+    assert (signed.eta, signed.epochs) == (plain.eta, plain.epochs)
+    assert all(ok for _, ok in reevaluate_plan(signed))
+
+
+@pytest.mark.parametrize("recipe", RECIPES)
+def test_epoch_counts_past_float_precision(recipe):
+    plan = stepsize_plan(_bundle(recipe), target_epochs=2**1000)
+    assert plan.epochs == 2**1000 and all(ok for _, ok in reevaluate_plan(plan))
+    T = _values(plan.bundle, _INTERVALS, plan.eta, 2**1000 + 1).T  # 1001 bits, exactly
+    assert T.lo == T.hi == 2**1000 + 1
+
+
+@pytest.mark.parametrize("inputs", _GAP_CUBE_INPUTS)
+def test_gap_cube_examples_pass_the_audit(inputs):
+    plan = stepsize_plan(_gap_cube_bundle(inputs))
+    assert plan.epochs > 10**105 and plan.valid
+    assert all(ok for _, ok in reevaluate_plan(plan))
 
 
 def test_recipe3_plan_reaches_target_on_desk_problem():
