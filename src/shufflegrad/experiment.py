@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .optimize import DivergenceError, RunConfig, run_block, scheme_stream, sgd_stream
+from .optimize import DivergenceError, RunConfig, run_block
 from .problems import _convert, _read, build_problem
 from .shuffling import KINDS, Scheme
 
@@ -222,18 +222,21 @@ def _arm_step_size(arm: ArmSpec, n: int, batch_size: int) -> float:
     return eta / steps
 
 
-def _stream(arm: ArmSpec, n: int, seed: int):
+def _arm_order(arm: ArmSpec, n: int) -> tuple:
+    """The arm's (kind, order) of its runs' order rows."""
     if arm.method == "sgd":
-        return sgd_stream(n, seed)
-    if arm.scheme == "fixed":
-        return scheme_stream(Scheme.fixed(n, order=arm.order))
-    return scheme_stream(Scheme(arm.scheme, n, seed))
+        return "sgd", None
+    try:
+        scheme = Scheme(arm.scheme, n, order=arm.order)
+    except ValueError as err:
+        raise ValueError(f"arm {arm.name!r}: {err}") from None
+    return scheme.kind, scheme.order
 
 
-def _run_runs(problem, run_config: RunConfig, runs) -> list:
-    """Outcomes of the (arm, seed, step size) runs, advanced as one block."""
-    streams = [_stream(arm, problem.n, seed) for arm, seed, _ in runs]
-    return run_block(problem, run_config, streams, [step for _, _, step in runs])
+def _run_runs(problem, run_config: RunConfig, rows, steps) -> list:
+    """Outcomes of the runs of the order rows and step sizes, advanced as
+    one block: the pool's task, which looks up this module's run_block."""
+    return run_block(problem, run_config, rows, steps)
 
 
 def _raw_rows(arm_name: str, rep: int, record, metrics, wall_text="%.17g".__mod__) -> str:
@@ -266,29 +269,32 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
         raise ValueError("metric 'dist_sq' needs a problem with a known optimum")
 
     arm_steps = [_arm_step_size(arm, problem.n, config.batch_size) for arm in config.arms]
+    arm_orders = [_arm_order(arm, problem.n) for arm in config.arms]
     run_config = RunConfig(step_size=0.0, epochs=config.epochs, batch_size=config.batch_size,
                            divergence_threshold=config.divergence_threshold,
                            track_average=False)
-    out_dir = Path(out_dir)  # made once the problem, plan files and run config are accepted
-    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [
         (arm_index, rep, derive_seed(config.base_seed, arm_index, rep))
         for arm_index in range(len(config.arms))
         for rep in range(config.repetitions)
     ]
-    runs = [(config.arms[a], seed, arm_steps[a]) for a, _, seed in tasks]
-    n_blocks = max(1, min(jobs, len(runs), len(runs) * problem.dim // _FORK_ENTRIES))
-    blocks = np.array_split(np.arange(len(runs)), n_blocks)
+    rows = [(arm_orders[a][0], seed, arm_orders[a][1]) for a, _, seed in tasks]
+    steps = [arm_steps[a] for a, _, _ in tasks]
+    out_dir = Path(out_dir)  # made once the problem, plan files, orders and run config pass
+    out_dir.mkdir(parents=True, exist_ok=True)
+    n_blocks = max(1, min(jobs, len(rows), len(rows) * problem.dim // _FORK_ENTRIES))
+    blocks = np.array_split(np.arange(len(rows)), n_blocks)
     if len(blocks) == 1:
-        outcomes = _run_runs(problem, run_config, runs)
+        outcomes = _run_runs(problem, run_config, rows, steps)
     else:
         # the workers get the built problem, so its dataset is read once; the
         # pool module is loaded only here, as most runs never fork
         from concurrent.futures import ProcessPoolExecutor
 
-        parts = [[runs[i] for i in block] for block in blocks]
+        spans = [(block[0], block[-1] + 1) for block in blocks]  # contiguous blocks
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            done = pool.map(_run_runs, repeat(problem), repeat(run_config), parts)
+            done = pool.map(_run_runs, repeat(problem), repeat(run_config),
+                            [rows[i:j] for i, j in spans], [steps[i:j] for i, j in spans])
             outcomes = [o for part in done for o in part]
 
     diverged_pairs, diverged_at, records = [], [], []

@@ -18,14 +18,12 @@ written, at the end of epoch t.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .shuffling import (_PERM_STREAM, Scheme, _generator, _nonnegative_int, _seed_states,
-                        permutation_for_epoch)
+from .shuffling import Scheme, _nonnegative_int, _Orders
 from .smoothness import row_dots
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "run_shuffling",
     "run_sgd",
     "run_block",
-    "scheme_stream",
-    "sgd_stream",
     "averaged_iterate",
 ]
 
@@ -198,32 +194,28 @@ def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, b
     return W, (n - 1) // batch_size
 
 
-def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
-    """Run ``len(streams)`` runs in lockstep as one (R, d) iterate block.
+def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
+    """Run ``len(rows)`` runs in lockstep as one (R, d) iterate block.
 
-    Row r visits components ``streams[r](t)`` in epoch t (a plain callable
-    is called once per epoch, in order) and steps with ``step_sizes[r]``;
-    ``config`` gives the rest (its step_size is unused).  A row's
-    arithmetic does not depend on the other rows, so a run gives the same
-    bits alone and in any block.  A row that leaves the finite/threshold
-    region at the end of an epoch leaves the block; the step loop replays
-    that epoch for it alone, and its inner step is the first at which the
-    loop leaves the region, else the last (the loop's bits may differ from
-    a ``component_epoch``'s, or only the objective crossed the threshold).
-    Overflow raises no warnings.  ``wall_ms`` is the block's clock.  A
-    step of -0.0 runs as +0.0, the sign ``component_epoch`` assumes.
-    The block seeds the streams of :func:`scheme_stream` and
-    :func:`sgd_stream` in bulk, with the bits of one seeding per stream:
-    the shuffle_once orders and sgd generators at its start (one pass per
-    spawn key), the random_reshuffle orders of the live rows once every
-    ``_RESHUFFLE_CHUNK`` = 64 epochs (one pass).  The orders are one (R, n)
-    block: fixed and shuffle_once rows written once, the others by their
-    ``fill`` each epoch.
+    Row r visits components in the orders of its ``(kind, seed, order)``
+    row ``rows[r]`` (kind a scheme kind or ``"sgd"``; order a fixed run's
+    explicit order, None for ``0..n-1``) and steps with ``step_sizes[r]``;
+    ``config`` gives the rest (its step_size is unused).  The orders come
+    from :class:`shufflegrad.shuffling._Orders`, which draws each epoch's
+    (R, n) order block in place.  A row's arithmetic does not depend on
+    the other rows, so a run gives the same bits alone and in any block.
+    A row that leaves the finite/threshold region at the end of an epoch
+    leaves the block; the step loop replays that epoch for it alone, and
+    its inner step is the first at which the loop leaves the region, else
+    the last (the loop's bits may differ from a ``component_epoch``'s, or
+    only the objective crossed the threshold).  Overflow raises no
+    warnings.  ``wall_ms`` is the block's clock.  A step of -0.0 runs as
+    +0.0, the sign ``component_epoch`` assumes.
 
     Returns, per row, its :class:`TrajectoryRecord` or the
     :class:`DivergenceError` that ended it.
     """
-    size = len(streams)
+    size = len(rows)
     steps = np.asarray(step_sizes, dtype=float) + 0.0
     start = _start_point(problem, config)
     W = np.tile(start, (size, 1))
@@ -235,20 +227,14 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
     outcomes: list = [None] * size
     threshold = config.divergence_threshold
     opt = problem.optimum_point
-    fills = _fills(streams)
-    orders = np.stack([s(1) if f is None else _identity(problem.n) for s, f in zip(streams, fills)])
+    orders = _Orders(rows, problem.n, config.epochs)
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.epochs + 1):
             if t > 1:
                 avg += (W - avg) / t
-            if (t - 1) % _RESHUFFLE_CHUNK == 0:
-                stop = min(t + _RESHUFFLE_CHUNK, config.epochs + 1)
-                _seed_reshuffles([streams[r] for r in live], t, stop)
-            for row, fill in zip(orders, fills):
-                if fill:
-                    fill(row, t, stop)
-            W_next, _ = _epoch_pass(problem, W, orders.T, steps, config.batch_size)
+            orders.draw(t)
+            W_next, _ = _epoch_pass(problem, W, orders.block.T, steps, config.batch_size)
             finite = np.isfinite(W_next).all(axis=1)
             next_values = np.full(len(W_next), np.nan)
             next_values[finite] = problem.full_values(W_next[finite])
@@ -260,14 +246,15 @@ def run_block(problem, config: RunConfig, streams, step_sizes) -> list:
                 table[2, live, t - 1] = np.sum((W - opt) ** 2, axis=1)
             table[3, live, t - 1] = (time.perf_counter() - t0) * 1e3
             for i in np.flatnonzero(bad):
-                _, j = _epoch_pass(problem, W[i:i + 1], orders[i:i + 1].T, steps[i:i + 1],
+                _, j = _epoch_pass(problem, W[i:i + 1], orders.block[i:i + 1].T, steps[i:i + 1],
                                    config.batch_size, threshold)
                 record = _record(table, live[i], t - 1, problem.n, W[i],
                                  avg[i] if config.track_average else None, opt is not None)
                 outcomes[live[i]] = DivergenceError(t, j, float(values[i]), record)
             keep = ~bad
             W, avg, steps, values = W_next[keep], avg[keep], steps[keep], next_values[keep]
-            live, orders, fills = live[keep], orders[keep], [fills[i] for i in np.flatnonzero(keep)]
+            live = live[keep]
+            orders.keep(keep)
             if not live.size:
                 break
     for i, r in enumerate(live):
@@ -283,126 +270,6 @@ def _solo(outcomes: list) -> TrajectoryRecord:
     return outcome
 
 
-# epochs of random_reshuffle orders that run_block seeds in one pass; the
-# pass's fixed cost is spread over this many draws of a lone run
-_RESHUFFLE_CHUNK = 64
-_DRAW_ENTRIES = 1024  # most entries of one sgd chunk; 4,096 raised a run's peak memory
-_identity = functools.cache(np.arange)
-
-
-class _Reshuffle:
-    """random_reshuffle stream: the scheme's permutation of each epoch.
-    ``fill`` shuffles ``arange(n)`` in the row (the bits of ``permutation(n)``)
-    with epoch t's seed words ``states[t - first]``, from :func:`run_block`."""
-
-    __slots__ = ("scheme", "first", "states")
-
-    def __init__(self, scheme: Scheme):
-        self.scheme, self.first, self.states = scheme, 1, ()
-
-    def __call__(self, t):
-        return permutation_for_epoch(self.scheme, t)
-
-    def fill(self, row, t, stop):
-        row[:] = _identity(len(row))
-        _generator(self.states[t - self.first]).shuffle(row)
-
-
-class _Uniform:
-    """sgd draws: n uniform indices per epoch.  ``fill`` draws as many
-    epochs k before ``stop`` as ``_DRAW_ENTRIES`` holds at once: a (k, n)
-    draw has the bits of k draws of n, as PCG64 keeps its spare 32-bit half."""
-
-    __slots__ = ("rng", "n", "rows")
-
-    def __init__(self, rng, n: int):
-        self.rng, self.n, self.rows = rng, n, []
-
-    def __call__(self, t):
-        return self.rng.integers(0, self.n, size=self.n)
-
-    def fill(self, row, t, stop):
-        if not self.rows:  # the next epochs' draws, last first
-            k = min(stop - t, max(1, _DRAW_ENTRIES // self.n))
-            self.rows = list(self.rng.integers(0, self.n, size=(k, self.n))[::-1])
-        row[:] = self.rows.pop()
-
-
-class _Repeat:
-    """Stream of one read-only order, returned every epoch."""
-
-    fill = None
-
-    def __init__(self, order: np.ndarray):
-        order.setflags(write=False)
-        self.order = order
-
-    def __call__(self, t):
-        return self.order
-
-
-class _SeededOnce:
-    """Stream of one generator seeded with ``(seed, key)``: ``build(rng)``
-    returns the per-epoch callable.  :func:`run_block` seeds the streams
-    of a block at its start; a stream called first seeds itself."""
-
-    __slots__ = ("seed", "key", "build", "draw")
-
-    def __init__(self, seed: int, key: tuple, build):
-        self.seed, self.key, self.build, self.draw = seed, key, build, None
-
-    def __call__(self, t):
-        if self.draw is None:
-            self.draw = self.build(_generator(_seed_states([self.seed], [self.key])[0, 0]))
-        return self.draw(t)
-
-
-def _fills(streams) -> list:
-    """Seed every unseeded :class:`_SeededOnce` stream, one pass per key;
-    then each stream's ``fill(row, t, stop)`` (None: its order repeats)."""
-    pending: dict[tuple, list[_SeededOnce]] = {}
-    for stream in streams:
-        if isinstance(stream, _SeededOnce) and stream.draw is None:
-            pending.setdefault(stream.key, []).append(stream)
-    for key, group in pending.items():
-        for stream, state in zip(group, _seed_states([s.seed for s in group], [key])[:, 0]):
-            stream.draw = stream.build(_generator(state))
-    draws = [s.draw if isinstance(s, _SeededOnce) else s for s in streams]
-    return [d.fill if isinstance(d, (_Reshuffle, _Uniform, _Repeat))
-            else lambda row, t, stop, s=s: np.copyto(row, s(t)) for s, d in zip(streams, draws)]
-
-
-def _seed_reshuffles(streams, first: int, stop: int) -> None:
-    """Hand every :class:`_Reshuffle` stream the seed words of epochs
-    ``first .. stop - 1``, computed in one pass."""
-    group = [s for s in streams if isinstance(s, _Reshuffle)]
-    keys = [(_PERM_STREAM, t) for t in range(first, stop)]
-    for stream, states in zip(group, _seed_states([s.scheme.seed for s in group], keys)):
-        stream.first, stream.states = first, states
-
-
-def scheme_stream(scheme: Scheme):
-    """Index stream of a shuffling run: the scheme's permutation per epoch.
-    A scheme that repeats one order draws it once and returns that
-    read-only array every epoch."""
-    if scheme.kind == "random_reshuffle":
-        return _Reshuffle(scheme)
-    if scheme.kind == "shuffle_once":
-        return _SeededOnce(scheme.seed, (_PERM_STREAM, 1),
-                           lambda rng: _Repeat(rng.permutation(scheme.n)))
-    return _Repeat(permutation_for_epoch(scheme, 1))
-
-
-_SGD_STREAM = (1,)
-
-
-def sgd_stream(n: int, seed: int):
-    """Index stream of the with-replacement baseline: n uniform draws per
-    epoch from a generator seeded apart from the permutation streams."""
-    seed = _nonnegative_int(seed, "seed")
-    return _SeededOnce(seed, _SGD_STREAM, lambda rng: _Uniform(rng, n))
-
-
 def run_shuffling(problem, scheme: Scheme, config: RunConfig) -> TrajectoryRecord:
     """Run the shuffling method and record the trajectory.
 
@@ -411,16 +278,19 @@ def run_shuffling(problem, scheme: Scheme, config: RunConfig) -> TrajectoryRecor
     """
     if scheme.n != problem.n:
         raise ValueError(f"scheme is for n = {scheme.n}, problem has n = {problem.n}")
-    return _solo(run_block(problem, config, [scheme_stream(scheme)], [config.step_size]))
+    row = (scheme.kind, scheme.seed, scheme.order)
+    return _solo(run_block(problem, config, [row], [config.step_size]))
 
 
 def run_sgd(problem, config: RunConfig, seed: int = 0) -> TrajectoryRecord:
     """With-replacement baseline matched on gradient evaluations.
 
-    Consumes the :func:`sgd_stream` indices in the same batch pattern as
-    the shuffling runner, so a row again covers n evaluations.
+    Draws n uniform indices per epoch, from a generator seeded apart from
+    the permutation streams, and consumes them in the same batch pattern
+    as the shuffling runner, so a row again covers n evaluations.
     """
-    return _solo(run_block(problem, config, [sgd_stream(problem.n, seed)], [config.step_size]))
+    row = ("sgd", _nonnegative_int(seed, "seed"), None)
+    return _solo(run_block(problem, config, [row], [config.step_size]))
 
 
 def averaged_iterate(record: TrajectoryRecord) -> np.ndarray:

@@ -14,7 +14,11 @@ gets its own seeded stream, so querying epochs in any order, or from
 several runs concurrently, always yields identical results.  Epoch t's
 stream is numpy's PCG64 seeded by ``SeedSequence(entropy=seed,
 spawn_key=(0x5A, t))``; :func:`_seed_states` computes those seed words
-for many (seed, key) pairs in one array pass.
+for many (seed, key) pairs in one array pass.  The with-replacement
+baseline ``sgd`` draws n uniform indices per epoch from one generator
+with ``spawn_key=(1,)``.  :class:`_Orders` holds the orders of a block
+of runs, each given as a plain ``(kind, seed, order)`` row, and draws
+them epoch by epoch with those bits.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
     "Scheme",
     "permutation_for_epoch",
     "without_replacement_variance_factor",
-    "descending_gradient_order",
 ]
 
 
@@ -67,7 +70,8 @@ class Scheme:
                 raise ValueError("explicit order is only valid for the fixed scheme")
             arr = np.asarray(self.order, dtype=np.int64)
             if arr.shape != (self.n,) or not np.array_equal(np.sort(arr), np.arange(self.n)):
-                raise ValueError("explicit order must be a permutation of 0..n-1")
+                raise ValueError(
+                    f"explicit order must be a permutation of 0..n-1 with n = {self.n}")
             object.__setattr__(self, "order", tuple(int(i) for i in arr))
 
     @classmethod
@@ -252,6 +256,82 @@ def permutation_for_epoch(scheme: Scheme, epoch: int) -> np.ndarray:
     return _generator(state).permutation(scheme.n)
 
 
+# epochs of random_reshuffle orders seeded in one pass; the pass's fixed
+# cost is spread over this many draws of a lone run
+_RESHUFFLE_CHUNK = 64
+_DRAW_ENTRIES = 1024  # most entries of one sgd draw; 4,096 raised a run's peak memory
+_SGD_STREAM = (1,)  # the sgd generator's spawn key
+_ROW_KINDS = KINDS + ("sgd",)
+_identity = functools.cache(np.arange)
+
+
+class _Orders:
+    """Visiting orders of a block of runs: ``block``, an (R, n) array that
+    :meth:`draw` writes in place each epoch, row r holding run r's order.
+
+    ``rows[r]`` is run r's ``(kind, seed, order)``: kind is a scheme kind
+    or ``"sgd"``, order a fixed run's explicit order (None: ``0..n-1``).
+    The seed words come in bulk, with the bits of one seeding per run: the
+    shuffle_once and sgd generators at the start (one :func:`_seed_states`
+    pass per spawn key), the random_reshuffle seed words of the live rows
+    once every ``_RESHUFFLE_CHUNK`` epochs (one pass).  fixed and
+    shuffle_once rows are written once.  A random_reshuffle row is
+    ``arange(n)`` shuffled in place, the bits of ``permutation(n)``.  An
+    sgd row comes from one (k, n) draw per k epochs of the chunk, at most
+    ``_DRAW_ENTRIES`` entries (at least one epoch); PCG64 keeps its spare
+    32-bit half, so that draw has the bits of k draws of n.
+    """
+
+    def __init__(self, rows, n: int, epochs: int):
+        self.identity = _identity(n)
+        self.rows, self.n, self.epochs = list(rows), n, epochs
+        self.block = np.empty((len(self.rows), n), dtype=np.int64)
+        # per row: an sgd row's (generator, its drawn rows, last first), a
+        # random_reshuffle row's seed words of the chunk's epochs
+        self.state = [None] * len(self.rows)
+        for r, (kind, _, order) in enumerate(self.rows):
+            if kind not in _ROW_KINDS:
+                raise ValueError(f"unknown order kind {kind!r}; expected one of {_ROW_KINDS}")
+            if kind == "fixed":
+                self.block[r] = self.identity if order is None else order
+        for kind, key in (("shuffle_once", (_PERM_STREAM, 1)), ("sgd", _SGD_STREAM)):
+            for r, (state,) in self._seed(kind, [key]):
+                rng = _generator(state)
+                if kind == "sgd":
+                    self.state[r] = (rng, [])
+                else:
+                    self.block[r] = rng.permutation(n)
+
+    def _seed(self, kind: str, keys):
+        """(row, seed words per key) of every row of ``kind``, in one pass."""
+        group = [r for r, row in enumerate(self.rows) if row[0] == kind]
+        return zip(group, _seed_states([self.rows[r][1] for r in group], keys)) if group else ()
+
+    def draw(self, t: int) -> None:
+        """Write epoch t's orders into ``block``; epochs come in turn from 1."""
+        if (t - 1) % _RESHUFFLE_CHUNK == 0:
+            self.first, self.stop = t, min(t + _RESHUFFLE_CHUNK, self.epochs + 1)
+            keys = [(_PERM_STREAM, e) for e in range(t, self.stop)]
+            for r, words in self._seed("random_reshuffle", keys):
+                self.state[r] = words
+        for row, (kind, _, _), state in zip(self.block, self.rows, self.state):
+            if kind == "random_reshuffle":
+                row[:] = self.identity
+                _generator(state[t - self.first]).shuffle(row)
+            elif kind == "sgd":
+                rng, drawn = state
+                if not drawn:  # the next epochs' draws, last first
+                    k = min(self.stop - t, max(1, _DRAW_ENTRIES // self.n))
+                    drawn.extend(rng.integers(0, self.n, size=(k, self.n))[::-1])
+                row[:] = drawn.pop()
+
+    def keep(self, mask) -> None:
+        """Drop the rows whose ``mask`` entry is False."""
+        self.block = self.block[mask]
+        self.rows = [row for row, k in zip(self.rows, mask) if k]
+        self.state = [state for state, k in zip(self.state, mask) if k]
+
+
 def without_replacement_variance_factor(n: int, k: int) -> Fraction:
     """Exact shrink factor (n-k)/(k(n-1)) for partial-average variance.
 
@@ -264,18 +344,3 @@ def without_replacement_variance_factor(n: int, k: int) -> Fraction:
     if k < 1 or k > n:
         raise ValueError(f"prefix length k must satisfy 1 <= k <= n, got k={k}")
     return Fraction(n - k, k * (n - 1))
-
-
-def descending_gradient_order(problem, w) -> tuple[int, ...]:
-    """Component order sorted by gradient norm at ``w``, largest first.
-
-    An adversarial fixed ordering used to stress-test claims that hold
-    for arbitrary (not just uniformly random) permutations.  Ties break
-    by component index for determinism.
-    """
-    w = np.asarray(w, dtype=float)
-    norms = np.array(
-        [np.linalg.norm(problem.component_gradient(w, i)) for i in range(problem.n)]
-    )
-    order = np.lexsort((np.arange(problem.n), -norms))
-    return tuple(int(i) for i in order)

@@ -307,6 +307,17 @@ class TestRunCommand:
             "as the CSV files write it unquoted\n")
         assert not out_dir.exists()
 
+    def test_bad_fixed_order_leaves_no_output_directory(self, tmp_path, capsys):
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["arms"][0] = {"name": "f", "scheme": "fixed", "order": [0, 1], "step_size": 0.05}
+        config.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == \
+            "error: arm 'f': explicit order must be a permutation of 0..n-1 with n = 4\n"
+        assert not out_dir.exists()
+
     def test_arm_name_with_percent_sign_runs(self, tmp_path):
         config = _run_config(tmp_path, epochs=2)
         cfg = json.loads(config.read_text())

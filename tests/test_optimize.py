@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shufflegrad import optimize
+from shufflegrad import optimize, shuffling
 from shufflegrad.cli import _CHECK_PROBLEMS
 from shufflegrad.optimize import (
     DivergenceError,
@@ -14,8 +14,6 @@ from shufflegrad.optimize import (
     run_block,
     run_sgd,
     run_shuffling,
-    scheme_stream,
-    sgd_stream,
 )
 from shufflegrad.problems import (ExpStrongProblem, QuarticProblem, TinyQuadraticProblem,
                                   build_problem)
@@ -464,11 +462,10 @@ def test_quartic_epoch_serves_single_component_steps(problem_id, batch_size, ste
     start = None if problem_id == "phase_retrieval" else np.full(problem.dim, -0.0)
     config = RunConfig(step_size=0.0, epochs=3, batch_size=batch_size, initial_point=start)
 
-    def run():  # a shuffling row, a with-replacement row, a row on component 0 alone
-        n = problem.n
-        streams = [scheme_stream(Scheme.random_reshuffle(n, 1)), sgd_stream(n, 2),
-                   lambda t: np.zeros(n, dtype=np.int64)]
-        return run_block(problem, config, streams, [step] * 3)
+    def run():  # a shuffling row, a with-replacement row, a reversed fixed row
+        rows = [("random_reshuffle", 1, None), ("sgd", 2, None),
+                ("fixed", 0, tuple(range(problem.n))[::-1])]
+        return run_block(problem, config, rows, [step] * 3)
 
     outcomes = run()
     assert len(single) == calls and len(seen) == (calls if epoch else 0)
@@ -490,6 +487,21 @@ def test_quartic_epoch_serves_single_component_steps(problem_id, batch_size, ste
             np.testing.assert_allclose(got.objective, want.objective, rtol=1e-12)
             np.testing.assert_allclose(got.final_point, want.final_point, rtol=0,
                                        atol=1e-12 * np.abs(want.final_point).max())
+    # a row on component 0 alone, one epoch straight through the pass; a
+    # diverging one as the replay takes it, through the step loop
+    W = np.atleast_2d(problem.initial_point if start is None else start)
+    zeros, steps = np.zeros((problem.n, 1), dtype=np.int64), np.array([step]) + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        outside = optimize._outside(_reference_pass(problem, W, zeros, steps, batch_size)[0],
+                                    config.divergence_threshold).any()
+        threshold = config.divergence_threshold if outside else None
+        got, last = _epoch_pass(problem, W, zeros, steps, batch_size, threshold)
+        want, want_last = _reference_pass(problem, W, zeros, steps, batch_size, threshold)
+    assert last == want_last
+    if exact or threshold:
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("problem_id,step", [
@@ -504,9 +516,8 @@ def test_exp_strong_divergence_is_located_by_the_step_loop(problem_id, step, mon
     problem = build_problem(_SPECS[problem_id])
 
     def run():
-        n = problem.n
-        return run_block(problem, config, [scheme_stream(Scheme.random_reshuffle(n, 4)),
-                                           sgd_stream(n, 5)], [step] * 2)
+        return run_block(problem, config, [("random_reshuffle", 4, None), ("sgd", 5, None)],
+                         [step] * 2)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -518,59 +529,22 @@ def test_exp_strong_divergence_is_located_by_the_step_loop(problem_id, step, mon
         assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
 
 
-@pytest.mark.parametrize("kind", ["fixed", "shuffle_once"])
-def test_repeated_orders_are_drawn_once(kind):
-    scheme = Scheme(kind, 7, seed=3)
-    stream = scheme_stream(scheme)
-    assert stream(1) is stream(4) and not stream(1).flags.writeable
-    np.testing.assert_array_equal(stream(4), permutation_for_epoch(scheme, 4))
-
-
 def _seed_sequence_stream(seed, key):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def test_block_rows_get_their_solo_orders_and_bits():
-    # T = 70 runs past one 64-epoch chunk of reshuffle seeds; the two fast
-    # reshuffle rows diverge, one in each chunk, so the second chunk is
-    # seeded for fewer rows
-    problem = TinyQuadraticProblem()
-    n = problem.n
-    config = RunConfig(step_size=0.0, epochs=70, divergence_threshold=1e4)
-    rows = [("random_reshuffle", 11, 0.3), ("shuffle_once", 12, 0.3), ("fixed", 0, 0.3),
-            ("sgd", 13, 0.3), ("callable", 0, 0.3), ("random_reshuffle", 14, 2.2),
-            ("random_reshuffle", 15, 2.008), ("random_reshuffle", 16, 0.3)]
-
-    def stream(kind, seed):
-        if kind == "sgd":
-            return sgd_stream(n, seed)
-        if kind == "callable":
-            return lambda t: np.full(n, t % n)
-        return scheme_stream(Scheme(kind, n, seed))
-
-    def reference(kind, seed):  # the streams' definitions, one epoch at a time
-        if kind == "sgd":
-            rng = _seed_sequence_stream(seed, (1,))
-            return lambda t: rng.integers(0, n, size=n)
-        if kind in ("random_reshuffle", "shuffle_once"):
-            return lambda t: _seed_sequence_stream(
-                seed, (0x5A, t if kind == "random_reshuffle" else 1)).permutation(n)
-        return stream(kind, seed)
-
-    outcomes = run_block(problem, config, [stream(k, s) for k, s, _ in rows],
-                         [step for _, _, step in rows])
-    for (kind, seed, step), got in zip(rows, outcomes):
-        (want,) = run_block(problem, config, [reference(kind, seed)], [step])
-        if isinstance(want, DivergenceError):
-            assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
-            got, want = got.record, want.record
-        np.testing.assert_array_equal(got.objective, want.objective)
-        np.testing.assert_array_equal(got.final_point, want.final_point)
-    diverged = [o.epoch for o in outcomes if isinstance(o, DivergenceError)]
-    assert len(diverged) == 2 and min(diverged) <= 64 < max(diverged) <= 70
+def _definition(kind, seed, order, n):
+    """Epoch t's order of a row, from the SeedSequence definitions."""
+    if kind == "sgd":
+        rng = _seed_sequence_stream(seed, (1,))
+        return lambda t: rng.integers(0, n, size=n)
+    if kind == "fixed":
+        return lambda t: np.arange(n) if order is None else np.array(order)
+    key = lambda t: (0x5A, t if kind == "random_reshuffle" else 1)
+    return lambda t: _seed_sequence_stream(seed, key(t)).permutation(n)
 
 
-def _epoch_orders(problem, streams, epochs, monkeypatch):
+def _epoch_orders(problem, rows, epochs, monkeypatch):
     """The (R, n) order block of each epoch of a run_block call whose
     epoch passes leave the iterates unchanged."""
     seen = []
@@ -581,66 +555,110 @@ def _epoch_orders(problem, streams, epochs, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(optimize, "_epoch_pass", recorded)
-        run_block(problem, RunConfig(step_size=0.0, epochs=epochs), streams, [0.0] * len(streams))
+        run_block(problem, RunConfig(step_size=0.0, epochs=epochs), rows, [0.0] * len(rows))
     return np.stack(seen)
+
+
+def test_block_rows_get_their_solo_orders_and_bits(monkeypatch):
+    # T = 70 runs past one 64-epoch chunk of reshuffle seeds; the two fast
+    # reshuffle rows diverge, one in each chunk, so the second chunk is
+    # seeded for fewer rows
+    problem = TinyQuadraticProblem()
+    n = problem.n
+    config = RunConfig(step_size=0.0, epochs=70, divergence_threshold=1e4)
+    runs = [("random_reshuffle", 11, None, 0.3), ("shuffle_once", 12, None, 0.3),
+            ("fixed", 0, None, 0.3), ("sgd", 13, None, 0.3), ("fixed", 0, (2, 0, 3, 1), 0.3),
+            ("random_reshuffle", 14, None, 2.2), ("random_reshuffle", 15, None, 2.008),
+            ("random_reshuffle", 16, None, 0.3)]
+    rows = [run[:3] for run in runs]
+    orders = _epoch_orders(problem, rows, config.epochs, monkeypatch)
+    for r, row in enumerate(rows):
+        definition = _definition(*row, n)
+        np.testing.assert_array_equal(orders[:, r], [definition(t) for t in range(1, 71)])
+
+    outcomes = run_block(problem, config, rows, [step for *_, step in runs])
+    for (kind, seed, order, step), got in zip(runs, outcomes):
+        solo = RunConfig(step_size=step, epochs=70, divergence_threshold=1e4)
+        try:
+            if kind == "sgd":
+                want = run_sgd(problem, solo, seed)
+            else:
+                want = run_shuffling(problem, Scheme(kind, n, seed, order), solo)
+        except DivergenceError as err:
+            assert (got.epoch, got.step_index) == (err.epoch, err.step_index)
+            got, want = got.record, err.record
+        np.testing.assert_array_equal(got.objective, want.objective)
+        np.testing.assert_array_equal(got.final_point, want.final_point)
+    diverged = [o.epoch for o in outcomes if isinstance(o, DivergenceError)]
+    assert len(diverged) == 2 and min(diverged) <= 64 < max(diverged) <= 70
 
 
 @pytest.mark.parametrize("n,epochs", [
     (7, 70),  # an odd n, across the 64-epoch chunk boundary
     (1, 70),
-    (optimize._DRAW_ENTRIES, 3),  # the cap leaves one epoch per chunk
-    (optimize._DRAW_ENTRIES // 2 + 1, 3),  # and here too
+    (shuffling._DRAW_ENTRIES, 3),  # the cap leaves one epoch per chunk
+    (shuffling._DRAW_ENTRIES // 2 + 1, 3),  # and here too
 ])
 def test_chunked_sgd_draws_are_the_per_epoch_draws(n, epochs, monkeypatch):
     problem = TinyQuadraticProblem(centers=np.arange(n, dtype=float)[:, None])
-    got = _epoch_orders(problem, [sgd_stream(n, 5), sgd_stream(n, 6)], epochs, monkeypatch)
+    got = _epoch_orders(problem, [("sgd", 5, None), ("sgd", 6, None)], epochs, monkeypatch)
     for row, seed in enumerate((5, 6)):
         rng = _seed_sequence_stream(seed, (1,))
         want = [rng.integers(0, n, size=n) for _ in range(epochs)]
         np.testing.assert_array_equal(got[:, row], want)
 
 
-def _mixed_streams(n):
-    return [scheme_stream(Scheme.random_reshuffle(n, 3)), sgd_stream(n, 4),
-            scheme_stream(Scheme.shuffle_once(n, 5)), scheme_stream(Scheme.fixed(n)),
-            lambda t: np.full(n, t % n)]
+def _mixed_rows(n):
+    return [("random_reshuffle", 3, None), ("sgd", 4, None), ("shuffle_once", 5, None),
+            ("fixed", 0, None), ("fixed", 0, tuple(range(n))[::-1])]
 
 
 def test_order_rows_do_not_depend_on_the_block(monkeypatch):
     problem = TinyQuadraticProblem()
-    block = _epoch_orders(problem, _mixed_streams(problem.n), 70, monkeypatch)
-    for row, stream in enumerate(_mixed_streams(problem.n)):
-        alone = _epoch_orders(problem, [stream], 70, monkeypatch)
-        np.testing.assert_array_equal(alone[:, 0], block[:, row])
+    block = _epoch_orders(problem, _mixed_rows(problem.n), 70, monkeypatch)
+    for r, row in enumerate(_mixed_rows(problem.n)):
+        alone = _epoch_orders(problem, [row], 70, monkeypatch)
+        np.testing.assert_array_equal(alone[:, 0], block[:, r])
 
 
-def test_repeated_orders_are_asked_for_once_per_run(monkeypatch):
-    calls, call = [], optimize._Repeat.__call__
-    monkeypatch.setattr(optimize._Repeat, "__call__",
-                        lambda self, t: calls.append(t) or call(self, t))
-    problem = TinyQuadraticProblem()
-    n = problem.n
-    streams = [scheme_stream(Scheme.fixed(n)), scheme_stream(Scheme.shuffle_once(n, 2))]
-    run_block(problem, RunConfig(step_size=0.1, epochs=5), streams, [0.1] * 2)
-    assert calls == [1, 1]
+def test_order_table_seeds_in_bulk_and_writes_repeating_rows_once(monkeypatch):
+    # over 70 epochs: one _seed_states pass per spawn key at the start and
+    # one random_reshuffle pass per 64 epochs over the live rows; a
+    # generator per shuffle_once and sgd row, and one per reshuffle row
+    # and epoch; fixed and shuffle_once rows are never written again
+    passes, builds = [], []
+    seed_states, generator = shuffling._seed_states, shuffling._generator
+    monkeypatch.setattr(shuffling, "_seed_states", lambda seeds, keys: passes.append(
+        (list(seeds), list(keys))) or seed_states(seeds, keys))
+    monkeypatch.setattr(shuffling, "_generator",
+                        lambda state: builds.append(state) or generator(state))
+    rows = [("random_reshuffle", 11, None), ("shuffle_once", 12, None), ("fixed", 0, None),
+            ("sgd", 13, None), ("random_reshuffle", 14, None), ("sgd", 15, None),
+            ("shuffle_once", 16, None), ("fixed", 0, (4, 3, 2, 1, 0))]
+    orders = shuffling._Orders(rows, 5, 70)
+    assert passes == [([12, 16], [(0x5A, 1)]), ([13, 15], [(1,)])] and len(builds) == 4
+    repeating = [1, 2, 6, 7]
+    orders.block[repeating] = -1
+    for t in range(1, 71):
+        orders.draw(t)
+        if t == 10:  # the second reshuffle row leaves the block
+            orders.keep(np.arange(len(rows)) != 4)
+            repeating = [1, 2, 5, 6]
+    assert passes[2:] == [([11, 14], [(0x5A, t) for t in range(1, 65)]),
+                          ([11], [(0x5A, t) for t in range(65, 71)])]
+    assert len(builds) == 4 + 2 * 10 + 60
+    assert (orders.block[repeating] == -1).all()
 
 
-def test_plain_callable_is_called_once_per_epoch_in_order():
-    problem = TinyQuadraticProblem()
-    n, calls = problem.n, []
-
-    def stream(t):
-        calls.append(t)
-        return np.arange(n)[::-1]
-
-    streams = [*_mixed_streams(n), stream]
-    run_block(problem, RunConfig(step_size=0.1, epochs=70), streams, [0.1] * len(streams))
-    assert calls == list(range(1, 71))
+def test_unknown_order_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown order kind 'callable'"):
+        run_block(TinyQuadraticProblem(), RunConfig(step_size=0.1, epochs=1),
+                  [("callable", 0, None)], [0.1])
 
 
 def test_sgd_seed_must_be_an_integer():
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        sgd_stream(4, 1.5)
+        run_sgd(TinyQuadraticProblem(), RunConfig(step_size=0.1, epochs=1), seed=1.5)
 
 
 def test_one_full_value_per_epoch():

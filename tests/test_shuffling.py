@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shufflegrad.problems import TinyQuadraticProblem
 from shufflegrad.shuffling import (
     KINDS,
     Scheme,
-    descending_gradient_order,
     _generator,
     _seed_states,
     permutation_for_epoch,
@@ -196,13 +194,3 @@ def test_variance_factor_domain():
     with pytest.raises(ValueError):
         without_replacement_variance_factor(4, 5)
 
-
-def test_descending_gradient_order():
-    problem = TinyQuadraticProblem()
-    w = np.array([2.0, 0.0])
-    order = descending_gradient_order(problem, w)
-    norms = [float(np.linalg.norm(problem.component_gradient(w, i))) for i in order]
-    assert norms == sorted(norms, reverse=True)
-    assert sorted(order) == list(range(problem.n))
-    # ties break by index, so the order is reproducible
-    assert order == descending_gradient_order(problem, w)
