@@ -23,7 +23,7 @@ largest component gradient over the initial sublevel set, usually from
 Each recipe's inequalities are written once, in one table of named
 ``lhs <= rhs`` pairs.  Every emitted plan stores the table evaluated in
 floats, with numeric margins; :func:`reevaluate_plan` evaluates the same
-table in 60-digit interval arithmetic, on the standard library's
+table in 64-digit interval arithmetic, on the standard library's
 ``decimal`` with every end rounded outward, as an independent audit that
 never accepts an inequality exact arithmetic rejects.
 """
@@ -399,18 +399,23 @@ class _Arithmetic(NamedTuple):
 
 _FLOATS = _Arithmetic(float, math.sqrt, math.log, lambda x: x ** (1.0 / 3.0), math.inf)
 
-# The audit's interval type: 60-digit decimal ends, rounded outward by a
+# The audit's interval type: 64-digit decimal ends, rounded outward by a
 # floor and a ceiling context of their own (the thread's context is never
 # used; its unary minus and abs round, so ends use copy_negate).  decimal
 # rounds sqrt and ln half-even whatever the context's rounding, so an
 # inexact result is widened by one unit outward.  Only what the recipe
 # tables use is here, with mpmath.iv's meaning: NaN and division by an
 # interval that holds 0 give the whole line, <= and >= answer True, False
-# or None (undecided), and == compares both ends exactly.
+# or None (undecided), and == compares both ends exactly.  64 digits, not
+# 60: mpmath's 60-digit intervals carry 203 bits (about 61 digits), and at
+# 60 decimal digits a near tie such as recipe 3's T / ln(T) against 8L
+# stays undecided where mpmath decides it.
+_DIGITS = 64
 _DOWN, _UP, _NEAR = (decimal.Context(prec=prec, rounding=rounding, Emin=decimal.MIN_EMIN,
                                      Emax=decimal.MAX_EMAX, traps=[])
-                     for prec, rounding in ((60, decimal.ROUND_FLOOR), (60, decimal.ROUND_CEILING),
-                                            (70, decimal.ROUND_HALF_EVEN)))
+                     for prec, rounding in ((_DIGITS, decimal.ROUND_FLOOR),
+                                            (_DIGITS, decimal.ROUND_CEILING),
+                                            (_DIGITS + 10, decimal.ROUND_HALF_EVEN)))
 _ZERO, _INF = decimal.Decimal(0), decimal.Decimal("Infinity")
 _NINF = _INF.copy_negate()
 # ln(hi) <= ln(lo) + (hi - lo)/lo: an interval this narrow, relative to lo, takes one ln call
@@ -556,7 +561,7 @@ def _iv_log(x: _Interval) -> _Interval:
 
 def _cube_root(x, up: bool):
     """A bound on the real cube root of x, above if ``up``: Newton's
-    iteration from the float root to 70 digits, rounded to 60 and moved
+    iteration from the float root to 74 digits, rounded to 64 and moved
     outward until its cube, rounded the other way, confirms it."""
     if x < 0:  # the whole line's lower end, say
         return _cube_root(x.copy_negate(), not up).copy_negate()
@@ -883,7 +888,7 @@ def stepsize_plan(bundle: ConstantsBundle, target_epochs: int | None = None) -> 
 def reevaluate_plan(plan: StepsizePlan) -> list[tuple[str, bool]]:
     """Re-derive each plan inequality independently of the planner.
 
-    Evaluates the recipe's table in 60-digit interval arithmetic from the
+    Evaluates the recipe's table in 64-digit interval arithmetic from the
     plan's stepsize, epoch count and bundle (its stored checks are not
     read).  An inequality holds only when the whole interval enclosing
     its lhs lies at or below the whole interval enclosing its rhs, so the

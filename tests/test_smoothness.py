@@ -493,7 +493,7 @@ def _mp_ends(x):
 
 @pytest.fixture(scope="module")
 def mp():
-    """mpmath interval contexts: one at the audit's 60 digits for the table
+    """mpmath interval contexts: one at 60 digits (203 bits) for the table
     sides, and one at 100 digits as the reference for single operations."""
     ctx_iv = pytest.importorskip("mpmath.ctx_iv")
     contexts = []
@@ -568,7 +568,7 @@ def _near_plan(bundle):
 def _ties(bundle, eta):
     """(eta * 2**-300, T) with T one epoch either side of the exact boundary
     of each rational check that is affine in T (the epoch floors and cube
-    sums).  T then has far more than 60 digits, so only the audit's outward
+    sums).  T then has far more than 64 digits, so only the audit's outward
     rounding keeps it from accepting the side exact arithmetic rejects."""
     tiny = math.ldexp(eta, -300)
     at = [_values(bundle, _EXACT, tiny, T) for T in (1, 2)]
