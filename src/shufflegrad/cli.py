@@ -36,7 +36,6 @@ from .shuffling import Scheme, without_replacement_variance_factor
 from .smoothness import (
     EllFunction,
     PlanInfeasibleError,
-    RECIPE_NEEDS,
     RECIPES,
     constants_for_recipe,
     estimate_sublevel_gradient_bound,
@@ -214,7 +213,7 @@ def _cmd_plan(args) -> int:
     else:
         raise ValueError("initial gap unknown: pass --initial-gap (a bound needs the optimal value)")
 
-    needs = RECIPE_NEEDS[recipe]
+    needs = RECIPES[recipe].needs
     kwargs = {"initial_gap": gap, "n": int(n), "eps": args.eps}
     if "failure_prob" in needs:
         kwargs["failure_prob"] = _require(hint, args.delta, "--delta")

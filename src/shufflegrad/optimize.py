@@ -219,7 +219,7 @@ def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
     steps = np.asarray(step_sizes, dtype=float) + 0.0
     start = _start_point(problem, config)
     W = np.tile(start, (size, 1))
-    avg = W.copy()  # running mean of the entering iterates
+    avg = W.copy() if config.track_average else None  # running mean of the entering iterates
     values = np.full(size, problem.full_value(start))
     live = np.arange(size)
     # objective, grad_norm_sq, dist_sq and wall_ms per (row, epoch)
@@ -231,7 +231,7 @@ def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.epochs + 1):
-            if t > 1:
+            if t > 1 and avg is not None:
                 avg += (W - avg) / t
             orders.draw(t)
             W_next, _ = _epoch_pass(problem, W, orders.block.T, steps, config.batch_size)
@@ -249,17 +249,18 @@ def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
                 _, j = _epoch_pass(problem, W[i:i + 1], orders.block[i:i + 1].T, steps[i:i + 1],
                                    config.batch_size, threshold)
                 record = _record(table, live[i], t - 1, problem.n, W[i],
-                                 avg[i] if config.track_average else None, opt is not None)
+                                 None if avg is None else avg[i], opt is not None)
                 outcomes[live[i]] = DivergenceError(t, j, float(values[i]), record)
             keep = ~bad
-            W, avg, steps, values = W_next[keep], avg[keep], steps[keep], next_values[keep]
+            W, steps, values = W_next[keep], steps[keep], next_values[keep]
+            avg = None if avg is None else avg[keep]
             live = live[keep]
             orders.keep(keep)
             if not live.size:
                 break
     for i, r in enumerate(live):
         outcomes[r] = _record(table, r, config.epochs, problem.n, W[i],
-                              avg[i] if config.track_average else None, opt is not None)
+                              None if avg is None else avg[i], opt is not None)
     return outcomes
 
 

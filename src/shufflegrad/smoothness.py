@@ -5,14 +5,9 @@ Hessian norm by a function of the gradient norm.  From a modulus plus a
 handful of measured problem statistics, this module derives the bounded
 region a run provably stays inside, the effective curvature constant on
 that region, and a constant stepsize together with an epoch count for
-one of six convergence recipes:
-
-1. random reshuffling, nonconvex
-2. arbitrary permutations, nonconvex
-3. random reshuffling, strongly convex
-4. arbitrary permutations, strongly convex
-5. random reshuffling, convex
-6. arbitrary permutations, convex
+one of six convergence recipes: random reshuffling (1, 3, 5) or
+arbitrary permutations (2, 4, 6), for nonconvex (1, 2), strongly convex
+(3, 4) and convex (5, 6) objectives.
 
 Recipes 1, 2, 3 and 5 bound component gradients through a variance
 model (component-gradient variance <= slope * ||full gradient||^2 +
@@ -20,12 +15,17 @@ offset^2).  Recipes 4 and 6 instead take a caller-supplied bound on the
 largest component gradient over the initial sublevel set, usually from
 :func:`estimate_sublevel_gradient_bound`, and are flagged heuristic.
 
-Each recipe's inequalities are written once, in one table of named
-``lhs <= rhs`` pairs.  Every emitted plan stores the table evaluated in
-floats, with numeric margins; :func:`reevaluate_plan` evaluates the same
-table in 64-digit interval arithmetic, on the standard library's
-``decimal`` with every end rounded outward, as an independent audit that
-never accepts an inequality exact arithmetic rejects.
+Each recipe's facts live in one record (``RECIPES``): its name and
+needs, its value-gap bound, its stepsize rule and its named checks.  A
+check is a shape and one expression: the shape supplies the fixed side
+(``cap``: eta <= f, ``cube``: T*eta^3 <= f, ``floor``: f <= T,
+``per_log``: f <= T/ln, ``pinned``: |eta - eta(T)| <= 1e-12*eta(T),
+``accuracy``: f <= eps), and the planners read shapes, never a check's
+name.  Every emitted plan stores the checks evaluated in floats, with
+numeric margins; :func:`reevaluate_plan` evaluates the same checks in
+64-digit interval arithmetic, on the standard library's ``decimal`` with
+every end rounded outward, as an independent audit that never accepts an
+inequality exact arithmetic rejects.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -59,28 +60,6 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(R,) dots of matching rows, one BLAS dot per row: row r has the
     bits of ``np.dot(A[r], B[r])`` whatever R."""
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
-RECIPES = (1, 2, 3, 4, 5, 6)
-RECIPE_NAMES = {
-    1: "random reshuffling, nonconvex",
-    2: "arbitrary permutations, nonconvex",
-    3: "random reshuffling, strongly convex",
-    4: "arbitrary permutations, strongly convex",
-    5: "random reshuffling, convex",
-    6: "arbitrary permutations, convex",
-}
-# The statistics each recipe needs besides the modulus, initial gap, n and
-# eps, in refusal order.  Without component_grad_bound_value, the variance
-# model gives the component bound.
-RECIPE_NEEDS = {
-    1: ("variance_slope", "noise_std", "failure_prob"),
-    2: ("variance_slope", "noise_std"),
-    3: ("variance_slope", "noise_std", "failure_prob", "strong_convexity"),
-    4: ("strong_convexity", "optimum_noise_std", "component_grad_bound_value"),
-    5: ("variance_slope", "noise_std", "failure_prob", "optimum_noise_std", "initial_distance_sq"),
-    6: ("component_grad_bound_value", "initial_distance_sq"),
-}
 
 
 @dataclass(frozen=True)
@@ -236,7 +215,7 @@ class ConstantsBundle:
 
     def report(self) -> str:
         lines = [
-            f"recipe = {self.recipe} ({RECIPE_NAMES[self.recipe]})",
+            f"recipe = {self.recipe} ({RECIPES[self.recipe].name})",
             f"modulus = {self.ell.describe()}",
             f"n = {self.n}",
         ]
@@ -244,6 +223,12 @@ class ConstantsBundle:
         if self.gprime_heuristic:
             lines.append("component_grad_bound_source = sampled heuristic")
         return "\n".join(lines)
+
+
+# The float statistics constants_for_recipe checks, in order, each finite and > 0 or >= 0.
+_SIGNS = {"initial_gap": ">", "eps": ">", "variance_slope": ">=", "noise_std": ">=",
+          "strong_convexity": ">", "optimum_noise_std": ">=", "initial_distance_sq": ">",
+          "component_grad_bound_value": ">"}
 
 
 def constants_for_recipe(recipe: int, ell: EllFunction, *, initial_gap: float, n: int,
@@ -254,31 +239,30 @@ def constants_for_recipe(recipe: int, ell: EllFunction, *, initial_gap: float, n
                          initial_distance_sq: float | None = None,
                          component_grad_bound_value: float | None = None,
                          gprime_heuristic: bool = False) -> ConstantsBundle:
-    """Derive the constants bundle for a recipe from problem statistics."""
+    """Derive the constants bundle for a recipe from problem statistics, each
+    finite: noise and slope values >= 0, the others > 0 (failure_prob < 1)."""
     if recipe not in RECIPES:
-        raise ValueError(f"recipe must be one of {RECIPES}, got {recipe}")
-    if initial_gap <= 0:
-        raise ValueError(f"initial_gap must be positive, got {initial_gap}")
+        raise ValueError(f"recipe must be one of {tuple(RECIPES)}, got {recipe}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     if failure_prob is not None and not 0 < failure_prob < 1:
         raise ValueError(f"failure_prob must lie in (0, 1), got {failure_prob}")
     given = locals()  # the arguments, by name
-    missing = [name for name in RECIPE_NEEDS[recipe] if given[name] is None]
+    for name, sign in _SIGNS.items():
+        value = given[name]
+        if value is not None and not (math.isfinite(value) and (value > 0 or value == 0 and sign == ">=")):
+            raise ValueError(f"{name} must be finite and {sign} 0, got {value}")
+    record = RECIPES[recipe]
+    missing = [name for name in record.needs if given[name] is None]
     if missing:
-        raise ValueError(f"recipe {recipe} ({RECIPE_NAMES[recipe]}) needs statistics: "
+        raise ValueError(f"recipe {recipe} ({record.name}) needs statistics: "
                          f"{', '.join(missing)}")
 
     gap_bound = grad_bound = None
-    if "component_grad_bound_value" in RECIPE_NEEDS[recipe]:
+    if record.gap_bound is None:
         comp_bound = float(component_grad_bound_value)
     else:
-        gap_bound = 2.0 * initial_gap if recipe == 2 else 4.0 * initial_gap / failure_prob
-        if recipe == 3:
-            gap_bound = max((3.0 * noise_std**2 / (4.0 * strong_convexity)) * math.log(4.0 / eps)
-                            + initial_gap, gap_bound)
+        gap_bound = record.gap_bound(SimpleNamespace(**given))
         grad_bound = solve_gradient_bound(ell, gap_bound)
         comp_bound = component_gradient_bound(grad_bound, n, variance_slope, noise_std)
 
@@ -367,28 +351,8 @@ class PlanInfeasibleError(RuntimeError):
         self.checks = checks
 
 
-def _candidate_stepsize(bundle: ConstantsBundle) -> float | None:
-    """Closed-form suggested stepsize for recipes with a free stepsize.
-
-    Returns None for recipes 3 and 4, whose stepsize is pinned to the
-    epoch count.  The suggestion ignores the cube-sum constraints and
-    may be reduced by the planner.
-    """
-    L = bundle.smoothness_bound
-    n, eps = bundle.n, bundle.eps
-    if bundle.recipe == 1:
-        return math.sqrt(n) * eps / (2.0 * L * math.sqrt(bundle.variance_slope / n + 1.0))
-    if bundle.recipe == 2:
-        return eps / (L * math.sqrt(2.0 * (3.0 * bundle.variance_slope + 2.0)))
-    if bundle.recipe == 5:
-        return math.sqrt(n * eps) / (2.0 * L * math.sqrt(bundle.variance_slope / n + 1.0))
-    if bundle.recipe == 6:
-        return math.sqrt(3.0 * eps / (2.0 * L)) / bundle.component_grad_bound
-    return None
-
-
 class _Arithmetic(NamedTuple):
-    """The number type a recipe table is evaluated in."""
+    """The number type a recipe's checks are evaluated in."""
 
     num: Callable
     sqrt: Callable
@@ -403,8 +367,8 @@ _FLOATS = _Arithmetic(float, math.sqrt, math.log, lambda x: x ** (1.0 / 3.0), ma
 # floor and a ceiling context of their own (the thread's context is never
 # used; its unary minus and abs round, so ends use copy_negate).  decimal
 # rounds sqrt and ln half-even whatever the context's rounding, so an
-# inexact result is widened by one unit outward.  Only what the recipe
-# tables use is here, with mpmath.iv's meaning: NaN and division by an
+# inexact result is widened by one unit outward.  Only what the recipes'
+# checks use is here, with mpmath.iv's meaning: NaN and division by an
 # interval that holds 0 give the whole line, <= and >= answer True, False
 # or None (undecided), and == compares both ends exactly.  64 digits, not
 # 60: mpmath's 60-digit intervals carry 203 bits (about 61 digits), and at
@@ -588,15 +552,11 @@ def _iv_cbrt(x: _Interval) -> _Interval:
 
 _INTERVALS = _Arithmetic(_point, _iv_sqrt, _iv_log, _iv_cbrt, _Interval(_INF, _INF))
 
-# Recipes 3 and 4 pin eta to coeff * ln / (mu * T); ln is the log of
-# the second entry.
-_PINNED = {3: (4.0, lambda c: c.sqrt(c.n) * c.T), 4: (6.0, lambda c: c.T)}
-
 
 def _values(bundle: ConstantsBundle, ar: _Arithmetic, eta: float = 0.0,
             epochs: int = 1) -> SimpleNamespace:
     """Plan and bundle numbers in arithmetic ``ar``, plus its functions:
-    the namespace ``c`` every recipe table reads."""
+    the namespace ``c`` every check expression reads."""
     b = bundle
 
     def num(x):
@@ -609,16 +569,11 @@ def _values(bundle: ConstantsBundle, ar: _Arithmetic, eta: float = 0.0,
         delta=num(b.failure_prob), mu=num(b.strong_convexity),
         sig_star=num(b.optimum_noise_std), d2=num(b.initial_distance_sq),
         gp=num(b.component_grad_bound))
-    if b.recipe in _PINNED:
-        coeff, log_arg = _PINNED[b.recipe]
+    if pinned := RECIPES[b.recipe].pinned:
+        coeff, log_arg = pinned
         c.ln = c.log(log_arg(c))
         c.pinned_eta = coeff * c.ln / (c.mu * c.T)
     return c
-
-
-# Recipes 1 and 5 share their stepsize cap.
-def _reshuffling_eta_cap(c):
-    return 1.0 / (2.0 * c.L * c.sqrt(c.A / c.n + 1.0))
 
 
 # Recipe 3's T / ln.  At n = T = 1 the log is 0 and the ratio undefined:
@@ -627,97 +582,132 @@ def _per_log(c):
     return c.T / c.ln if c.ln != 0 else c.T * math.nan
 
 
-# Each recipe's inequalities, name -> (lhs(c), rhs(c)) meaning lhs <= rhs.
-_TABLES = {
-    1: {
-        "eta_cap": (lambda c: c.eta, _reshuffling_eta_cap),
-        "cube_sum": (lambda c: c.T * c.eta**3,
-                     lambda c: c.inf if c.sig == 0 else c.n * c.gap / (c.L * c.L * c.sig * c.sig)),
-        "epoch_floor": (lambda c: 32.0 * c.gap / (c.eta * c.delta * c.eps * c.eps), lambda c: c.T),
-    },
-    2: {
-        "eta_cap": (lambda c: c.eta, lambda c: 1.0 / (c.L * c.sqrt(2.0 * (3.0 * c.A + 2.0)))),
-        "cube_sum": (lambda c: c.T * c.eta**3,
-                     lambda c: c.inf if c.sig == 0 else
-                     2.0 * c.gap / (3.0 * c.sig * c.sig * c.L * c.L)),
-        "epoch_floor": (lambda c: 8.0 * c.gap / (c.eta * c.eps * c.eps), lambda c: c.T),
-    },
-    3: {
-        "eta_formula": (lambda c: abs(c.eta - c.pinned_eta), lambda c: 1e-12 * c.pinned_eta),
-        "epoch_floor_gap": (lambda c: 4.0 * c.sqrt(c.gap / (c.n * c.delta * c.eps)), lambda c: c.T),
-        "iteration_floor": (lambda c: 4.0 / c.mu * 2.0, _per_log),
-        "curvature_cap": (lambda c: 4.0 / c.mu * c.L * c.sqrt(2.0 * (3.0 * c.A + 2.0)),
-                          _per_log),
-        "noise_cap": (lambda c: 4.0 / c.mu * c.L * c.sig
-                      * c.sqrt(8.0 / (c.n * c.mu * c.delta * c.eps)),
-                      _per_log),
-        # cube roots of T and L apart, as T * sig^2 * L^2 can overflow a float
-        "gap_cube": (lambda c: 4.0 / c.mu * c.cbrt(c.T) * c.cbrt(c.sig * c.sig / (c.n * c.gap))
-                     * c.cbrt(c.L) ** 2, _per_log),
-    },
-    4: {
-        "eta_formula": (lambda c: abs(c.eta - c.pinned_eta), lambda c: 1e-12 * c.pinned_eta),
-        # The pinned stepsize 6*ln(T)/(mu*T) is 0 at T = 1.
-        "positive_eta": (lambda c: 2.0, lambda c: c.T),
-        "eta_cap": (lambda c: c.eta,
-                    lambda c: c.inf if c.sig_star == 0 else
-                    c.gap * c.mu * c.mu / (9.0 * (c.mu * c.mu + c.L * c.L) * c.sig_star**2)),
-        "epoch_floor_curvature": (lambda c: 12.0 * c.L * c.L * c.ln / (c.mu * c.mu), lambda c: c.T),
-        "accuracy_budget": (lambda c: (c.gap + 108.0 * (c.mu * c.mu + c.L * c.L) * c.sig_star**2
-                                       * c.ln * c.ln / c.mu**3) / (c.T * c.T),
-                            lambda c: c.eps),
-    },
-    5: {
-        "eta_cap": (lambda c: c.eta, _reshuffling_eta_cap),
-        "cube_sum_noise": (lambda c: c.T * c.eta**3,
-                           lambda c: c.inf if c.sig == 0 else
-                           c.n * c.gap / (c.sig * c.sig * c.L * c.L)),
-        "cube_sum_optimum_noise": (lambda c: c.T * c.eta**3,
-                                   lambda c: c.inf if c.sig_star == 0 else
-                                   3.0 * c.n * c.d2 / (2.0 * c.L * c.sig_star**2)),
-        "epoch_floor": (lambda c: 4.0 * c.d2 / (c.eta * c.delta * c.eps), lambda c: c.T),
-    },
-    6: {
-        "eta_cap": (lambda c: c.eta, lambda c: c.sqrt(3.0 * c.eps / (2.0 * c.L)) / c.gp),
-        "epoch_floor": (lambda c: c.d2 / (c.eta * c.eps), lambda c: c.T),
-    },
+# Each check shape's (lhs, rhs), meaning lhs <= rhs, at c for the check's expression f.
+_SHAPES = {
+    "cap": lambda c, f: (c.eta, f(c)),
+    "cube": lambda c, f: (c.T * c.eta**3, f(c)),
+    "floor": lambda c, f: (f(c), c.T),
+    "per_log": lambda c, f: (f(c), _per_log(c)),
+    "pinned": lambda c, f: (abs(c.eta - c.pinned_eta), 1e-12 * c.pinned_eta),
+    "accuracy": lambda c, f: (f(c), c.eps),
 }
 
 
-def _float_checks(bundle: ConstantsBundle, eta: float, epochs: int) -> tuple[PlanCheck, ...]:
-    c = _values(bundle, _FLOATS, eta, epochs)
-    return tuple(PlanCheck(name, lhs(c), rhs(c))
-                 for name, (lhs, rhs) in _TABLES[bundle.recipe].items())
+class _Recipe(NamedTuple):
+    """All that the planners and :func:`constants_for_recipe` know of a recipe."""
+
+    name: str
+    needs: tuple[str, ...]  # statistics besides modulus, gap, n and eps, in refusal order
+    checks: dict  # name -> (shape, expression)
+    gap_bound: Callable | None = None  # value-gap bound; None takes the given component bound
+    candidate: Callable | None = None  # a free stepsize's suggestion, blind to the cube sums
+    floor_caps: dict | None = None  # cube check -> the cap its epoch floor puts on eta
+    pinned: tuple | None = None  # eta = coeff * ln(arg) / (mu * T): (coeff, arg)
+    t0: Callable | None = None  # first epoch count of the pinned search, from n
 
 
-def _free_eta_upper_bounds(bundle: ConstantsBundle) -> float:
-    """Largest eta consistent with all constraints for recipes 1, 2, 5, 6.
+def _failure_gap(s):  # a gap bound that holds with probability 1 - failure_prob
+    return 4.0 * s.initial_gap / s.failure_prob
 
-    Combines the direct stepsize cap (the table's ``eta_cap``) with the
-    caps obtained by substituting the epoch floor into each cube-sum
-    constraint, so the pair (eta, ceil(floor)) is feasible up to integer
-    rounding.
-    """
-    r = bundle.recipe
-    c = _values(bundle, _FLOATS)
-    bounds = [_TABLES[r]["eta_cap"][1](c)]
-    if r == 1 and c.sig > 0:
-        bounds.append(c.eps * c.sqrt(c.n * c.delta / 32.0) / (c.L * c.sig))
-    elif r == 2 and c.sig > 0:
-        bounds.append(c.eps / (c.sig * c.L * c.sqrt(12.0)))
-    elif r == 5:
-        if c.sig > 0:
-            bounds.append(c.sqrt(c.n * c.gap * c.delta * c.eps
-                                 / (4.0 * c.d2 * c.sig * c.sig * c.L * c.L)))
-        if c.sig_star > 0:
-            bounds.append(c.sqrt(3.0 * c.n * c.delta * c.eps / (8.0 * c.L * c.sig_star**2)))
-    return min(bounds)
+
+def _reshuffling_scale(c):  # the denominator of recipe 1's and 5's cap and suggestion
+    return 2.0 * c.L * c.sqrt(c.A / c.n + 1.0)
+
+
+def _permutation_scale(c):  # the denominator of recipe 2's cap and suggestion
+    return c.L * c.sqrt(2.0 * (3.0 * c.A + 2.0))
+
+
+def _convex_eta_cap(c):  # recipe 6's cap, and its suggested stepsize
+    return c.sqrt(3.0 * c.eps / (2.0 * c.L)) / c.gp
+
+
+RECIPES = {
+    1: _Recipe(
+        "random reshuffling, nonconvex", ("variance_slope", "noise_std", "failure_prob"),
+        {"eta_cap": ("cap", lambda c: 1.0 / _reshuffling_scale(c)),
+         "cube_sum": ("cube", lambda c: c.inf if c.sig == 0 else
+                      c.n * c.gap / (c.L * c.L * c.sig * c.sig)),
+         "epoch_floor": ("floor", lambda c: 32.0 * c.gap / (c.eta * c.delta * c.eps * c.eps))},
+        gap_bound=_failure_gap,
+        candidate=lambda c: c.sqrt(c.n) * c.eps / _reshuffling_scale(c),
+        floor_caps={"cube_sum": lambda c: c.inf if c.sig == 0 else
+                    c.eps * c.sqrt(c.n * c.delta / 32.0) / (c.L * c.sig)}),
+    2: _Recipe(
+        "arbitrary permutations, nonconvex", ("variance_slope", "noise_std"),
+        {"eta_cap": ("cap", lambda c: 1.0 / _permutation_scale(c)),
+         "cube_sum": ("cube", lambda c: c.inf if c.sig == 0 else
+                      2.0 * c.gap / (3.0 * c.sig * c.sig * c.L * c.L)),
+         "epoch_floor": ("floor", lambda c: 8.0 * c.gap / (c.eta * c.eps * c.eps))},
+        gap_bound=lambda s: 2.0 * s.initial_gap,
+        candidate=lambda c: c.eps / _permutation_scale(c),
+        floor_caps={"cube_sum": lambda c: c.inf if c.sig == 0 else
+                    c.eps / (c.sig * c.L * c.sqrt(12.0))}),
+    3: _Recipe(
+        "random reshuffling, strongly convex",
+        ("variance_slope", "noise_std", "failure_prob", "strong_convexity"),
+        {"eta_formula": ("pinned", None),
+         "epoch_floor_gap": ("floor", lambda c: 4.0 * c.sqrt(c.gap / (c.n * c.delta * c.eps))),
+         "iteration_floor": ("per_log", lambda c: 4.0 / c.mu * 2.0),
+         "curvature_cap": ("per_log", lambda c: 4.0 / c.mu * c.L
+                           * c.sqrt(2.0 * (3.0 * c.A + 2.0))),
+         "noise_cap": ("per_log", lambda c: 4.0 / c.mu * c.L * c.sig
+                       * c.sqrt(8.0 / (c.n * c.mu * c.delta * c.eps))),
+         # cube roots of T and L apart, as T * sig^2 * L^2 can overflow a float
+         "gap_cube": ("per_log", lambda c: 4.0 / c.mu * c.cbrt(c.T)
+                      * c.cbrt(c.sig * c.sig / (c.n * c.gap)) * c.cbrt(c.L) ** 2)},
+        gap_bound=lambda s: max((3.0 * s.noise_std**2 / (4.0 * s.strong_convexity))
+                                * math.log(4.0 / s.eps) + s.initial_gap, _failure_gap(s)),
+        pinned=(4.0, lambda c: c.sqrt(c.n) * c.T),
+        t0=lambda n: math.ceil(math.exp(1.5) / math.sqrt(n))),
+    4: _Recipe(
+        "arbitrary permutations, strongly convex",
+        ("strong_convexity", "optimum_noise_std", "component_grad_bound_value"),
+        {"eta_formula": ("pinned", None),
+         # The pinned stepsize 6*ln(T)/(mu*T) is 0 at T = 1.
+         "positive_eta": ("floor", lambda c: 2.0),
+         "eta_cap": ("cap", lambda c: c.inf if c.sig_star == 0 else
+                     c.gap * c.mu * c.mu / (9.0 * (c.mu * c.mu + c.L * c.L) * c.sig_star**2)),
+         "epoch_floor_curvature": ("floor", lambda c: 12.0 * c.L * c.L * c.ln / (c.mu * c.mu)),
+         "accuracy_budget": ("accuracy", lambda c: (c.gap + 108.0 * (c.mu * c.mu + c.L * c.L)
+                                                    * c.sig_star**2 * c.ln * c.ln / c.mu**3)
+                             / (c.T * c.T))},
+        pinned=(6.0, lambda c: c.T),
+        t0=lambda n: 3),
+    5: _Recipe(
+        "random reshuffling, convex",
+        ("variance_slope", "noise_std", "failure_prob", "optimum_noise_std", "initial_distance_sq"),
+        {"eta_cap": ("cap", lambda c: 1.0 / _reshuffling_scale(c)),
+         "cube_sum_noise": ("cube", lambda c: c.inf if c.sig == 0 else
+                            c.n * c.gap / (c.sig * c.sig * c.L * c.L)),
+         "cube_sum_optimum_noise": ("cube", lambda c: c.inf if c.sig_star == 0 else
+                                    3.0 * c.n * c.d2 / (2.0 * c.L * c.sig_star**2)),
+         "epoch_floor": ("floor", lambda c: 4.0 * c.d2 / (c.eta * c.delta * c.eps))},
+        gap_bound=_failure_gap,
+        candidate=lambda c: c.sqrt(c.n * c.eps) / _reshuffling_scale(c),
+        floor_caps={
+            "cube_sum_noise": lambda c: c.inf if c.sig == 0 else
+            c.sqrt(c.n * c.gap * c.delta * c.eps / (4.0 * c.d2 * c.sig * c.sig * c.L * c.L)),
+            "cube_sum_optimum_noise": lambda c: c.inf if c.sig_star == 0 else
+            c.sqrt(3.0 * c.n * c.delta * c.eps / (8.0 * c.L * c.sig_star**2))}),
+    6: _Recipe(
+        "arbitrary permutations, convex", ("component_grad_bound_value", "initial_distance_sq"),
+        {"eta_cap": ("cap", _convex_eta_cap),
+         "epoch_floor": ("floor", lambda c: c.d2 / (c.eta * c.eps))},
+        candidate=_convex_eta_cap),
+}
+
+
+def _sides(recipe: int, c: SimpleNamespace):
+    """(name, lhs, rhs) of each of the recipe's checks at ``c``, lazily."""
+    return ((name, *_SHAPES[shape](c, f)) for name, (shape, f) in RECIPES[recipe].checks.items())
 
 
 def _assemble(bundle: ConstantsBundle, eta: float, epochs: int,
               candidate: float | None, target: int | None) -> StepsizePlan:
+    c = _values(bundle, _FLOATS, eta, epochs)
     return StepsizePlan(bundle.recipe, eta, epochs, bundle,
-                        _float_checks(bundle, eta, epochs),
+                        tuple(PlanCheck(*sides) for sides in _sides(bundle.recipe, c)),
                         candidate_eta=candidate, target_epochs=target)
 
 
@@ -726,10 +716,30 @@ def _audit_failures(plan: StepsizePlan) -> list[str]:
 
 
 def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> StepsizePlan:
-    """Planner for recipes 1, 2, 5, 6 (stepsize not pinned to T)."""
-    candidate = _candidate_stepsize(bundle)
-    eta = min(candidate, _free_eta_upper_bounds(bundle))
-    epoch_floor = _TABLES[bundle.recipe]["epoch_floor"][0]
+    """Planner for a stepsize not pinned to T.  Its caps are each ``cap``
+    check's bound and per ``cube`` check the cap the epoch floor sets
+    through it, or at a target T its own cap (rhs / T)^(1/3)."""
+    recipe = RECIPES[bundle.recipe]
+    c = _values(bundle, _FLOATS, epochs=target_epochs or 1)
+    candidate = recipe.candidate(c)
+    caps = {}
+    for name, (shape, f) in recipe.checks.items():
+        if shape == "cap":
+            caps[name] = f(c)
+        elif shape == "cube":
+            caps[name] = (recipe.floor_caps[name](c) if target_epochs is None
+                          else float(np.cbrt(f(c) / c.T)))
+    eta = min(candidate, *caps.values())
+    epoch_floor = next(f for shape, f in recipe.checks.values() if shape == "floor")
+    try:
+        need = epoch_floor(_values(bundle, _FLOATS, eta))
+    except ZeroDivisionError:  # eta times the statistics is 0 in floats
+        need = math.inf
+    if need == math.inf:
+        by = next((f"the cap of {name!r}" for name, cap in caps.items() if cap == eta),
+                  "the suggested stepsize")
+        raise PlanInfeasibleError(f"recipe {bundle.recipe}: at eta = {eta:.6g}, set by {by}, "
+                                  "the epoch floor is not finite in floats")
     if target_epochs is None:
         # The stepsize starts at its combined upper bound, so rounding
         # (ceil on the epoch floor, float error on caps met with
@@ -738,42 +748,35 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
         # the float checks and the audit pass.  One epoch takes the
         # one-epoch target's plan, the largest stepsize the caps allow.
         shave = 2.0**-44
-        last = None
         for _ in range(120):
             epochs = max(1, math.ceil(epoch_floor(_values(bundle, _FLOATS, eta))))
             plan = _assemble(bundle, eta, epochs, candidate, None)
-            last = plan
             if plan.valid:
                 bad = _audit_failures(plan)
-                if not bad and epochs == 1:
-                    return replace(_plan_free_eta(bundle, 1), target_epochs=None)
                 if not bad:
-                    return plan
-                if set(bad) == {"epoch_floor"}:
+                    return plan if epochs > 1 else replace(_plan_free_eta(bundle, 1), target_epochs=None)
+                if all(recipe.checks[name][0] == "floor" for name in bad):
                     for extra in (1, 2, 3):
                         bumped = _assemble(bundle, eta, epochs + extra, candidate, None)
                         if bumped.valid and not _audit_failures(bumped):
                             return bumped
             eta *= 1.0 - shave
             shave = min(shave * 4.0, 0.5)
-        bad = next((c for c in last.checks if not c.satisfied), None)
+        bad = next((c for c in plan.checks if not c.satisfied), None)
         detail = (f"; binding constraint {bad.name!r} (lhs = {bad.lhs:.6g}, "
                   f"rhs = {bad.rhs:.6g})") if bad else ""
         raise PlanInfeasibleError(
-            f"recipe {bundle.recipe}: no feasible stepsize found{detail}", last.checks)
+            f"recipe {bundle.recipe}: no feasible stepsize found{detail}", plan.checks)
     # At T the epoch floor K/eta <= T bounds eta below and the caps above: take
     # the top (np.cbrt is within an ulp), at most 7 ulps lower if floats or audit ask.
-    c = _values(bundle, _FLOATS, epochs=target_epochs)
-    eta = min([candidate, _TABLES[bundle.recipe]["eta_cap"][1](c)]
-              + [float(np.cbrt(rhs(c) / c.T)) for name, (_, rhs) in _TABLES[bundle.recipe].items()
-                 if name.startswith("cube_sum")])
     for _ in range(8):
         plan = _assemble(bundle, eta, target_epochs, candidate, target_epochs)
         bad = [ch.name for ch in plan.checks if not ch.satisfied] or _audit_failures(plan)
         if not bad:
             return plan
-        if "epoch_floor" in bad:  # a smaller stepsize only raises the floor
-            bad = ["epoch_floor"]
+        floors = [name for name in bad if recipe.checks[name][0] == "floor"]
+        if floors:  # a smaller stepsize only raises the floor
+            bad = floors
             break
         eta = math.nextafter(eta, 0.0)
     worst = next(ch for ch in plan.checks if ch.name == bad[0])
@@ -783,15 +786,15 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
 
 
 def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> StepsizePlan:
-    """Planner for recipes 3 and 4, whose stepsize is pinned to T.
+    """Planner for a stepsize pinned to T.
 
     T is accepted when the float checks and the interval audit pass at
     the pinned stepsize; a target is accepted or refused by that test,
     and without one the plan has the smallest accepted T.  Acceptance is
-    monotone in T from T0 on in exact arithmetic: t/ln(t) increases for
-    t >= e, T^(2/3)/ln(sqrt(n)*T) for sqrt(n)*T >= e^(3/2), ln(T)/T and
-    (a + b*ln(T)^2)/T^2 decrease for T >= e, and the other checks are
-    constants <= T or hold at the pinned stepsize.  So T0 is
+    monotone in T from the record's T0 on in exact arithmetic: t/ln(t)
+    increases for t >= e, T^(2/3)/ln(sqrt(n)*T) for sqrt(n)*T >= e^(3/2),
+    ln(T)/T and (a + b*ln(T)^2)/T^2 decrease for T >= e, and the other
+    checks are constants <= T or hold at the pinned stepsize.  So T0 is
     ceil(e^(3/2)/sqrt(n)) <= 5 for recipe 3 and 3 for recipe 4.  Below T0
     (recipe 3 with n <= 3 can accept T = 1 and refuse T = 2) each T is
     tried; from T0 on, a galloping search and an integer bisection find
@@ -799,7 +802,7 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
     accepts.  A refusal names the violated check demanding the most
     epochs, else the first check the audit rejects.
     """
-    r = bundle.recipe
+    r, recipe = bundle.recipe, RECIPES[bundle.recipe]
 
     def at(T: int) -> StepsizePlan:
         return _assemble(bundle, _values(bundle, _FLOATS, epochs=T).pinned_eta, T, None,
@@ -808,26 +811,20 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
     def floats_ok(T: int) -> bool:  # at(T).valid, without building the plan
         c = _values(bundle, _FLOATS, epochs=T)
         c.eta = c.pinned_eta
-        return all(lhs(c) <= rhs(c) for lhs, rhs in _TABLES[r].values())
+        return all(lhs <= rhs for _, lhs, rhs in _sides(r, c))
 
     def accepted(T: int) -> bool:
         return (plan := at(T)).valid and not _audit_failures(plan)
 
     def binding(T: int, checks: tuple[PlanCheck, ...]) -> PlanCheck | None:
-        """The violated check demanding the most epochs (first on ties)."""
+        """The violated check demanding the most epochs (first on ties), by
+        shape; an accuracy budget falls like 1/T^2, other shapes ask T."""
         ln = _values(bundle, _FLOATS, epochs=T).ln
-        need = {}
-        for c in (c for c in checks if not c.satisfied):
-            if c.name in ("epoch_floor_gap", "epoch_floor_curvature", "positive_eta"):
-                need[c] = c.lhs
-            elif r == 3:
-                need[c] = c.lhs * ln
-            elif c.name == "eta_cap":
-                need[c] = 6.0 * ln / (bundle.strong_convexity * c.rhs)
-            elif c.name == "accuracy_budget":
-                need[c] = math.sqrt(c.lhs / c.rhs) * T
-            else:
-                need[c] = float(T)
+        demand = {"floor": lambda ch: ch.lhs, "per_log": lambda ch: ch.lhs * ln,
+                  "cap": lambda ch: recipe.pinned[0] * ln / (bundle.strong_convexity * ch.rhs),
+                  "accuracy": lambda ch: math.sqrt(ch.lhs / ch.rhs) * T}
+        need = {ch: demand.get(recipe.checks[ch.name][0], lambda ch: float(T))(ch)
+                for ch in checks if not ch.satisfied}
         return max(need, key=need.get) if need else None
 
     def refusal(what: str, T: int) -> PlanInfeasibleError:
@@ -853,7 +850,7 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
         if accepted(target_epochs):
             return at(target_epochs)
         raise refusal(f"target epoch count {target_epochs}", target_epochs)
-    T0 = 3 if r == 4 else math.ceil(math.exp(1.5) / math.sqrt(bundle.n))
+    T0 = recipe.t0(bundle.n)
     for T in range(1, T0):
         if accepted(T):
             return at(T)
@@ -871,16 +868,17 @@ def stepsize_plan(bundle: ConstantsBundle, target_epochs: int | None = None) -> 
     of :func:`reevaluate_plan`.  Recipes 3 and 4 pin eta to the epoch
     count: without a target the plan has the smallest epoch count the
     checks and the audit accept.  Recipes with a free stepsize take,
-    without a target, a stepsize just below their combined caps and the
-    smallest epoch count its floor allows, or the one-epoch target's plan
-    when that count is 1; at a target, the largest stepsize the caps
-    allow at that count, less at most 7 ulps.  An
-    unsatisfiable target raises :class:`PlanInfeasibleError` naming the
-    binding constraint.
+    without a target, their combined caps shaved by 2**-44 relative, then
+    four times as much per retry, until the checks and the audit pass,
+    and the smallest epoch count its floor allows, or the one-epoch
+    target's plan when that count is 1; at a target, the largest stepsize
+    the caps allow at that count, less at most 7 ulps.  An unsatisfiable
+    target raises :class:`PlanInfeasibleError` naming the binding
+    constraint; a target below 1 or past the largest float, ValueError.
     """
-    if target_epochs is not None and target_epochs < 1:
-        raise ValueError(f"target epoch count must be >= 1, got {target_epochs}")
-    if bundle.recipe in (3, 4):
+    if target_epochs is not None and not 1 <= target_epochs <= sys.float_info.max:
+        raise ValueError(f"target epoch count must be >= 1 and fit a float, got {target_epochs}")
+    if RECIPES[bundle.recipe].pinned:
         return _plan_pinned_eta(bundle, target_epochs)
     return _plan_free_eta(bundle, target_epochs)
 
@@ -888,7 +886,7 @@ def stepsize_plan(bundle: ConstantsBundle, target_epochs: int | None = None) -> 
 def reevaluate_plan(plan: StepsizePlan) -> list[tuple[str, bool]]:
     """Re-derive each plan inequality independently of the planner.
 
-    Evaluates the recipe's table in 64-digit interval arithmetic from the
+    Evaluates the recipe's checks in 64-digit interval arithmetic from the
     plan's stepsize, epoch count and bundle (its stored checks are not
     read).  An inequality holds only when the whole interval enclosing
     its lhs lies at or below the whole interval enclosing its rhs, so the
@@ -896,8 +894,7 @@ def reevaluate_plan(plan: StepsizePlan) -> list[tuple[str, bool]]:
     be rejected.
     """
     c = _values(plan.bundle, _INTERVALS, plan.eta, plan.epochs)
-    return [(name, (lhs(c) <= rhs(c)) is True)
-            for name, (lhs, rhs) in _TABLES[plan.recipe].items()]
+    return [(name, (lhs <= rhs) is True) for name, lhs, rhs in _sides(plan.recipe, c)]
 
 
 @dataclass(frozen=True)

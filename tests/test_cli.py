@@ -45,6 +45,30 @@ def _child_env() -> dict:
 
 
 class TestPlanCommand:
+    @pytest.mark.parametrize("extra, err", [
+        (["--theorem", "2", "--variance-slope", "0", "--noise-std", "1e308"],
+         "infeasible plan: recipe 2: at eta = 0, set by the cap of 'cube_sum', "),
+        (["--theorem", "2", "--variance-slope", "1e308", "--noise-std", "1"],
+         "infeasible plan: recipe 2: at eta = 0, set by the cap of 'eta_cap', "),
+        (["--theorem", "2", "--variance-slope", "0", "--noise-std", "1",
+          "--target-epochs", "1" + "0" * 400], "error: target epoch count must be >= 1 and fit"),
+        (["--theorem", "4", "--mu", "0.5", "--optimum-noise", "1", "--component-grad-bound", "2",
+          "--target-epochs", "1" + "0" * 400], "error: target epoch count must be >= 1 and fit"),
+        (["--theorem", "2", "--variance-slope", "0", "--noise-std", "inf"],
+         "error: noise_std must be finite and >= 0, got inf\n"),
+        (["--theorem", "2", "--variance-slope", "nan", "--noise-std", "1"],
+         "error: variance_slope must be finite and >= 0, got nan\n"),
+        (["--theorem", "4", "--mu", "0.5", "--optimum-noise", "-1", "--component-grad-bound", "2"],
+         "error: optimum_noise_std must be finite and >= 0, got -1.0\n"),
+    ], ids=["zero-cube-cap", "zero-eta-cap", "huge-free-target", "huge-pinned-target",
+            "inf-noise", "nan-slope", "negative-optimum-noise"])
+    def test_refusals_are_one_line(self, tmp_path, capsys, extra, err):
+        args = ["plan", "--eps", "0.1", "--n", "10", "--ell-constant", "1", "--initial-gap", "1",
+                "--out", str(tmp_path / "plan.json"), *extra]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(err)
+        assert not (tmp_path / "plan.json").exists()
+
     def test_manual_stats_example(self, tmp_path, capsys):
         assert main(_plan_args(tmp_path)) == 0
         out = capsys.readouterr().out

@@ -593,6 +593,24 @@ def test_block_rows_get_their_solo_orders_and_bits(monkeypatch):
     assert len(diverged) == 2 and min(diverged) <= 64 < max(diverged) <= 70
 
 
+def test_untracked_average_leaves_every_other_bit():
+    # without track_average no running mean is kept or filtered; the rows,
+    # their divergences and every metric keep the tracked run's bits
+    problem = TinyQuadraticProblem()
+    rows = [("random_reshuffle", 11, None), ("sgd", 13, None), ("random_reshuffle", 14, None)]
+    outcomes = [run_block(problem, RunConfig(step_size=0.0, epochs=70, divergence_threshold=1e4,
+                                             track_average=track), rows, [0.3, 0.3, 2.2])
+                for track in (False, True)]
+    assert sum(isinstance(o, DivergenceError) for o in outcomes[0]) == 1
+    for got, want in zip(*outcomes):
+        if isinstance(want, DivergenceError):
+            assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
+            got, want = got.record, want.record
+        assert got.averaged_point is None and want.averaged_point is not None
+        for field in ("objective", "grad_norm_sq", "dist_sq", "evals", "final_point"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
 @pytest.mark.parametrize("n,epochs", [
     (7, 70),  # an odd n, across the 64-epoch chunk boundary
     (1, 70),

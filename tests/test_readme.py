@@ -12,7 +12,7 @@ from shufflegrad.cli import main
 from shufflegrad import experiment, ingest
 from shufflegrad.experiment import ExperimentConfig
 from shufflegrad.problems import _PROBLEMS
-from shufflegrad.smoothness import RECIPE_NAMES, EllFunction, constants_for_recipe
+from shufflegrad.smoothness import RECIPES, EllFunction, constants_for_recipe
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -49,9 +49,9 @@ def _commands(section: str):
 
 def test_recipe_table_matches_code():
     rows = re.findall(r"^\| (\d) \| (.*?) \| (.*?) \|$", _section("Stepsize plans"), flags=re.M)
-    assert [int(r) for r, _, _ in rows] == sorted(RECIPE_NAMES)
+    assert [int(r) for r, _, _ in rows] == sorted(RECIPES)
     for recipe, setting, needs in rows:
-        assert setting == RECIPE_NAMES[int(recipe)]
+        assert setting == RECIPES[int(recipe)].name
         # Leaving every optional statistic out makes the code name all
         # the ones the recipe requires, in one message.
         with pytest.raises(ValueError, match="needs statistics: ") as err:

@@ -19,15 +19,15 @@ from shufflegrad.problems import (
 from shufflegrad import smoothness
 from shufflegrad.smoothness import (
     _INTERVALS,
-    _TABLES,
     RECIPES,
     EllFunction,
     PlanInfeasibleError,
     StepsizePlan,
     _Arithmetic,
-    _float_checks,
+    _assemble,
     _Interval,
     _per_log,
+    _sides,
     _values,
     component_gradient_bound,
     constants_for_recipe,
@@ -236,6 +236,17 @@ class TestConstants:
         with pytest.raises(ValueError):
             _bundle(1, failure_prob=1.5)
 
+    @pytest.mark.parametrize("recipe, field, value", [
+        (2, "noise_std", math.inf), (2, "variance_slope", math.nan),
+        (4, "optimum_noise_std", math.nan), (4, "optimum_noise_std", -1.0),
+        (3, "strong_convexity", -1.0), (3, "strong_convexity", 0.0),
+        (6, "initial_distance_sq", 0.0), (6, "component_grad_bound_value", 0.0),
+        (1, "initial_gap", math.nan), (1, "eps", math.inf)])
+    def test_bad_statistics_are_refused_by_name(self, recipe, field, value):
+        sign = ">=" if field in ("noise_std", "variance_slope", "optimum_noise_std") else ">"
+        with pytest.raises(ValueError, match=f"^{field} must be finite and {sign} 0, got "):
+            _bundle(recipe, **{field: value})
+
     def test_report_mentions_all_constants(self):
         text = _bundle(1).report()
         for token in ("value_gap_bound", "grad_norm_bound", "component_grad_bound",
@@ -338,6 +349,21 @@ class TestPlans:
             assert len(violated) >= 2 and violated[0] == first, violated
             assert "violates 'noise_cap'" in str(err.value)
 
+    @pytest.mark.parametrize("stats, cap", [(dict(noise_std=1e308), "cube_sum"),
+                                            (dict(variance_slope=1e308), "eta_cap")])
+    @pytest.mark.parametrize("target", [None, 100])
+    def test_zero_cap_is_refused_by_name(self, stats, cap, target):
+        # The cap is 0 in floats, so the epoch floor K / eta is not finite
+        bundle = _bundle(2, n=10, **stats)
+        with pytest.raises(PlanInfeasibleError, match=f"^recipe 2: at eta = 0, set by the cap "
+                                                      f"of '{cap}', the epoch floor is not finite"):
+            stepsize_plan(bundle, target_epochs=target)
+
+    @pytest.mark.parametrize("recipe", [2, 4])
+    def test_target_past_the_largest_float_is_refused(self, recipe):
+        with pytest.raises(ValueError, match="must be >= 1 and fit a float"):
+            stepsize_plan(_bundle(recipe), target_epochs=10**400)
+
     def test_per_step_size(self):
         plan = stepsize_plan(_bundle(1, noise_std=0.0))  # n = 4
         assert plan.per_step_size() == pytest.approx(plan.eta / 4.0)
@@ -377,6 +403,45 @@ class TestPlans:
         assert cfg["ell"] == {"kind": "constant", "params": [1.0]}
 
 
+# Plans and refusals of the default bundles, pinned bit for bit: one
+# plan per recipe, one target plan per free recipe, and refusals of both
+# planners; the pinned ones weigh every shape that binding() reads
+# (floor, per_log, cap, accuracy).
+_EXACT_PLANS = [  # (recipe, target, repr(eta), epochs)
+    (1, None, "0.024999872843554302", 256002), (2, None, "0.028867366631864982", 27713),
+    (3, None, "0.15730445778155405", 144), (4, None, "0.05554743746007442", 709),
+    (5, None, "0.11176700690880646", 2864), (6, None, "0.03872983346207417", 1033),
+    (1, 10**7, "0.007368062997280773", 10**7), (2, 10**5, "0.01882072057762057", 10**5),
+    (5, 10**5, "0.034199518933533936", 10**5), (6, 2000, "0.03872983346207417", 2000),
+]
+_EXACT_REFUSALS = [  # (recipe, overrides, target, message)
+    (2, {}, 100, "recipe 2: target epoch count 100 violates 'epoch_floor' (lhs = 16000, rhs = 100)"),
+    (6, {}, 1000, "recipe 6: target epoch count 1000 violates 'epoch_floor' "
+                  "(lhs = 1032.8, rhs = 1000)"),
+    (3, {}, 143, "recipe 3: target epoch count 143 violates 'noise_cap' "
+                 "(lhs = 25.2982, rhs = 25.2829)"),
+    (4, {}, 2, "recipe 4: target epoch count 2 violates 'eta_cap' (lhs = 2.07944, rhs = 0.0555556)"),
+    (4, dict(eps=1e-4, optimum_noise_std=0.0), 3,
+     "recipe 4: target epoch count 3 violates 'accuracy_budget' (lhs = 0.111111, rhs = 0.0001)"),
+    (3, dict(strong_convexity=1e-305, noise_std=0.0, ell=EllFunction.constant(0.25)), None,
+     "recipe 3: no epoch count up to 2**1023 passes: epoch count 4.49423e+307 violates "
+     "'iteration_floor' (lhs = 8e+305, rhs = 6.33803e+304)"),
+]
+
+
+@pytest.mark.parametrize("recipe, target, eta, epochs", _EXACT_PLANS)
+def test_exact_plans(recipe, target, eta, epochs):
+    plan = stepsize_plan(_bundle(recipe), target_epochs=target)
+    assert (repr(plan.eta), plan.epochs) == (eta, epochs)
+
+
+@pytest.mark.parametrize("recipe, overrides, target, message", _EXACT_REFUSALS)
+def test_exact_refusals(recipe, overrides, target, message):
+    with pytest.raises(PlanInfeasibleError) as err:
+        stepsize_plan(_bundle(recipe, **overrides), target_epochs=target)
+    assert str(err.value) == message
+
+
 _POSITIVE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 _NOISE = st.one_of(st.just(0.0), _POSITIVE)
 _MODULI = st.one_of(
@@ -387,7 +452,7 @@ _MODULI = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(recipe=st.sampled_from(RECIPES), ell=_MODULI, gap=_POSITIVE,
+@given(recipe=st.sampled_from(sorted(RECIPES)), ell=_MODULI, gap=_POSITIVE,
        n=st.integers(1, 10**4), eps=st.floats(-4.0, 0.0).map(lambda e: 10.0**e),
        delta=st.floats(0.01, 0.99), slope=_NOISE, noise=_NOISE, mu=_POSITIVE,
        opt_noise=_NOISE, dist_sq=_POSITIVE, comp_bound=_POSITIVE,
@@ -409,7 +474,8 @@ def test_plans_pass_the_audit_and_floats_agree_with_it(recipe, ell, gap, n, eps,
                 (math.nextafter(plan.eta, math.inf), plan.epochs)]
     for eta, epochs in [(plan.eta, plan.epochs)] + tampered:
         audit = reevaluate_plan(dataclasses.replace(plan, eta=eta, epochs=epochs, checks=()))
-        for check, (name, ok) in zip(_float_checks(bundle, eta, epochs), audit, strict=True):
+        floats = _assemble(bundle, eta, epochs, None, None).checks
+        for check, (name, ok) in zip(floats, audit, strict=True):
             assert check.name == name
             if abs(check.margin) > 1e-9 * max(abs(check.lhs), abs(check.rhs)):
                 assert check.satisfied == ok, (check, ok)
@@ -476,7 +542,7 @@ def test_pinned_plans_are_minimal_and_acceptance_is_monotone(recipe, ell, gap, n
 
 
 def _dec_ends(x):
-    if isinstance(x, float):  # a table side that is a plain constant
+    if isinstance(x, float):  # a check side that is a plain constant
         return Fraction(x), Fraction(x)
     return tuple(float(e) if e.is_infinite() else Fraction(e) for e in (x.lo, x.hi))
 
@@ -548,7 +614,7 @@ _BUNDLES = st.builds(
                          variance_slope=slope, noise_std=noise, strong_convexity=mu,
                          optimum_noise_std=opt_noise, initial_distance_sq=dist_sq,
                          component_grad_bound_value=comp_bound),
-    st.sampled_from(RECIPES), _MODULI, _POSITIVE, st.integers(1, 10**4),
+    st.sampled_from(sorted(RECIPES)), _MODULI, _POSITIVE, st.integers(1, 10**4),
     st.floats(-4.0, 0.0).map(lambda e: 10.0**e), st.floats(0.01, 0.99), _NOISE, _NOISE,
     _POSITIVE, _NOISE, _POSITIVE, _POSITIVE)
 
@@ -571,10 +637,10 @@ def _ties(bundle, eta):
     sums).  T then has far more than 64 digits, so only the audit's outward
     rounding keeps it from accepting the side exact arithmetic rejects."""
     tiny = math.ldexp(eta, -300)
-    at = [_values(bundle, _EXACT, tiny, T) for T in (1, 2)]
+    at = [_sides(bundle.recipe, _values(bundle, _EXACT, tiny, T)) for T in (1, 2)]
     points = []
-    for lhs, rhs in _TABLES[bundle.recipe].values():
-        sides = [(lhs(c), rhs(c)) for c in at]
+    for (_, *one), (_, *two) in zip(*at, strict=True):
+        sides = [one, two]
         if any(v is _OPAQUE or v == math.inf for pair in sides for v in pair):
             continue
         d1, d2 = (_Exact(left) - right for left, right in sides)  # lhs - rhs at T = 1, 2
@@ -597,32 +663,30 @@ def test_audit_accepts_no_rational_check_that_exact_arithmetic_rejects(bundle):
     near = _near_plan(bundle)
     for eta, epochs in near + (_ties(bundle, near[0][0]) if near else []):
         verdicts = _audit(bundle, eta, epochs)
-        c = _values(bundle, _EXACT, eta, epochs)
-        for name, (lhs, rhs) in _TABLES[bundle.recipe].items():
-            sides = lhs(c), rhs(c)
+        for name, *sides in _sides(bundle.recipe, _values(bundle, _EXACT, eta, epochs)):
             if verdicts[name] and not any(s is _OPAQUE for s in sides):
                 assert sides[0] <= sides[1], (name, eta, epochs)
 
 
 def _assert_sides_agree_with_mpmath(mp, bundle, eta, epochs):
-    """Each table side's interval meets mpmath's 60-digit one and is at most
+    """Each check side's interval meets mpmath's 60-digit one and is at most
     1e-50 wide relative to its size; where mpmath decides a check, the
     audit decides it the same way."""
     _, mp_arithmetic = mp[0]
-    cd = _values(bundle, _INTERVALS, eta, epochs)
-    cm = _values(bundle, mp_arithmetic, eta, epochs)
-    for name, (lhs, rhs) in _TABLES[bundle.recipe].items():
-        for side, which in ((lhs, "lhs"), (rhs, "rhs")):
-            (dlo, dhi), (mlo, mhi) = _dec_ends(side(cd)), _mp_ends(side(cm))
+    decimal_sides = _sides(bundle.recipe, _values(bundle, _INTERVALS, eta, epochs))
+    mp_sides = _sides(bundle.recipe, _values(bundle, mp_arithmetic, eta, epochs))
+    for (name, *dec), (_, *mpm) in zip(decimal_sides, mp_sides, strict=True):
+        for d, m, which in zip(dec, mpm, ("lhs", "rhs")):
+            (dlo, dhi), (mlo, mhi) = _dec_ends(d), _mp_ends(m)
             assert dlo <= mhi and mlo <= dhi, (name, which, (dlo, dhi), (mlo, mhi))
             if math.inf not in (abs(dlo), abs(dhi)):
-                # |eta - pinned_eta|, the tables' one subtraction, cancels: measure it against eta
+                # |eta - pinned_eta|, the checks' one subtraction, cancels: measure it against eta
                 size = abs(Fraction(eta)) if name == "eta_formula" and which == "lhs" else \
                     max(abs(dlo), abs(dhi))
                 assert dhi - dlo <= Fraction(1, 10**50) * size, (name, which)
-        expected = lhs(cm) <= rhs(cm)
+        expected = mpm[0] <= mpm[1]
         if expected is not None:
-            assert (lhs(cd) <= rhs(cd)) == expected, name
+            assert (dec[0] <= dec[1]) == expected, name
 
 
 @settings(max_examples=60, deadline=None)
@@ -723,8 +787,9 @@ def test_recipe3_at_one_component_and_one_epoch_meets_the_whole_line():
 def test_zero_noise_gives_the_infinite_right_side(recipe, check, field):
     bundle = _bundle(recipe, **{field: 0.0})
     plan = stepsize_plan(bundle)
-    c = _values(bundle, _INTERVALS, plan.eta, plan.epochs)
-    assert _TABLES[recipe][check][1](c) == _INTERVALS.inf
+    rhs = {name: right for name, _, right in
+           _sides(recipe, _values(bundle, _INTERVALS, plan.eta, plan.epochs))}
+    assert rhs[check] == _INTERVALS.inf
     assert all(ok for _, ok in reevaluate_plan(plan))
 
 
@@ -737,7 +802,7 @@ def test_negative_zero_is_zero():
     assert all(ok for _, ok in reevaluate_plan(signed))
 
 
-@pytest.mark.parametrize("recipe", RECIPES)
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
 def test_epoch_counts_past_float_precision(recipe):
     plan = stepsize_plan(_bundle(recipe), target_epochs=2**1000)
     assert plan.epochs == 2**1000 and all(ok for _, ok in reevaluate_plan(plan))
