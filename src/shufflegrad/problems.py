@@ -208,14 +208,10 @@ def _lane_epoch(W, coord, offset, orders, steps, visit, idle=None):
     return x[column].reshape(W.shape)
 
 
-class QuarticProblem(FiniteSumProblem):
-    """Separable quartic f(x; (i,k)) = x_i^4 + k*x_i on 50 coordinates.
-
-    Components are indexed by (coordinate, offset) pairs with offsets
-    -10..10, giving n = 50 * 21 = 1050.  The offsets cancel in the mean,
-    so F(x) = (1/50) * sum_i x_i^4 with minimum 0 at the origin.  Flat
-    component index of (coordinate c, offset k) is c*21 + (k+10).
-    """
+class _CoordinateOffsetProblem(FiniteSumProblem):
+    """Components indexed by (coordinate c, offset k) pairs, c < 50 and k in
+    -10..10, at flat index c*21 + (k+10), so n = 1050.  Runs start at all
+    ones; the optimum is the origin."""
 
     DIM = 50
     OFFSETS = np.arange(-10, 11)
@@ -228,8 +224,15 @@ class QuarticProblem(FiniteSumProblem):
         self._tables = (self._coord, self._offset)
         self._initial = np.ones(self.DIM)
         self._optimum_point = np.zeros(self.DIM)
-        self.optimum_value = 0.0
-        self.declared_ell = EllFunction.power(3.0, 2.0 / 3.0)
+
+
+class QuarticProblem(_CoordinateOffsetProblem):
+    """Separable quartic f(x; (i,k)) = x_i^4 + k*x_i over the coordinate
+    and offset index set.  The offsets cancel in the mean, so
+    F(x) = (1/50) * sum_i x_i^4 with minimum 0 at the origin."""
+
+    optimum_value = 0.0
+    declared_ell = EllFunction.power(3.0, 2.0 / 3.0)
 
     def _component_value(self, w, i):
         c = self._coord[i]
@@ -267,7 +270,7 @@ class QuarticProblem(FiniteSumProblem):
         return 4.0 * (W * W * W) / self.DIM
 
 
-class ExpStrongProblem(FiniteSumProblem):
+class ExpStrongProblem(_CoordinateOffsetProblem):
     """Strongly convex exponential sum on 50 coordinates.
 
     f(x; (j,k)) = exp(x_j - k) + exp(k - x_j) + 0.5*||x||^2 over the same
@@ -276,22 +279,14 @@ class ExpStrongProblem(FiniteSumProblem):
     origin.
     """
 
-    DIM = 50
-    OFFSETS = np.arange(-10, 11)
+    strong_convexity = 1.0
+    declared_ell = EllFunction.affine(5.0, 5.0)
 
     def __init__(self):
-        self.dim = self.DIM
-        self.n = self.DIM * len(self.OFFSETS)
-        self._coord = np.repeat(np.arange(self.DIM), len(self.OFFSETS))
-        self._offset = np.tile(self.OFFSETS, self.DIM).astype(float)
-        self._tables = (self._coord, self._offset)
+        super().__init__()
         # sum_k exp(k) over k = -10..10; symmetric under k -> -k
         self._exp_sum = float(np.sum(np.exp(self.OFFSETS.astype(float))))
-        self._initial = np.ones(self.DIM)
-        self._optimum_point = np.zeros(self.DIM)
         self.optimum_value = self.full_value(self._optimum_point)
-        self.strong_convexity = 1.0
-        self.declared_ell = EllFunction.affine(5.0, 5.0)
 
     def _component_value(self, w, i):
         c = self._coord[i]

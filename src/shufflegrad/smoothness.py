@@ -21,11 +21,14 @@ check is a shape and one expression: the shape supplies the fixed side
 (``cap``: eta <= f, ``cube``: T*eta^3 <= f, ``floor``: f <= T,
 ``per_log``: f <= T/ln, ``pinned``: |eta - eta(T)| <= 1e-12*eta(T),
 ``accuracy``: f <= eps), and the planners read shapes, never a check's
-name.  Every emitted plan stores the checks evaluated in floats, with
-numeric margins; :func:`reevaluate_plan` evaluates the same checks in
-64-digit interval arithmetic, on the standard library's ``decimal`` with
-every end rounded outward, as an independent audit that never accepts an
-inequality exact arithmetic rejects.
+name.  A free stepsize's caps come from the checks: each ``cap`` bound
+and, per ``cube`` check T*eta^3 <= C and epoch floor K/eta <= T (K the
+``floor`` expression at eta = 1), (C/K)^(1/2), or (C/T)^(1/3) at a target
+T.  Every emitted plan stores the checks evaluated in floats, with numeric
+margins; :func:`reevaluate_plan` evaluates the same checks in 64-digit
+interval arithmetic, on the standard library's ``decimal`` with every end
+rounded outward, as an independent audit that never accepts an inequality
+exact arithmetic rejects.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import decimal
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -118,14 +121,9 @@ class EllFunction:
     @classmethod
     def from_config(cls, cfg: dict) -> "EllFunction":
         kind = cfg.get("kind")
-        params = cfg.get("params", [])
-        if kind == "constant":
-            return cls.constant(*params)
-        if kind == "affine":
-            return cls.affine(*params)
-        if kind == "power":
-            return cls.power(*params)
-        raise ValueError(f"cannot rebuild modulus of kind {kind!r}")
+        if kind not in ("constant", "affine", "power"):  # the three builders' names
+            raise ValueError(f"cannot rebuild modulus of kind {kind!r}")
+        return getattr(cls, kind)(*cfg.get("params", []))
 
 
 def solve_gradient_bound(ell: EllFunction, budget: float) -> float:
@@ -262,11 +260,14 @@ def constants_for_recipe(recipe: int, ell: EllFunction, *, initial_gap: float, n
     if record.gap_bound is None:
         comp_bound = float(component_grad_bound_value)
     else:
-        gap_bound = record.gap_bound(SimpleNamespace(**given))
+        gap_bound = _float_or(record.gap_bound, SimpleNamespace(**given), math.inf)
+        if not gap_bound < math.inf:
+            raise ValueError(f"recipe {recipe}: the value-gap bound is not finite in floats")
         grad_bound = solve_gradient_bound(ell, gap_bound)
         comp_bound = component_gradient_bound(grad_bound, n, variance_slope, noise_std)
 
-    smooth = float(ell.evaluate(2.0 * comp_bound))
+    with np.errstate(over="ignore"):  # a modulus past the largest float reads inf
+        smooth = float(ell.evaluate(2.0 * comp_bound))
     return ConstantsBundle(
         recipe=recipe, ell=ell, n=n, initial_gap=initial_gap, eps=eps,
         failure_prob=failure_prob, variance_slope=variance_slope, noise_std=noise_std,
@@ -304,7 +305,6 @@ class StepsizePlan:
     bundle: ConstantsBundle
     checks: tuple[PlanCheck, ...]
     candidate_eta: float | None = None
-    target_epochs: int | None = None
 
     @property
     def valid(self) -> bool:
@@ -349,6 +349,14 @@ class PlanInfeasibleError(RuntimeError):
     def __init__(self, message: str, checks: tuple[PlanCheck, ...] = ()):
         super().__init__(message)
         self.checks = checks
+
+
+def _float_or(f, x, fallback):
+    """f(x), or ``fallback`` where floats cannot: a divisor underflowed to 0, a power overflowed."""
+    try:
+        return f(x)
+    except (ZeroDivisionError, OverflowError):
+        return fallback
 
 
 class _Arithmetic(NamedTuple):
@@ -601,7 +609,7 @@ class _Recipe(NamedTuple):
     checks: dict  # name -> (shape, expression)
     gap_bound: Callable | None = None  # value-gap bound; None takes the given component bound
     candidate: Callable | None = None  # a free stepsize's suggestion, blind to the cube sums
-    floor_caps: dict | None = None  # cube check -> the cap its epoch floor puts on eta
+    # no cube caps: the planner derives them from the checks, (C/K)^(1/2) or (C/T)^(1/3) at a T
     pinned: tuple | None = None  # eta = coeff * ln(arg) / (mu * T): (coeff, arg)
     t0: Callable | None = None  # first epoch count of the pinned search, from n
 
@@ -630,9 +638,7 @@ RECIPES = {
                       c.n * c.gap / (c.L * c.L * c.sig * c.sig)),
          "epoch_floor": ("floor", lambda c: 32.0 * c.gap / (c.eta * c.delta * c.eps * c.eps))},
         gap_bound=_failure_gap,
-        candidate=lambda c: c.sqrt(c.n) * c.eps / _reshuffling_scale(c),
-        floor_caps={"cube_sum": lambda c: c.inf if c.sig == 0 else
-                    c.eps * c.sqrt(c.n * c.delta / 32.0) / (c.L * c.sig)}),
+        candidate=lambda c: c.sqrt(c.n) * c.eps / _reshuffling_scale(c)),
     2: _Recipe(
         "arbitrary permutations, nonconvex", ("variance_slope", "noise_std"),
         {"eta_cap": ("cap", lambda c: 1.0 / _permutation_scale(c)),
@@ -640,9 +646,7 @@ RECIPES = {
                       2.0 * c.gap / (3.0 * c.sig * c.sig * c.L * c.L)),
          "epoch_floor": ("floor", lambda c: 8.0 * c.gap / (c.eta * c.eps * c.eps))},
         gap_bound=lambda s: 2.0 * s.initial_gap,
-        candidate=lambda c: c.eps / _permutation_scale(c),
-        floor_caps={"cube_sum": lambda c: c.inf if c.sig == 0 else
-                    c.eps / (c.sig * c.L * c.sqrt(12.0))}),
+        candidate=lambda c: c.eps / _permutation_scale(c)),
     3: _Recipe(
         "random reshuffling, strongly convex",
         ("variance_slope", "noise_std", "failure_prob", "strong_convexity"),
@@ -684,12 +688,7 @@ RECIPES = {
                                     3.0 * c.n * c.d2 / (2.0 * c.L * c.sig_star**2)),
          "epoch_floor": ("floor", lambda c: 4.0 * c.d2 / (c.eta * c.delta * c.eps))},
         gap_bound=_failure_gap,
-        candidate=lambda c: c.sqrt(c.n * c.eps) / _reshuffling_scale(c),
-        floor_caps={
-            "cube_sum_noise": lambda c: c.inf if c.sig == 0 else
-            c.sqrt(c.n * c.gap * c.delta * c.eps / (4.0 * c.d2 * c.sig * c.sig * c.L * c.L)),
-            "cube_sum_optimum_noise": lambda c: c.inf if c.sig_star == 0 else
-            c.sqrt(3.0 * c.n * c.delta * c.eps / (8.0 * c.L * c.sig_star**2))}),
+        candidate=lambda c: c.sqrt(c.n * c.eps) / _reshuffling_scale(c)),
     6: _Recipe(
         "arbitrary permutations, convex", ("component_grad_bound_value", "initial_distance_sq"),
         {"eta_cap": ("cap", _convex_eta_cap),
@@ -699,16 +698,20 @@ RECIPES = {
 
 
 def _sides(recipe: int, c: SimpleNamespace):
-    """(name, lhs, rhs) of each of the recipe's checks at ``c``, lazily."""
-    return ((name, *_SHAPES[shape](c, f)) for name, (shape, f) in RECIPES[recipe].checks.items())
+    """(name, lhs, rhs) of each of the recipe's checks at ``c``, lazily; NaN where floats fail."""
+    for name, (shape, f) in RECIPES[recipe].checks.items():
+        try:
+            yield (name, *_SHAPES[shape](c, f))
+        except (ZeroDivisionError, OverflowError):  # _float_or, inlined on this hot path
+            yield name, math.nan, math.nan
 
 
 def _assemble(bundle: ConstantsBundle, eta: float, epochs: int,
-              candidate: float | None, target: int | None) -> StepsizePlan:
+              candidate: float | None) -> StepsizePlan:
     c = _values(bundle, _FLOATS, eta, epochs)
     return StepsizePlan(bundle.recipe, eta, epochs, bundle,
                         tuple(PlanCheck(*sides) for sides in _sides(bundle.recipe, c)),
-                        candidate_eta=candidate, target_epochs=target)
+                        candidate_eta=candidate)
 
 
 def _audit_failures(plan: StepsizePlan) -> list[str]:
@@ -716,28 +719,28 @@ def _audit_failures(plan: StepsizePlan) -> list[str]:
 
 
 def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> StepsizePlan:
-    """Planner for a stepsize not pinned to T.  Its caps are each ``cap``
-    check's bound and per ``cube`` check the cap the epoch floor sets
-    through it, or at a target T its own cap (rhs / T)^(1/3)."""
+    """Planner for a stepsize not pinned to T.  Its caps: each ``cap`` bound and,
+    per ``cube`` check T*eta^3 <= C and epoch floor K/eta <= T (K at eta = 1),
+    (C/K)^(1/2), or (C/T)^(1/3) at a target T; a NaN cap refuses the plan."""
     recipe = RECIPES[bundle.recipe]
-    c = _values(bundle, _FLOATS, epochs=target_epochs or 1)
-    candidate = recipe.candidate(c)
-    caps = {}
-    for name, (shape, f) in recipe.checks.items():
-        if shape == "cap":
-            caps[name] = f(c)
-        elif shape == "cube":
-            caps[name] = (recipe.floor_caps[name](c) if target_epochs is None
-                          else float(np.cbrt(f(c) / c.T)))
-    eta = min(candidate, *caps.values())
     epoch_floor = next(f for shape, f in recipe.checks.values() if shape == "floor")
-    try:
-        need = epoch_floor(_values(bundle, _FLOATS, eta))
-    except ZeroDivisionError:  # eta times the statistics is 0 in floats
-        need = math.inf
-    if need == math.inf:
-        by = next((f"the cap of {name!r}" for name, cap in caps.items() if cap == eta),
-                  "the suggested stepsize")
+
+    def floor(eta):  # the epoch floor at eta; inf where eta times the statistics is 0
+        return _float_or(epoch_floor, _values(bundle, _FLOATS, eta), math.inf)
+
+    K, c = floor(1.0), _values(bundle, _FLOATS, 1.0, target_epochs or 1)
+    caps = {}
+    for (shape, _), (name, _, bound) in zip(recipe.checks.values(), _sides(bundle.recipe, c)):
+        if shape == "cap":
+            caps[name] = bound
+        elif shape == "cube":
+            caps[name] = (float(np.cbrt(bound / c.T)) if target_epochs
+                          else math.sqrt(bound / K) if K else math.inf)
+    candidate = _float_or(recipe.candidate, c, math.nan)
+    eta = float(np.min([candidate, *caps.values()]))  # NaN if any bound is
+    if not floor(eta) < math.inf:
+        by = next((f"the cap of {name!r}" for name, cap in caps.items()
+                   if cap == eta or cap != cap), "the suggested stepsize")
         raise PlanInfeasibleError(f"recipe {bundle.recipe}: at eta = {eta:.6g}, set by {by}, "
                                   "the epoch floor is not finite in floats")
     if target_epochs is None:
@@ -749,15 +752,17 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
         # one-epoch target's plan, the largest stepsize the caps allow.
         shave = 2.0**-44
         for _ in range(120):
-            epochs = max(1, math.ceil(epoch_floor(_values(bundle, _FLOATS, eta))))
-            plan = _assemble(bundle, eta, epochs, candidate, None)
+            if not (need := floor(eta)) < math.inf:  # eta shaved until the floor overflows
+                break
+            epochs = max(1, math.ceil(need))
+            plan = _assemble(bundle, eta, epochs, candidate)
             if plan.valid:
                 bad = _audit_failures(plan)
                 if not bad:
-                    return plan if epochs > 1 else replace(_plan_free_eta(bundle, 1), target_epochs=None)
+                    return plan if epochs > 1 else _plan_free_eta(bundle, 1)
                 if all(recipe.checks[name][0] == "floor" for name in bad):
                     for extra in (1, 2, 3):
-                        bumped = _assemble(bundle, eta, epochs + extra, candidate, None)
+                        bumped = _assemble(bundle, eta, epochs + extra, candidate)
                         if bumped.valid and not _audit_failures(bumped):
                             return bumped
             eta *= 1.0 - shave
@@ -770,7 +775,7 @@ def _plan_free_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Stepsi
     # At T the epoch floor K/eta <= T bounds eta below and the caps above: take
     # the top (np.cbrt is within an ulp), at most 7 ulps lower if floats or audit ask.
     for _ in range(8):
-        plan = _assemble(bundle, eta, target_epochs, candidate, target_epochs)
+        plan = _assemble(bundle, eta, target_epochs, candidate)
         bad = [ch.name for ch in plan.checks if not ch.satisfied] or _audit_failures(plan)
         if not bad:
             return plan
@@ -805,8 +810,7 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
     r, recipe = bundle.recipe, RECIPES[bundle.recipe]
 
     def at(T: int) -> StepsizePlan:
-        return _assemble(bundle, _values(bundle, _FLOATS, epochs=T).pinned_eta, T, None,
-                         target_epochs)
+        return _assemble(bundle, _values(bundle, _FLOATS, epochs=T).pinned_eta, T, None)
 
     def floats_ok(T: int) -> bool:  # at(T).valid, without building the plan
         c = _values(bundle, _FLOATS, epochs=T)
@@ -817,14 +821,14 @@ def _plan_pinned_eta(bundle: ConstantsBundle, target_epochs: int | None) -> Step
         return (plan := at(T)).valid and not _audit_failures(plan)
 
     def binding(T: int, checks: tuple[PlanCheck, ...]) -> PlanCheck | None:
-        """The violated check demanding the most epochs (first on ties), by
-        shape; an accuracy budget falls like 1/T^2, other shapes ask T."""
+        """The violated check demanding the most epochs (first on ties), by shape;
+        an accuracy budget falls like 1/T^2, a cap of 0 asks inf, others ask T."""
         ln = _values(bundle, _FLOATS, epochs=T).ln
         demand = {"floor": lambda ch: ch.lhs, "per_log": lambda ch: ch.lhs * ln,
                   "cap": lambda ch: recipe.pinned[0] * ln / (bundle.strong_convexity * ch.rhs),
                   "accuracy": lambda ch: math.sqrt(ch.lhs / ch.rhs) * T}
-        need = {ch: demand.get(recipe.checks[ch.name][0], lambda ch: float(T))(ch)
-                for ch in checks if not ch.satisfied}
+        need = {ch: _float_or(demand.get(recipe.checks[ch.name][0], lambda ch: float(T)), ch,
+                              math.inf) for ch in checks if not ch.satisfied}
         return max(need, key=need.get) if need else None
 
     def refusal(what: str, T: int) -> PlanInfeasibleError:

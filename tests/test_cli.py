@@ -60,13 +60,34 @@ class TestPlanCommand:
          "error: variance_slope must be finite and >= 0, got nan\n"),
         (["--theorem", "4", "--mu", "0.5", "--optimum-noise", "-1", "--component-grad-bound", "2"],
          "error: optimum_noise_std must be finite and >= 0, got -1.0\n"),
+        # statistics whose checks leave the float range: mu**3 and mu*mu
+        # underflow to 0, eta_cap's bound underflows to 0, sig_star**2 and
+        # noise_std**2 overflow
+        (["--theorem", "4", "--mu", "1e-110", "--optimum-noise", "1", "--component-grad-bound", "2"],
+         "infeasible plan: recipe 4: no epoch count up to 2**1023 passes: "),
+        (["--theorem", "4", "--mu", "1e-170", "--optimum-noise", "1", "--component-grad-bound", "2"],
+         "infeasible plan: recipe 4: no epoch count up to 2**1023 passes: "),
+        (["--theorem", "4", "--initial-gap", "1e-300", "--mu", "1e-5", "--optimum-noise", "1e10",
+          "--component-grad-bound", "2"],
+         "infeasible plan: recipe 4: no epoch count up to 2**1023 passes: "),
+        (["--theorem", "4", "--mu", "0.5", "--optimum-noise", "1e200", "--component-grad-bound", "2"],
+         "infeasible plan: recipe 4: no epoch count up to 2**1023 passes: "),
+        (["--theorem", "5", "--delta", "0.1", "--variance-slope", "0", "--noise-std", "1",
+          "--optimum-noise", "1e200", "--initial-dist-sq", "1"],
+         "infeasible plan: recipe 5: at eta = nan, set by the cap of 'cube_sum_optimum_noise', "),
+        (["--theorem", "3", "--mu", "0.5", "--delta", "0.1", "--variance-slope", "0",
+          "--noise-std", "1e160"],
+         "error: recipe 3: the value-gap bound is not finite in floats\n"),
     ], ids=["zero-cube-cap", "zero-eta-cap", "huge-free-target", "huge-pinned-target",
-            "inf-noise", "nan-slope", "negative-optimum-noise"])
+            "inf-noise", "nan-slope", "negative-optimum-noise", "mu-cubed-underflow",
+            "mu-squared-underflow", "zero-pinned-cap", "huge-optimum-noise-pinned",
+            "huge-optimum-noise-free", "huge-noise-gap-bound"])
     def test_refusals_are_one_line(self, tmp_path, capsys, extra, err):
         args = ["plan", "--eps", "0.1", "--n", "10", "--ell-constant", "1", "--initial-gap", "1",
                 "--out", str(tmp_path / "plan.json"), *extra]
         assert main(args) == 1
-        assert capsys.readouterr().err.startswith(err)
+        text = capsys.readouterr().err
+        assert text.startswith(err) and text.count("\n") == 1
         assert not (tmp_path / "plan.json").exists()
 
     def test_manual_stats_example(self, tmp_path, capsys):
