@@ -15,7 +15,10 @@ depend on its block, so the output never depends on ``jobs``.
 
 Two CSV files are written: a raw per-run file with one row per epoch,
 and an aggregate with mean and 5%/95% percentiles per (arm, epoch,
-metric).  The aggregate is computed from the run's own rows, the same
+metric); the percentiles have the bits of numpy's default ('linear')
+``np.percentile``, taken by its own steps in ``_p05_p95`` because the
+call itself loads numpy.ma, which nothing else in a ``run`` process
+needs.  The aggregate is computed from the run's own rows, the same
 numbers the raw file holds; diverged repetitions leave partial rows, an
 arm's repetitions with no row are not counted, and aggregate rows are
 only emitted for epochs that every counted repetition reached.
@@ -338,9 +341,31 @@ def _aggregate(config: ExperimentConfig, records, metrics) -> AggregateSeries:
             # (epochs, reps): reducing the contiguous axis gives the bits of
             # one np.mean / np.percentile call per epoch
             M = np.stack([getattr(rec, metric)[:reached] for rec in present], axis=1)
-            p05, p95 = np.percentile(M, (5, 95), axis=1).tolist()
-            cells.append(list(zip(M.mean(axis=1).tolist(), p05, p95)))
+            cells.append(list(zip(M.mean(axis=1).tolist(), *_p05_p95(M).T.tolist())))
         for e in range(reached):
             rows.extend(AggregateRow(arm.name, e + 1, metric, *cell[e], len(present))
                         for metric, cell in zip(metrics, cells))
     return AggregateSeries(tuple(rows))
+
+
+def _p05_p95(M: np.ndarray) -> np.ndarray:
+    """The bits of ``np.percentile(M, (5, 95), axis=1).T``, numpy's linear
+    method step by step: numpy's own call reaches ``np.unique``, which loads
+    numpy.ma.  The partition, not a sort, keeps numpy's choice between +0.0
+    and -0.0 on ties."""
+    m = M.shape[1]
+    v = (m - 1) * (np.array([5.0, 95.0]) / 100)
+    lo = np.floor(v)
+    hi = lo + 1
+    lo[v >= m - 1] = hi[v >= m - 1] = -1
+    t = v - lo
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    P = M.copy()
+    P.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}), axis=1)
+    a, b = P[:, lo], P[:, hi]
+    d = b - a
+    out = a + d * t
+    np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
+    nan = np.isnan(P[:, -1])
+    out[nan] = P[nan, -1:]  # a row holding NaN takes it, as numpy's does
+    return out

@@ -698,12 +698,27 @@ RECIPES = {
 
 
 def _sides(recipe: int, c: SimpleNamespace):
-    """(name, lhs, rhs) of each of the recipe's checks at ``c``, lazily; NaN where floats fail."""
+    """(name, lhs, rhs) of each of the recipe's checks at ``c``, lazily; NaN where a side fails."""
     for name, (shape, f) in RECIPES[recipe].checks.items():
         try:
             yield (name, *_SHAPES[shape](c, f))
         except (ZeroDivisionError, OverflowError):  # _float_or, inlined on this hot path
-            yield name, math.nan, math.nan
+            yield (name, *_apart(shape, f, c))
+
+
+# What a check's shape reads of c, all NaN: the sides of a shape whose own side raised.
+_NAN_SIDES = SimpleNamespace(eta=math.nan, T=math.nan, ln=math.nan, pinned_eta=math.nan,
+                             eps=math.nan)
+
+
+def _apart(shape: str, f: Callable, c: SimpleNamespace) -> tuple:
+    """(lhs, rhs) of a check that floats cannot evaluate whole, each side apart:
+    NaN where that side fails, so the other keeps its value."""
+    value = _float_or(f, c, math.nan)
+    try:
+        return _SHAPES[shape](c, lambda _: value)
+    except (ZeroDivisionError, OverflowError):  # the shape's own side: T * eta**3
+        return _SHAPES[shape](_NAN_SIDES, lambda _: value)
 
 
 def _assemble(bundle: ConstantsBundle, eta: float, epochs: int,

@@ -182,6 +182,24 @@ class TestPlanCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_run_and_csv_ingest_leave_numpy_ma_unloaded(self, tmp_path):
+        # the aggregate's percentiles and the median fill take numpy's steps
+        # directly: np.percentile and np.median would load numpy.ma
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        config.write_text(json.dumps({**cfg, "repetitions": 5}))  # percentiles interpolate
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,target,country,status\n1,,3,x,y\n2,5,,x,y\n4,6,1,x,y\n")
+        code = ("import sys\nfrom shufflegrad import cli, ingest\n"
+                f"assert cli.main(['run', '--config', {str(config)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}]) == 0\n"
+                f"ingest.load_csv({str(data)!r})\n"
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_cached_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
         env = _child_env()
         base = ["plan", "--theorem", "6", "--eps", "0.1", "--problem", "tiny_quadratic",

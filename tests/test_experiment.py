@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shufflegrad import experiment, ingest
 from shufflegrad.experiment import (
@@ -129,6 +130,19 @@ class TestAggregate:
         result = run_experiment(_config(repetitions=5), tmp_path / "out")
         for row in result.aggregate.rows:
             assert row.p05 <= row.mean <= row.p95
+
+    # ties of +0.0 and -0.0, infinities, NaN and magnitudes near 1e+-300
+    @settings(max_examples=200, deadline=None)
+    @given(M=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 200)),
+                    elements=st.one_of(st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan, 1e300,
+                                                        -1e300, 1e-300, -1e-300)),
+                                       st.floats())))
+    @example(M=np.array([[0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0]]))  # a sort gives p95 = +0.0
+    def test_percentiles_have_the_bits_of_np_percentile(self, M):
+        with np.errstate(all="ignore"):
+            want = np.percentile(M, (5, 95), axis=1).T
+            got = experiment._p05_p95(M)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def _reference_aggregate(raw_path: Path, metrics) -> str:

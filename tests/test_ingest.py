@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shufflegrad import ingest
 from shufflegrad.ingest import (
     DataFormatError,
     RegressionDataset,
@@ -296,6 +297,20 @@ class TestPreprocess:
         out = preprocess(data)
         np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
+
+
+# ties of +0.0 and -0.0, infinities and magnitudes near 1e+-300; the fill's input has no NaN
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 300),
+                elements=st.one_of(st.sampled_from((0.0, -0.0, np.inf, -np.inf, 1e300, -1e300,
+                                                    1e-300, -1e-300)),
+                                   st.floats(allow_nan=False))))
+@example(x=np.array([-0.0, 0.0, -0.0, 0.0]))
+@example(x=np.array([0.0, -0.0, -0.0]))
+def test_median_fill_has_the_bits_of_np_median(x):
+    with np.errstate(all="ignore"):
+        want, got = np.median(x), ingest._median(x)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 class TestSynthesize:

@@ -425,6 +425,10 @@ _EXACT_REFUSALS = [  # (recipe, overrides, target, message)
     (3, dict(strong_convexity=1e-305, noise_std=0.0, ell=EllFunction.constant(0.25)), None,
      "recipe 3: no epoch count up to 2**1023 passes: epoch count 4.49423e+307 violates "
      "'iteration_floor' (lhs = 8e+305, rhs = 6.33803e+304)"),
+    # the rhs (optimum_noise_std**2) overflows; the lhs, the pinned stepsize, is kept
+    (4, dict(n=10, strong_convexity=0.5, optimum_noise_std=1e200, component_grad_bound_value=2.0),
+     None, "recipe 4: no epoch count up to 2**1023 passes: epoch count 4.49423e+307 violates "
+     "'eta_cap' (lhs = 1.89148e-304, rhs = nan)"),
 ]
 
 
@@ -439,6 +443,12 @@ def test_exact_refusals(recipe, overrides, target, message):
     with pytest.raises(PlanInfeasibleError) as err:
         stepsize_plan(_bundle(recipe, **overrides), target_epochs=target)
     assert str(err.value) == message
+
+
+def test_a_side_that_overflows_leaves_the_other():
+    # T * eta**3 overflows at eta = 1e103; the cube bound is still read
+    checks = {c.name: c for c in _assemble(_bundle(2), 1e103, 1, None).checks}
+    assert math.isnan(checks["cube_sum"].lhs) and checks["cube_sum"].rhs == 2.0 / 3.0
 
 
 _POSITIVE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
