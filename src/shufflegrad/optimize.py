@@ -227,7 +227,7 @@ def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
     outcomes: list = [None] * size
     threshold = config.divergence_threshold
     opt = problem.optimum_point
-    orders = _Orders(rows, problem.n, config.epochs)
+    orders = _Orders(rows, problem.n)
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, config.epochs + 1):
@@ -286,9 +286,11 @@ def run_shuffling(problem, scheme: Scheme, config: RunConfig) -> TrajectoryRecor
 def run_sgd(problem, config: RunConfig, seed: int = 0) -> TrajectoryRecord:
     """With-replacement baseline matched on gradient evaluations.
 
-    Draws n uniform indices per epoch, from a generator seeded apart from
-    the permutation streams, and consumes them in the same batch pattern
-    as the shuffling runner, so a row again covers n evaluations.
+    Draws n indices per epoch, each epoch's key of a position mapped into
+    ``0..n-1`` by multiply-shift (at most n/2**32 from uniform), from a
+    stream whose domain tag sets it apart from the permutation streams.
+    It consumes them in the same batch pattern as the shuffling runner, so
+    a row again covers n evaluations.
     """
     row = ("sgd", _nonnegative_int(seed, "seed"), None)
     return _solo(run_block(problem, config, [row], [config.step_size]))

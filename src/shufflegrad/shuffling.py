@@ -9,32 +9,30 @@ kinds are supported:
   reused for all later epochs.
 * ``random_reshuffle``: a fresh uniform permutation every epoch.
 
-Permutations are a pure function of ``(kind, seed, epoch)``: each epoch
-gets its own seeded stream, so querying epochs in any order, or from
-several runs concurrently, always yields identical results.  Epoch t's
-stream is numpy's PCG64 seeded by ``SeedSequence(entropy=seed,
-spawn_key=(0x5A, t))``; :func:`_seed_states` computes those seed words
-for many (seed, key) pairs in one array pass.  The with-replacement
-baseline ``sgd`` draws n uniform indices per epoch from one generator
-with ``spawn_key=(1,)``.  :class:`_Orders` holds the orders of a block
-of runs, each given as a plain ``(kind, seed, order)`` row, and draws
-them epoch by epoch with those bits.
+Orders are a pure function of ``(kind, seed, epoch)``, from a
+counter-based stream in the style of SplitMix64: a run's seed is hashed
+once into a row key, and epoch t's keys hash (row key, t, position), so
+querying epochs in any order, or from several runs concurrently, always
+yields identical results.  A permutation sorts the positions by key; the
+with-replacement baseline ``sgd`` maps each key to an index by
+multiply-shift.  Permutation and sgd streams use different domain tags.
+:class:`_Orders` holds the orders of a block of runs, each given as a
+plain ``(kind, seed, order)`` row, and hashes a whole epoch of them in
+one array pass.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 KINDS = ("fixed", "shuffle_once", "random_reshuffle")
 
 # Domain tag separating permutation streams from other consumers of the
-# same user-facing seed.
+# same user-facing seed (the sgd streams).
 _PERM_STREAM = 0x5A
 
 __all__ = [
@@ -99,143 +97,78 @@ def _nonnegative_int(value, what: str) -> int:
     return index
 
 
-# numpy's SeedSequence: a pool of 4 uint32 words and its hash constants
-_POOL = 4
-_MASK = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, the golden ratio in 64 bits
+_MIX_MULT_A, _MIX_MULT_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
+_SGD_STREAM = 1  # the sgd streams' domain tag
+_ROW_KINDS = KINDS + ("sgd",)
 
 
-def _words(values) -> list[int]:
-    """Little-endian uint32 words of each non-negative integer in turn,
-    as SeedSequence splits entropy and spawn keys (0 is one word)."""
-    out = []
-    for v in values:
-        out.append(v & _MASK)
-        while v := v >> 32:
-            out.append(v & _MASK)
-    return out
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser of each entry of the uint64 array ``z``, in
+    place (array arithmetic wraps modulo 2**64)."""
+    a, b, c = _SHIFTS
+    z ^= z >> a
+    z *= _MIX_MULT_A
+    z ^= z >> b
+    z *= _MIX_MULT_B
+    z ^= z >> c
+    return z
 
 
-def _hash_constants(start: int, mult: int, calls: int) -> np.ndarray:
-    h = [start]
-    for _ in range(calls):
-        h.append(h[-1] * mult & _MASK)
-    return np.array(h, dtype=np.uint32)
+def _word(value: int) -> np.uint64:
+    return np.uint64(value & _MASK)
 
 
-@functools.cache
-def _mix_constants(width: int):
-    """(xor, multiplier) columns of each hashmix call of a SeedSequence
-    with ``width`` entropy words: the pool fill, one (4, 1) pair per
-    mixing round (the source row's own entry unused), one per further
-    entropy word, and the 8 output words."""
-    extra = max(width - _POOL, 0)
-    h = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
-
-    def pair(calls):
-        calls = np.asarray(calls)
-        return h[calls][:, None], h[calls + 1][:, None]
-
-    # round src mixes row src into every other row; its own entry is unused
-    rounds = [pair([_POOL + 3 * src + d - (d >= src) for d in range(_POOL)])
-              for src in range(_POOL)]
-    words = [pair(range(_POOL * (_POOL + j), _POOL * (_POOL + j + 1))) for j in range(extra)]
-    out = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-    return pair(range(_POOL)), rounds, words, (out[:-1, None], out[1:, None])
+def _row_keys(seeds, tags) -> np.ndarray:
+    """The key of each seed's stream with its domain tag: ``mix(w0 +
+    tag*G)`` of its lowest 64-bit word w0, then ``mix(r + w)`` per further
+    word w, lowest first, so seeds of any size work."""
+    keys = _mix(np.array([s & _MASK for s in seeds], dtype=np.uint64)
+                + np.array([tag * _GAMMA & _MASK for tag in tags], dtype=np.uint64))
+    rest = [s >> 64 for s in seeds]
+    while any(rest):
+        more = [i for i, w in enumerate(rest) if w]
+        keys[more] = _mix(keys[more] + np.array([rest[i] & _MASK for i in more], np.uint64))
+        rest = [w >> 64 for w in rest]
+    return keys
 
 
-def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    v = v ^ xor
-    v *= mult
-    v ^= v >> _XSHIFT
-    return v
+def _epoch_keys(row_keys: np.ndarray, t: int, n: int) -> np.ndarray:
+    """(rows, n) keys of epoch t: ``mix(s + (j+1)*G)`` for position j,
+    where ``s = mix(r + t*G)`` is the epoch state of row key r."""
+    state = _mix(row_keys + _word(t * _GAMMA))
+    return _mix(state[:, None] + np.arange(1, n + 1, dtype=np.uint64) * _word(_GAMMA))
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L
-    r -= y * _MIX_MULT_R
-    r ^= r >> _XSHIFT
-    return r
+def _permutations(keys: np.ndarray) -> np.ndarray:
+    """Each row's positions sorted by key (the array is overwritten).
 
-
-def _pool_states(entropy: np.ndarray) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of the SeedSequences whose entropy
-    words are the columns of the (width, m) uint32 ``entropy``, as (m, 4)."""
-    fill, rounds, words, output = _mix_constants(len(entropy))
-    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
-    pool[:len(entropy)] = entropy[:_POOL]
-    pool = _hashmix(pool, *fill)
-    for src, constants in enumerate(rounds):
-        mixed = _mix(pool, _hashmix(pool[src], *constants))
-        mixed[src] = pool[src]
-        pool = mixed
-    for word, constants in zip(entropy[_POOL:], words):
-        pool = _mix(pool, _hashmix(word, *constants))
-    out = _hashmix(np.concatenate([pool, pool]), *output)
-    # word pairs as little-endian uint64, as generate_state joins them
-    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-def _by_width(word_lists):
-    """(indices, (k, width) uint32 array) per distinct length of word list."""
-    groups: dict[int, list[int]] = {}
-    for i, words in enumerate(word_lists):
-        groups.setdefault(len(words), []).append(i)
-    return [(np.array(idx), np.fromiter(chain.from_iterable(word_lists[i] for i in idx),
-                                        np.uint32, len(idx) * width).reshape(len(idx), width))
-            for width, idx in groups.items()]
-
-
-def _seed_states(seeds, keys) -> np.ndarray:
-    """Seed words of every (seed, spawn key) pair, in one array pass.
-
-    ``states[i, j]`` equals ``np.random.SeedSequence(entropy=seeds[i],
-    spawn_key=keys[j]).generate_state(4, np.uint64)``, the four words
-    PCG64 is seeded with.  Seeds and keys are grouped by their number of
-    uint32 words, so integers of any size work.
+    The low b bits of a key, b = max(1, bit_length(n - 1)), are replaced
+    by its position, so the keys are unique and any sort gives these
+    orders: a stable sort of the keys themselves, unless two share their
+    top 64 - b bits.  The low bits of the sorted unique keys are their
+    argsort, which a sort of values gives faster than ``argsort``.
     """
-    states = np.empty((len(seeds), len(keys), 4), dtype=np.uint64)
-    for rows, S in _by_width([_words((s,)) for s in seeds]):
-        for cols, K in _by_width(list(map(_words, keys))):
-            # the key words follow the seed words padded with zeros to the pool
-            # size (without a key the pool fill hashes those zeros anyway)
-            lo = max(S.shape[1], _POOL)
-            E = np.zeros((lo + K.shape[1], len(S), len(K)), dtype=np.uint32)
-            E[:S.shape[1]] = S.T[:, :, None]
-            E[lo:] = K.T[:, None, :]
-            states[rows[:, None], cols] = _pool_states(E.reshape(len(E), -1)).reshape(
-                len(S), len(K), 4)
-    return states
+    n = keys.shape[-1]
+    b = np.uint64(max(1, (n - 1).bit_length()))
+    keys >>= b
+    keys <<= b
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=-1)
+    keys &= (np.uint64(1) << b) - np.uint64(1)
+    return keys.view(np.int64)
 
 
-class _SeedWords:
-    """numpy ISeedSequence that hands PCG64 a row of :func:`_seed_states`."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, np.dtype(dtype)) != (4, np.uint64):
-            raise ValueError("seed words are four uint64 words")
-        return self.state
-
-
-@functools.cache
-def _register_seed_words() -> None:
-    # numpy.random loads on first use, not at import
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-
-
-def _generator(state: np.ndarray) -> np.random.Generator:
-    """``default_rng(SeedSequence(...))`` for the SeedSequence whose seed
-    words (a row of :func:`_seed_states`) are ``state``."""
-    _register_seed_words()
-    return np.random.Generator(np.random.PCG64(_SeedWords(state)))
+def _indices(keys: np.ndarray) -> np.ndarray:
+    """Lemire's multiply-shift ``((k >> 32) * n) >> 32`` of each key: an
+    index below n, at most n/2**32 from uniform (the array is overwritten)."""
+    n = keys.shape[-1]
+    keys >>= np.uint64(32)
+    keys *= np.uint64(n)
+    keys >>= np.uint64(32)
+    return keys.view(np.int64)
 
 
 def permutation_for_epoch(scheme: Scheme, epoch: int) -> np.ndarray:
@@ -252,17 +185,7 @@ def permutation_for_epoch(scheme: Scheme, epoch: int) -> np.ndarray:
         return np.arange(scheme.n, dtype=np.int64)
     if scheme.kind == "shuffle_once":
         epoch = 1
-    state = _seed_states([scheme.seed], [(_PERM_STREAM, epoch)])[0, 0]
-    return _generator(state).permutation(scheme.n)
-
-
-# epochs of random_reshuffle orders seeded in one pass; the pass's fixed
-# cost is spread over this many draws of a lone run
-_RESHUFFLE_CHUNK = 64
-_DRAW_ENTRIES = 1024  # most entries of one sgd draw; 4,096 raised a run's peak memory
-_SGD_STREAM = (1,)  # the sgd generator's spawn key
-_ROW_KINDS = KINDS + ("sgd",)
-_identity = functools.cache(np.arange)
+    return _permutations(_epoch_keys(_row_keys([scheme.seed], [_PERM_STREAM]), epoch, scheme.n))[0]
 
 
 class _Orders:
@@ -271,65 +194,39 @@ class _Orders:
 
     ``rows[r]`` is run r's ``(kind, seed, order)``: kind is a scheme kind
     or ``"sgd"``, order a fixed run's explicit order (None: ``0..n-1``).
-    The seed words come in bulk, with the bits of one seeding per run: the
-    shuffle_once and sgd generators at the start (one :func:`_seed_states`
-    pass per spawn key), the random_reshuffle seed words of the live rows
-    once every ``_RESHUFFLE_CHUNK`` epochs (one pass).  fixed and
-    shuffle_once rows are written once.  A random_reshuffle row is
-    ``arange(n)`` shuffled in place, the bits of ``permutation(n)``.  An
-    sgd row comes from one (k, n) draw per k epochs of the chunk, at most
-    ``_DRAW_ENTRIES`` entries (at least one epoch); PCG64 keeps its spare
-    32-bit half, so that draw has the bits of k draws of n.
+    fixed and shuffle_once rows are written once, at the start.  Each
+    epoch, one pass hashes the epoch keys of every random_reshuffle row
+    (sorted into permutations) and every sgd row (mapped to indices).
     """
 
-    def __init__(self, rows, n: int, epochs: int):
-        self.identity = _identity(n)
-        self.rows, self.n, self.epochs = list(rows), n, epochs
-        self.block = np.empty((len(self.rows), n), dtype=np.int64)
-        # per row: an sgd row's (generator, its drawn rows, last first), a
-        # random_reshuffle row's seed words of the chunk's epochs
-        self.state = [None] * len(self.rows)
-        for r, (kind, _, order) in enumerate(self.rows):
+    def __init__(self, rows, n: int):
+        rows = list(rows)
+        kinds = np.array([kind for kind, _, _ in rows], dtype=object)
+        self.n = n
+        self.block = np.empty((len(rows), n), dtype=np.int64)
+        for r, (kind, _, order) in enumerate(rows):
             if kind not in _ROW_KINDS:
                 raise ValueError(f"unknown order kind {kind!r}; expected one of {_ROW_KINDS}")
             if kind == "fixed":
-                self.block[r] = self.identity if order is None else order
-        for kind, key in (("shuffle_once", (_PERM_STREAM, 1)), ("sgd", _SGD_STREAM)):
-            for r, (state,) in self._seed(kind, [key]):
-                rng = _generator(state)
-                if kind == "sgd":
-                    self.state[r] = (rng, [])
-                else:
-                    self.block[r] = rng.permutation(n)
-
-    def _seed(self, kind: str, keys):
-        """(row, seed words per key) of every row of ``kind``, in one pass."""
-        group = [r for r, row in enumerate(self.rows) if row[0] == kind]
-        return zip(group, _seed_states([self.rows[r][1] for r in group], keys)) if group else ()
+                self.block[r] = np.arange(n) if order is None else order
+        # the rows drawn each epoch and every row's stream key
+        self.reshuffle, self.sgd = kinds == "random_reshuffle", kinds == "sgd"
+        self.keys = _row_keys([seed for _, seed, _ in rows],
+                              [_SGD_STREAM if sgd else _PERM_STREAM for sgd in self.sgd])
+        once = kinds == "shuffle_once"
+        if once.any():
+            self.block[once] = _permutations(_epoch_keys(self.keys[once], 1, n))
 
     def draw(self, t: int) -> None:
-        """Write epoch t's orders into ``block``; epochs come in turn from 1."""
-        if (t - 1) % _RESHUFFLE_CHUNK == 0:
-            self.first, self.stop = t, min(t + _RESHUFFLE_CHUNK, self.epochs + 1)
-            keys = [(_PERM_STREAM, e) for e in range(t, self.stop)]
-            for r, words in self._seed("random_reshuffle", keys):
-                self.state[r] = words
-        for row, (kind, _, _), state in zip(self.block, self.rows, self.state):
-            if kind == "random_reshuffle":
-                row[:] = self.identity
-                _generator(state[t - self.first]).shuffle(row)
-            elif kind == "sgd":
-                rng, drawn = state
-                if not drawn:  # the next epochs' draws, last first
-                    k = min(self.stop - t, max(1, _DRAW_ENTRIES // self.n))
-                    drawn.extend(rng.integers(0, self.n, size=(k, self.n))[::-1])
-                row[:] = drawn.pop()
+        """Write epoch t's orders into ``block``."""
+        for mask, orders in ((self.reshuffle, _permutations), (self.sgd, _indices)):
+            if mask.any():
+                self.block[mask] = orders(_epoch_keys(self.keys[mask], t, self.n))
 
     def keep(self, mask) -> None:
         """Drop the rows whose ``mask`` entry is False."""
-        self.block = self.block[mask]
-        self.rows = [row for row, k in zip(self.rows, mask) if k]
-        self.state = [state for state, k in zip(self.state, mask) if k]
+        self.block, self.keys = self.block[mask], self.keys[mask]
+        self.reshuffle, self.sgd = self.reshuffle[mask], self.sgd[mask]
 
 
 def without_replacement_variance_factor(n: int, k: int) -> Fraction:

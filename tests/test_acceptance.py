@@ -112,7 +112,7 @@ def phase_run(tmp_path_factory):
             ArmSpec(name="sgd", method="sgd", step_size=2e-6),
         ),
         # seed pinned so every repetition completes at the fixed stepsizes;
-        # at base_seed=0 one shuffle_once rep diverges in epoch 1
+        # at base_seed=2 one random_reshuffle rep diverges in epoch 1
         epochs=100, repetitions=20, base_seed=1,
     )
     return config, run_experiment(config, tmp_path_factory.mktemp("phase"))

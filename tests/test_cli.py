@@ -173,7 +173,6 @@ class TestPlanCommand:
         assert (plan["recipe"], plan["epochs"]) == (2, 27713)
 
     def test_import_leaves_numpy_random_unloaded(self):
-        # the order streams load numpy.random on their first draw, not at import;
         # the audit needs no mpmath, and run loads the worker pool only to fork
         unloaded = ("numpy.random", "mpmath", "concurrent.futures.process")
         code = f"import sys, shufflegrad.cli; print([m for m in {unloaded!r} if m in sys.modules])"
@@ -181,6 +180,23 @@ class TestPlanCommand:
                               env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_run_on_tiny_quadratic_leaves_numpy_random_unloaded(self, tmp_path):
+        # the order streams are hashed with numpy integer arithmetic, for
+        # every row kind; only a seeded problem or estimator needs a Generator
+        config = _run_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        arms = [{"name": kind, "method": "shuffling", "scheme": kind, "step_size": 0.05}
+                for kind in ("fixed", "shuffle_once", "random_reshuffle")]
+        config.write_text(json.dumps({**cfg, "arms": arms + cfg["arms"][1:]}))
+        code = ("import sys\nfrom shufflegrad import cli\n"
+                f"assert cli.main(['run', '--config', {str(config)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}]) == 0\n"
+                "print('numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_run_and_csv_ingest_leave_numpy_ma_unloaded(self, tmp_path):
         # the aggregate's percentiles and the median fill take numpy's steps

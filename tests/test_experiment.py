@@ -261,10 +261,11 @@ class TestDivergence:
             for row in csv.DictReader(fh):
                 if row["arm"] == "sgd":
                     reached[row["rep"]] = int(row["epoch"])
-        assert len(reached) == 25  # 15 repetitions diverged in epoch 1
+        assert len(reached) == 20  # 20 repetitions diverged in epoch 1
+        assert 0 < sum(epoch == 1 for epoch, _ in result.diverged_at) < 40
         series = result.aggregate.select("sgd", "objective")
         assert [r.epoch for r in series] == list(range(1, min(reached.values()) + 1))
-        assert {r.count for r in series} == {25}
+        assert {r.count for r in series} == {20}
         assert {r.count for r in result.aggregate.select("rr", "objective")} == {40}
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shufflegrad import shuffling
 from shufflegrad.shuffling import (
     KINDS,
     Scheme,
-    _generator,
-    _seed_states,
+    _Orders,
     permutation_for_epoch,
     without_replacement_variance_factor,
 )
@@ -117,55 +117,82 @@ def test_seed_and_epoch_must_be_integers():
                                   permutation_for_epoch(scheme, 2))
 
 
+# The stream definition, in Python ints masked to 64 bits.
+_M, _G = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _M
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _M
+    return z ^ z >> 31
+
+
+def _row_key(seed, tag):
+    r = _mix((seed & _M) + tag * _G & _M)
+    while seed := seed >> 64:
+        r = _mix(r + (seed & _M) & _M)
+    return r
+
+
+def _keys(seed, tag, t, n):
+    s = _mix(_row_key(seed, tag) + t * _G & _M)
+    return [_mix(s + (j + 1) * _G & _M) for j in range(n)]
+
+
+def reference_order(kind, seed, order, n, t):
+    """Epoch t's order of a ``(kind, seed, order)`` row: a stable sort of
+    the positions by key, or an sgd row's multiply-shift indices."""
+    if kind == "fixed":
+        return list(range(n)) if order is None else list(order)
+    if kind == "sgd":
+        return [(k >> 32) * n >> 32 for k in _keys(seed, 1, t, n)]
+    keys = _keys(seed, 0x5A, t if kind == "random_reshuffle" else 1, n)
+    return sorted(range(n), key=keys.__getitem__)
+
+
 _SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200)
-_KEYS = ((), (1,), (0x5A, 1), (0x5A, 70), (0x5A, 2**40))
 
 
-def _reference(seed, key):
-    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+def test_row_keys_are_the_reference_keys():
+    # one word, the largest one-word seed, and seeds of 2 and 4 words
+    assert _row_key(0, 0x5A) == _mix(0x5A * _G & _M)
+    assert _row_key(2**64, 1) == _mix(_mix(_G) + 1)
+    tags = [0x5A, 1] * len(_SEEDS)
+    seeds = [s for s in _SEEDS for _ in (0x5A, 1)]
+    np.testing.assert_array_equal(shuffling._row_keys(seeds, tags),
+                                  np.array(list(map(_row_key, seeds, tags)), np.uint64))
 
 
-def test_bulk_seed_states_are_seed_sequence_states():
-    # one call mixes seeds of 1, 2, 3 and 7 words with keys of 0, 1, 2 and 3 words
-    states = _seed_states(_SEEDS, _KEYS)
-    assert states.shape == (len(_SEEDS), len(_KEYS), 4) and states.dtype == np.uint64
-    for i, seed in enumerate(_SEEDS):
-        for j, key in enumerate(_KEYS):
-            np.testing.assert_array_equal(states[i, j],
-                                          _reference(seed, key).generate_state(4, np.uint64))
-
-
-@settings(max_examples=50, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2**160), min_size=1, max_size=4),
-       keys=st.lists(st.lists(st.integers(0, 2**70), max_size=3).map(tuple),
-                     min_size=1, max_size=4))
-def test_bulk_seed_states_match_any_seed_and_key(seeds, keys):
-    states = _seed_states(seeds, keys)
-    for i, seed in enumerate(seeds):
-        for j, key in enumerate(keys):
-            np.testing.assert_array_equal(states[i, j],
-                                          _reference(seed, key).generate_state(4, np.uint64))
-
-
-@pytest.mark.parametrize("key", _KEYS)
-def test_generators_from_seed_states_draw_the_seed_sequence_streams(key):
-    for seed, state in zip(_SEEDS, _seed_states(_SEEDS, [key])[:, 0]):
-        got, want = _generator(state), np.random.default_rng(_reference(seed, key))
-        np.testing.assert_array_equal(got.permutation(50), want.permutation(50))
-        for _ in range(3):
-            np.testing.assert_array_equal(got.integers(0, 17, size=17),
-                                          want.integers(0, 17, size=17))
-
-
-def test_permutation_for_epoch_is_the_seed_sequence_stream():
+def test_permutation_for_epoch_is_the_reference_stream():
     for seed in _SEEDS:
         for epoch in (1, 2, 70, 2**40):
-            want = np.random.default_rng(_reference(seed, (0x5A, epoch))).permutation(9)
+            want = reference_order("random_reshuffle", seed, None, 9, epoch)
             scheme = Scheme.random_reshuffle(9, seed)
-            np.testing.assert_array_equal(permutation_for_epoch(scheme, epoch), want)
+            assert permutation_for_epoch(scheme, epoch).tolist() == want
             if epoch == 1:
-                np.testing.assert_array_equal(
-                    permutation_for_epoch(Scheme.shuffle_once(9, seed), 5), want)
+                assert permutation_for_epoch(Scheme.shuffle_once(9, seed), 5).tolist() == want
+
+
+_seeds = st.integers(0, 2**70 - 1) | st.sampled_from([2**64 - 1, 2**64])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2100), t=st.integers(1, 2**40), data=st.data(),
+       rows=st.lists(st.tuples(st.sampled_from(KINDS + ("sgd",)), _seeds), min_size=1,
+                     max_size=4))
+def test_orders_are_the_reference_orders(n, t, data, rows):
+    rows = [(kind, seed, data.draw(st.none() | st.permutations(range(n)))
+             if kind == "fixed" else None) for kind, seed in rows]
+    orders = _Orders(rows, n)
+    orders.draw(t)
+    for row, got in zip(rows, orders.block):
+        assert got.tolist() == reference_order(*row, n, t)
+        kind, seed, order = row
+        if kind != "sgd":
+            scheme = Scheme(kind, n, seed, order and tuple(order))
+            assert permutation_for_epoch(scheme, t).tolist() == got.tolist()
 
 
 def test_reshuffle_frequencies_are_uniform():
