@@ -18,8 +18,10 @@ and an aggregate with mean and 5%/95% percentiles per (arm, epoch,
 metric); the percentiles have the bits of numpy's default ('linear')
 ``np.percentile``, taken by its own steps in ``_p05_p95`` because the
 call itself loads numpy.ma, which nothing else in a ``run`` process
-needs.  The aggregate is computed from the run's own rows, the same
-numbers the raw file holds; diverged repetitions leave partial rows, an
+needs.  Both files are written from the (4, runs, epochs) metric table
+of the engine loop (:func:`shufflegrad.optimize._run_table`), the blocks'
+tables joined along the run axis, so the aggregate holds the same
+numbers as the raw file; diverged repetitions leave partial rows, an
 arm's repetitions with no row are not counted, and aggregate rows are
 only emitted for epochs that every counted repetition reached.
 """
@@ -36,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .optimize import DivergenceError, RunConfig, run_block
+from .optimize import RunConfig, _run_table
 from .problems import _convert, _read, build_problem
 from .shuffling import KINDS, Scheme
 
@@ -236,21 +238,30 @@ def _arm_order(arm: ArmSpec, n: int) -> tuple:
     return scheme.kind, scheme.order
 
 
-def _run_runs(problem, run_config: RunConfig, rows, steps) -> list:
-    """Outcomes of the runs of the order rows and step sizes, advanced as
-    one block: the pool's task, which looks up this module's run_block."""
-    return run_block(problem, run_config, rows, steps)
+def _run_runs(problem, run_config: RunConfig, rows, steps) -> tuple:
+    """The metric table, epoch counts and divergences of the runs of the order
+    rows and step sizes, advanced as one block: the pool's task, which
+    looks up this module's _run_table."""
+    table, reached, _, _, diverged = _run_table(problem, run_config, rows, steps)
+    return table, reached, diverged
 
 
-def _raw_rows(arm_name: str, rep: int, record, metrics, wall_text="%.17g".__mod__) -> str:
-    """One run's raw.csv rows: one %-template over the record's columns.
-    ``"%.17g" % x`` has the bytes of ``f"{x:.17g}"``; a metric not in
-    ``metrics`` leaves an empty field; ``wall_text`` formats a wall_ms."""
+def _raw_rows(arm_name: str, block: np.ndarray, reached, metrics, n: int,
+              wall_text="%.17g".__mod__):
+    """One arm's raw.csv rows, one string per repetition: one %-template over
+    the first ``reached[rep]`` columns of ``block``, the arm's (4, reps,
+    epochs) slice of the metric table, read one run at a time.  ``"%.17g" %
+    x`` has the bytes of ``f"{x:.17g}"``; a metric not in ``metrics`` leaves
+    an empty field; ``n`` is the evaluations per epoch; ``wall_text``
+    formats a wall_ms."""
     cells = ",".join("%.17g" if m in metrics else "" for m in METRIC_NAMES)
-    template = f"{arm_name.replace('%', '%%')},{rep},%d,{cells},%d,%s\n"
-    columns = [getattr(record, m).tolist() for m in METRIC_NAMES if m in metrics]
-    return "".join(map(template.__mod__, zip(record.epoch.tolist(), *columns, record.evals.tolist(),
-                                            map(wall_text, record.wall_ms.tolist()))))
+    template = f"{arm_name.replace('%', '%%')},%d,%d,{cells},%d,%s\n".__mod__
+    picked = [i for i, m in enumerate(METRIC_NAMES) if m in metrics]
+    for rep, k in enumerate(reached):
+        run = block[:, rep, :k]
+        columns = [run[i].tolist() for i in picked]
+        yield "".join(map(template, zip(repeat(rep), range(1, k + 1), *columns,
+                                        range(n, n * k + 1, n), map(wall_text, run[3].tolist()))))
 
 
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> ExperimentResult:
@@ -288,7 +299,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
     n_blocks = max(1, min(jobs, len(rows), len(rows) * problem.dim // _FORK_ENTRIES))
     blocks = np.array_split(np.arange(len(rows)), n_blocks)
     if len(blocks) == 1:
-        outcomes = _run_runs(problem, run_config, rows, steps)
+        table, reached, diverged = _run_runs(problem, run_config, rows, steps)
     else:
         # the workers get the built problem, so its dataset is read once; the
         # pool module is loaded only here, as most runs never fork
@@ -296,53 +307,59 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
 
         spans = [(block[0], block[-1] + 1) for block in blocks]  # contiguous blocks
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            done = pool.map(_run_runs, repeat(problem), repeat(run_config),
-                            [rows[i:j] for i, j in spans], [steps[i:j] for i, j in spans])
-            outcomes = [o for part in done for o in part]
+            tables, counts, maps = zip(*pool.map(
+                _run_runs, repeat(problem), repeat(run_config),
+                [rows[i:j] for i, j in spans], [steps[i:j] for i, j in spans]))
+        table = np.concatenate(tables, axis=1)
+        reached = np.concatenate(counts)
+        diverged = {i + r: at for (i, _), part in zip(spans, maps) for r, at in part.items()}
 
-    diverged_pairs, diverged_at, records = [], [], []
-    for (arm_index, _, seed), record in zip(tasks, outcomes):
-        if isinstance(record, DivergenceError):
-            diverged_pairs.append((config.arms[arm_index].name, seed))
-            diverged_at.append((record.epoch, record.step_index))
-            record = record.record
-        records.append(record)
+    diverged_pairs, diverged_at = [], []
+    for r in sorted(diverged):
+        arm_index, _, seed = tasks[r]
+        diverged_pairs.append((config.arms[arm_index].name, seed))
+        diverged_at.append(diverged[r][:2])
 
     raw_path = out_dir / "raw.csv"
     wall_text = functools.cache("%.17g".__mod__)  # a wall_ms is never -0.0
+    reps = config.repetitions
     with open(raw_path, "w", newline="") as fh:
         fh.write(RAW_HEADER + "\n")
-        for (arm_index, rep, _), record in zip(tasks, records):
-            fh.write(_raw_rows(config.arms[arm_index].name, rep, record, metrics, wall_text))
+        for a, arm in enumerate(config.arms):
+            span = slice(a * reps, (a + 1) * reps)
+            fh.writelines(_raw_rows(arm.name, table[:, span], reached[span].tolist(), metrics,
+                                    problem.n, wall_text))
 
-    aggregate = _aggregate(config, records, metrics)
+    aggregate = _aggregate(config, table, reached, metrics)
     aggregate_path = out_dir / "aggregate.csv"
     aggregate.to_csv(aggregate_path)
     return ExperimentResult(aggregate, raw_path, aggregate_path, tuple(diverged_pairs),
                             tuple(diverged_at))
 
 
-def _aggregate(config: ExperimentConfig, records, metrics) -> AggregateSeries:
+def _aggregate(config: ExperimentConfig, table: np.ndarray, reached: np.ndarray,
+               metrics) -> AggregateSeries:
     """Mean, 5%/95% percentiles and count per (arm, epoch, metric).
 
-    ``records`` holds each run's record in (arm, repetition) order.  An
-    arm counts the repetitions with at least one row and covers the
-    epochs all of them reached; rows follow arm order, then epoch, then
+    ``table`` is the (4, runs, epochs) metric table and ``reached`` each
+    run's completed epoch count, runs in (arm, repetition) order.  An arm
+    counts the repetitions with at least one row and covers the epochs
+    all of them reached; rows follow arm order, then epoch, then
     ``metrics`` order.
     """
     rows, reps = [], config.repetitions
     for a, arm in enumerate(config.arms):
-        present = [rec for rec in records[a * reps:(a + 1) * reps] if rec.completed_epochs]
-        if not present:
+        present = a * reps + np.flatnonzero(reached[a * reps:(a + 1) * reps])
+        if not present.size:
             continue
-        reached = min(rec.completed_epochs for rec in present)
+        epochs = int(reached[present].min())
         cells = []
         for metric in metrics:
-            # (epochs, reps): reducing the contiguous axis gives the bits of
-            # one np.mean / np.percentile call per epoch
-            M = np.stack([getattr(rec, metric)[:reached] for rec in present], axis=1)
+            # (epochs, reps), C-contiguous: reducing the contiguous axis gives
+            # the bits of one np.mean / np.percentile call per epoch
+            M = np.ascontiguousarray(table[METRIC_NAMES.index(metric)][present, :epochs].T)
             cells.append(list(zip(M.mean(axis=1).tolist(), *_p05_p95(M).T.tolist())))
-        for e in range(reached):
+        for e in range(epochs):
             rows.extend(AggregateRow(arm.name, e + 1, metric, *cell[e], len(present))
                         for metric, cell in zip(metrics, cells))
     return AggregateSeries(tuple(rows))

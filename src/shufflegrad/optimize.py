@@ -194,27 +194,13 @@ def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, b
     return W, (n - 1) // batch_size
 
 
-def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
-    """Run ``len(rows)`` runs in lockstep as one (R, d) iterate block.
-
-    Row r visits components in the orders of its ``(kind, seed, order)``
-    row ``rows[r]`` (kind a scheme kind or ``"sgd"``; order a fixed run's
-    explicit order, None for ``0..n-1``) and steps with ``step_sizes[r]``;
-    ``config`` gives the rest (its step_size is unused).  The orders come
-    from :class:`shufflegrad.shuffling._Orders`, which draws each epoch's
-    (R, n) order block in place.  A row's arithmetic does not depend on
-    the other rows, so a run gives the same bits alone and in any block.
-    A row that leaves the finite/threshold region at the end of an epoch
-    leaves the block; the step loop replays that epoch for it alone, and
-    its inner step is the first at which the loop leaves the region, else
-    the last (the loop's bits may differ from a ``component_epoch``'s, or
-    only the objective crossed the threshold).  Overflow raises no
-    warnings.  ``wall_ms`` is the block's clock.  A step of -0.0 runs as
-    +0.0, the sign ``component_epoch`` assumes.
-
-    Returns, per row, its :class:`TrajectoryRecord` or the
-    :class:`DivergenceError` that ended it.
-    """
+def _run_table(problem, config: RunConfig, rows, step_sizes) -> tuple:
+    """The engine loop of :func:`run_block`, on its arguments.  Returns the
+    (4, R, T) metric table (unset past a row's completed epochs, and in the
+    dist_sq row without an optimum), each row's completed epoch count, final
+    point and averaged point (None without ``track_average``; a diverged
+    row's are those entering its last epoch), and a ``{row: (epoch,
+    step_index, last_value)}`` map of the divergences."""
     size = len(rows)
     steps = np.asarray(step_sizes, dtype=float) + 0.0
     start = _start_point(problem, config)
@@ -224,7 +210,10 @@ def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
     live = np.arange(size)
     # objective, grad_norm_sq, dist_sq and wall_ms per (row, epoch)
     table = np.empty((4, size, config.epochs))
-    outcomes: list = [None] * size
+    reached = np.full(size, config.epochs)
+    final = np.empty_like(W)
+    average = None if avg is None else np.empty_like(W)
+    diverged = {}
     threshold = config.divergence_threshold
     opt = problem.optimum_point
     orders = _Orders(rows, problem.n)
@@ -248,9 +237,11 @@ def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
             for i in np.flatnonzero(bad):
                 _, j = _epoch_pass(problem, W[i:i + 1], orders.block[i:i + 1].T, steps[i:i + 1],
                                    config.batch_size, threshold)
-                record = _record(table, live[i], t - 1, problem.n, W[i],
-                                 None if avg is None else avg[i], opt is not None)
-                outcomes[live[i]] = DivergenceError(t, j, float(values[i]), record)
+                r = int(live[i])
+                reached[r], final[r] = t - 1, W[i]
+                if avg is not None:
+                    average[r] = avg[i]
+                diverged[r] = (t, j, float(values[i]))
             keep = ~bad
             W, steps, values = W_next[keep], steps[keep], next_values[keep]
             avg = None if avg is None else avg[keep]
@@ -258,9 +249,41 @@ def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
             orders.keep(keep)
             if not live.size:
                 break
-    for i, r in enumerate(live):
-        outcomes[r] = _record(table, r, config.epochs, problem.n, W[i],
-                              None if avg is None else avg[i], opt is not None)
+    final[live] = W
+    if avg is not None:
+        average[live] = avg
+    return table, reached, final, average, diverged
+
+
+def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
+    """Run ``len(rows)`` runs in lockstep as one (R, d) iterate block.
+
+    Row r visits components in the orders of its ``(kind, seed, order)``
+    row ``rows[r]`` (kind a scheme kind or ``"sgd"``; order a fixed run's
+    explicit order, None for ``0..n-1``) and steps with ``step_sizes[r]``;
+    ``config`` gives the rest (its step_size is unused).  The orders come
+    from :class:`shufflegrad.shuffling._Orders`, which draws each epoch's
+    (R, n) order block in place.  A row's arithmetic does not depend on
+    the other rows, so a run gives the same bits alone and in any block.
+    A row that leaves the finite/threshold region at the end of an epoch
+    leaves the block; the step loop replays that epoch for it alone, and
+    its inner step is the first at which the loop leaves the region, else
+    the last (the loop's bits may differ from a ``component_epoch``'s, or
+    only the objective crossed the threshold).  Overflow raises no
+    warnings.  ``wall_ms`` is the block's clock.  A step of -0.0 runs as
+    +0.0, the sign ``component_epoch`` assumes.
+
+    Returns, per row, its :class:`TrajectoryRecord`, built from the
+    metric table of the engine loop :func:`_run_table`, or the
+    :class:`DivergenceError` that ended it.
+    """
+    table, reached, final, average, diverged = _run_table(problem, config, rows, step_sizes)
+    has_dist = problem.optimum_point is not None
+    outcomes = []
+    for r, epochs in enumerate(reached.tolist()):
+        record = _record(table, r, epochs, problem.n, final[r],
+                         None if average is None else average[r], has_dist)
+        outcomes.append(DivergenceError(*diverged[r], record) if r in diverged else record)
     return outcomes
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shufflegrad import experiment, ingest
+from shufflegrad import experiment, ingest, optimize
 from shufflegrad.experiment import (
     AGGREGATE_HEADER,
     METRIC_NAMES,
@@ -19,8 +19,7 @@ from shufflegrad.experiment import (
     derive_seed,
     run_experiment,
 )
-from shufflegrad.optimize import (DivergenceError, RunConfig, TrajectoryRecord, run_sgd,
-                                  run_shuffling)
+from shufflegrad.optimize import DivergenceError, RunConfig, run_block, run_sgd, run_shuffling
 from shufflegrad.problems import build_problem
 from shufflegrad.shuffling import KINDS, Scheme
 
@@ -167,6 +166,97 @@ def _reference_aggregate(raw_path: Path, metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _record_path_csvs(config: ExperimentConfig, out: Path):
+    """raw.csv and aggregate.csv text built from the run_block records of
+    the config's runs, one ``f"{x:.17g}"`` per float, with the
+    ((arm, seed), (epoch, inner step)) of each divergence."""
+    problem = build_problem(config.problem)
+    metrics = config.metrics or ("objective", "grad_norm_sq") + (
+        ("dist_sq",) if problem.optimum_point is not None else ())
+    runs, rows, steps = [], [], []
+    for arm_index, arm in enumerate(config.arms):
+        scheme = None if arm.method == "sgd" else Scheme(arm.scheme, problem.n, order=arm.order)
+        for rep in range(config.repetitions):
+            seed = derive_seed(config.base_seed, arm_index, rep)
+            runs.append((arm.name, rep, seed))
+            rows.append(("sgd", seed, None) if scheme is None
+                        else (scheme.kind, seed, scheme.order))
+            steps.append(arm.step_size)
+    run_config = RunConfig(step_size=0.0, epochs=config.epochs, batch_size=config.batch_size,
+                           divergence_threshold=config.divergence_threshold, track_average=False)
+    lines, diverged = [RAW_HEADER], []
+    for (name, rep, seed), record in zip(runs, run_block(problem, run_config, rows, steps)):
+        if isinstance(record, DivergenceError):
+            diverged.append(((name, seed), (record.epoch, record.step_index)))
+            record = record.record
+        for i in range(record.completed_epochs):
+            cells = ",".join(f"{getattr(record, m)[i]:.17g}" if m in metrics else ""
+                             for m in METRIC_NAMES)
+            lines.append(f"{name},{rep},{record.epoch[i]},{cells},{record.evals[i]},"
+                         f"{record.wall_ms[i]:.17g}")
+    raw_path = out / "record_raw.csv"
+    raw_path.write_text("\n".join(lines) + "\n")
+    return raw_path, _reference_aggregate(raw_path, metrics), diverged
+
+
+# (problem, then the ranges of the regular arms' step, the "wild" sgd arm's
+# step and the divergence threshold): the wild arm diverges in some
+# repetitions, in some before writing a row; phase_retrieval has no optimum
+_PARITY_PROBLEMS = {
+    "tiny": (TINY, (0.05, 0.5), (2.0, 2.6), (5.0, 60.0)),
+    "phase": ({"id": "phase_retrieval", "m": 12, "dim": 4, "seed": 0, "noise_std": 1.0},
+              (1e-5, 1e-4), (1e-3, 1e-2), (1e4, 1e6)),
+}
+
+
+class TestRecordParity:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=st.sampled_from(sorted(_PARITY_PROBLEMS)),
+           kinds=st.permutations(KINDS + ("sgd",)),
+           u=st.tuples(*[st.floats(0, 1)] * 3), epochs=st.integers(1, 5),
+           reps=st.integers(1, 6), batch_size=st.sampled_from((1, 2)),
+           base_seed=st.integers(0, 2**32 - 1), percent=st.integers(0, 4),
+           metrics=st.sampled_from((None, ("objective",), ("grad_norm_sq",),
+                                    ("dist_sq", "grad_norm_sq"), METRIC_NAMES)))
+    def test_csvs_have_the_bytes_of_the_record_path(self, problem, kinds, u, epochs, reps,
+                                                    batch_size, base_seed, percent, metrics):
+        spec, *ranges = _PARITY_PROBLEMS[problem]
+        step, wild, threshold = (lo * (hi / lo) ** x for (lo, hi), x in zip(ranges, u))
+        if build_problem(spec).optimum_point is None:
+            metrics = tuple(m for m in metrics or () if m != "dist_sq") or None
+        names = [*kinds, "wild"]
+        names[percent] += "%d%%"  # a %-template must escape it
+        arms = [ArmSpec(name=name, method="sgd", step_size=step) if kind == "sgd"
+                else ArmSpec(name=name, scheme=kind, step_size=step)
+                for name, kind in zip(names, kinds)]
+        arms.append(ArmSpec(name=names[-1], method="sgd", step_size=wild))
+        config = _config(problem=spec, arms=tuple(arms), epochs=epochs, repetitions=reps,
+                         base_seed=base_seed, batch_size=batch_size, metrics=metrics,
+                         divergence_threshold=threshold)
+        with tempfile.TemporaryDirectory() as out:
+            result = run_experiment(config, Path(out) / "run")
+            raw_path, aggregate, diverged = _record_path_csvs(config, Path(out))
+            assert _strip_wall(result.raw_path) == _strip_wall(raw_path)
+            assert result.aggregate_path.read_bytes() == aggregate.encode()
+        assert list(zip(result.diverged, result.diverged_at)) == diverged
+
+
+def test_outputs_need_no_trajectory_record(tmp_path, monkeypatch):
+    # both files come from the metric table; no run builds a record
+    config = _config(arms=_config().arms + (ArmSpec(name="wild", method="sgd", step_size=2.3),),
+                     divergence_threshold=20.0)
+    want = run_experiment(config, tmp_path / "records")
+
+    def refuse(*args):
+        raise AssertionError("a TrajectoryRecord was built")
+    monkeypatch.setattr(optimize, "_record", refuse)
+    got = run_experiment(config, tmp_path / "table")
+    assert want.diverged
+    assert (got.diverged, got.diverged_at) == (want.diverged, want.diverged_at)
+    assert _strip_wall(got.raw_path) == _strip_wall(want.raw_path)
+    assert got.aggregate_path.read_bytes() == want.aggregate_path.read_bytes()
+
+
 class TestMetricsSelection:
     def test_distance_included_when_optimum_known(self, tmp_path):
         result = run_experiment(_config(epochs=2), tmp_path / "out")
@@ -194,14 +284,17 @@ class TestMetricsSelection:
         epoch = np.arange(1, len(special) + 1)
         columns = {"objective": special, "grad_norm_sq": special[::-1].copy(),
                    "dist_sq": np.roll(special, 3)}
-        record = TrajectoryRecord(epoch=epoch, evals=epoch * 16, wall_ms=np.roll(special, 5),
-                                  final_point=np.zeros(2), averaged_point=None, **columns)
+        wall_ms = np.roll(special, 5)
+        # an arm's (4, reps, epochs) block whose repetitions 0..6 have no rows
+        block = np.full((4, 8, len(special)), 99.0)
+        block[:, 7] = [columns[m] for m in METRIC_NAMES] + [wall_ms]
         want = "".join(
             f"a%b,7,{e},"
             + ",".join(f"{columns[m][i]:.17g}" if m in metrics else "" for m in METRIC_NAMES)
-            + f",{16 * e},{record.wall_ms[i]:.17g}\n"
+            + f",{16 * e},{wall_ms[i]:.17g}\n"
             for i, e in enumerate(epoch.tolist()))
-        assert experiment._raw_rows("a%b", 7, record, metrics) == want
+        reached = [0] * 7 + [len(special)]
+        assert "".join(experiment._raw_rows("a%b", block, reached, metrics, 16)) == want
 
     def test_deselected_metric_leaves_raw_field_empty(self, tmp_path):
         result = run_experiment(_config(metrics=("objective", "dist_sq")), tmp_path / "out")
@@ -434,7 +527,7 @@ def test_worker_pool_matches_inline(tmp_path, monkeypatch):
     results, blocks = {}, {}
     for jobs in (1, 2, 3):
         log = tmp_path / f"calls{jobs}.log"
-        _count_calls(monkeypatch, log, experiment, "run_block")
+        _count_calls(monkeypatch, log, experiment, "_run_table")
         results[jobs] = run_experiment(config, tmp_path / f"jobs{jobs}", jobs=jobs)
         # one pid per block; one worker may run both blocks when the other starts late
         blocks[jobs] = [pid for _, pid in map(str.split, log.read_text().splitlines())]
@@ -453,26 +546,26 @@ def test_worker_pool_matches_inline(tmp_path, monkeypatch):
 
 
 def test_pool_builds_the_problem_once(tmp_path, monkeypatch):
-    # the run_block lines show that the workers ran under the wrappers
+    # the _run_table lines show that the workers ran under the wrappers
     log = tmp_path / "calls.log"
-    for module, name in ((experiment, "build_problem"), (experiment, "run_block"),
+    for module, name in ((experiment, "build_problem"), (experiment, "_run_table"),
                          (ingest, "load_csv")):
         _count_calls(monkeypatch, log, module, name)
     run_experiment(_pool_config(tmp_path), tmp_path / "out", jobs=2)
     calls = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(name for name, _ in calls) == ["build_problem", "load_csv", "run_block",
-                                                 "run_block"]
-    workers = {pid for name, pid in calls if name == "run_block"}
+    assert sorted(name for name, _ in calls) == ["_run_table", "_run_table", "build_problem",
+                                                 "load_csv"]
+    workers = {pid for name, pid in calls if name == "_run_table"}
     assert len(workers) == 2 and str(os.getpid()) not in workers
 
 
 def test_small_experiment_runs_in_the_parent(tmp_path, monkeypatch):
     log = tmp_path / "calls.log"
-    _count_calls(monkeypatch, log, experiment, "run_block")
+    _count_calls(monkeypatch, log, experiment, "_run_table")
     config = _config()  # 6 runs of dim 2
     assert 6 * build_problem(config.problem).dim < experiment._FORK_ENTRIES
     run_experiment(config, tmp_path / "out", jobs=2)
-    assert log.read_text().splitlines() == [f"run_block {os.getpid()}"]
+    assert log.read_text().splitlines() == [f"_run_table {os.getpid()}"]
 
 
 # (problem, step size of the four regular arms, step size of a "sweep"
