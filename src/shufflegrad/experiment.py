@@ -155,6 +155,9 @@ class ExperimentConfig:
             unknown = [m for m in self.metrics if m not in METRIC_NAMES]
             if unknown:
                 raise ValueError(f"unknown metrics: {unknown}")
+            repeated = [m for i, m in enumerate(self.metrics) if m in self.metrics[:i]]
+            if repeated:
+                raise ValueError(f"metric {repeated[0]!r} is repeated in metrics")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

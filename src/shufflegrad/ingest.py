@@ -151,6 +151,11 @@ def load_csv(path, *, target_column: str = "target",
                         f"cannot parse {row[i].strip()!r} as a number") from None
         raise
     features, targets = values[:, :-1], values[:, -1]
+    infinite = np.argwhere(np.isinf(features))  # row-major, so the first cell in row order
+    if infinite.size:
+        r, j = infinite[0]
+        raise DataFormatError(f"{path}: line {line_nos[r]}, column {header[keep[j]]!r}: "
+                              f"{data[r][keep[j]].strip()!r} is not finite")
     if np.isnan(targets).all():
         raise DataFormatError(f"{path}: column {target_column!r} has no values")
     if not np.isfinite(targets[~np.isnan(targets)]).all():

@@ -6,9 +6,10 @@ batch of consecutive permutation entries.  ``step_size`` is the size of
 one inner step; divide a per-epoch stepsize by the number of steps per
 epoch first (:meth:`shufflegrad.smoothness.StepsizePlan.per_step_size`
 does this).  A with-replacement baseline with the same evaluation
-budget is provided for comparisons.  :func:`run_block` advances any
-number of such runs in lockstep as one (R, d) iterate block; the single
-runners are blocks of one.
+budget is provided for comparisons.  The engine loop :func:`_run_table`
+advances any number of such runs in lockstep as one (R, d) iterate
+block and returns their metric table; the single runners are blocks of
+one.
 
 Trajectory row t (t = 1..T) holds the metrics of the iterate entering
 epoch t, which is where the convergence recipes measure progress; its
@@ -32,7 +33,6 @@ __all__ = [
     "DivergenceError",
     "run_shuffling",
     "run_sgd",
-    "run_block",
     "averaged_iterate",
 ]
 
@@ -119,11 +119,12 @@ class DivergenceError(RuntimeError):
         return type(self), (self.epoch, self.step_index, self.last_value, self.record)
 
 
-def _record(table: np.ndarray, r: int, epochs: int, n: int, final_point, averaged_point,
+def _record(run: np.ndarray, n: int, final_point, averaged_point,
             has_dist: bool) -> TrajectoryRecord:
-    """Row ``r``'s first ``epochs`` columns of the (4, R, T) metric table."""
-    objective, grad_norm_sq, dist_sq, wall_ms = table[:, r, :epochs].copy()
-    epoch = np.arange(1, epochs + 1)
+    """The record of one run's (4, k) slice of the metric table, its first
+    k epochs."""
+    objective, grad_norm_sq, dist_sq, wall_ms = run.copy()
+    epoch = np.arange(1, run.shape[1] + 1)
     return TrajectoryRecord(
         epoch=epoch,
         objective=objective,
@@ -195,12 +196,31 @@ def _epoch_pass(problem, W: np.ndarray, orders: np.ndarray, steps: np.ndarray, b
 
 
 def _run_table(problem, config: RunConfig, rows, step_sizes) -> tuple:
-    """The engine loop of :func:`run_block`, on its arguments.  Returns the
-    (4, R, T) metric table (unset past a row's completed epochs, and in the
-    dist_sq row without an optimum), each row's completed epoch count, final
-    point and averaged point (None without ``track_average``; a diverged
-    row's are those entering its last epoch), and a ``{row: (epoch,
-    step_index, last_value)}`` map of the divergences."""
+    """Run ``len(rows)`` runs in lockstep as one (R, d) iterate block.
+
+    Row r visits components in the orders of its ``(kind, seed, order)``
+    row ``rows[r]`` (kind a scheme kind or ``"sgd"``; order a fixed run's
+    explicit order, None for ``0..n-1``) and steps with ``step_sizes[r]``;
+    ``config`` gives the rest (its step_size is unused).  The orders come
+    from :class:`shufflegrad.shuffling._Orders`, which draws each epoch's
+    (R, n) order block in place.  A row's arithmetic does not depend on
+    the other rows, so a run gives the same bits alone and in any block.
+    A row that leaves the finite/threshold region at the end of an epoch
+    leaves the block; the step loop replays that epoch for it alone, and
+    its inner step is the first at which the loop leaves the region, else
+    the last (the loop's bits may differ from a ``component_epoch``'s, or
+    only the objective crossed the threshold).  Overflow raises no
+    warnings.  ``wall_ms`` is the block's clock.  A step of -0.0 runs as
+    +0.0, the sign ``component_epoch`` assumes.
+
+    Returns the (4, R, T) metric table of objective, grad_norm_sq,
+    dist_sq and wall_ms per (row, epoch) (unset past a row's completed
+    epochs, and in the dist_sq row without an optimum), each row's
+    completed epoch count, final point and averaged point (None without
+    ``track_average``; a diverged row's are those entering its last
+    epoch), and a ``{row: (epoch, step_index, last_value)}`` map of the
+    divergences.
+    """
     size = len(rows)
     steps = np.asarray(step_sizes, dtype=float) + 0.0
     start = _start_point(problem, config)
@@ -208,7 +228,6 @@ def _run_table(problem, config: RunConfig, rows, step_sizes) -> tuple:
     avg = W.copy() if config.track_average else None  # running mean of the entering iterates
     values = np.full(size, problem.full_value(start))
     live = np.arange(size)
-    # objective, grad_norm_sq, dist_sq and wall_ms per (row, epoch)
     table = np.empty((4, size, config.epochs))
     reached = np.full(size, config.epochs)
     final = np.empty_like(W)
@@ -255,43 +274,16 @@ def _run_table(problem, config: RunConfig, rows, step_sizes) -> tuple:
     return table, reached, final, average, diverged
 
 
-def run_block(problem, config: RunConfig, rows, step_sizes) -> list:
-    """Run ``len(rows)`` runs in lockstep as one (R, d) iterate block.
-
-    Row r visits components in the orders of its ``(kind, seed, order)``
-    row ``rows[r]`` (kind a scheme kind or ``"sgd"``; order a fixed run's
-    explicit order, None for ``0..n-1``) and steps with ``step_sizes[r]``;
-    ``config`` gives the rest (its step_size is unused).  The orders come
-    from :class:`shufflegrad.shuffling._Orders`, which draws each epoch's
-    (R, n) order block in place.  A row's arithmetic does not depend on
-    the other rows, so a run gives the same bits alone and in any block.
-    A row that leaves the finite/threshold region at the end of an epoch
-    leaves the block; the step loop replays that epoch for it alone, and
-    its inner step is the first at which the loop leaves the region, else
-    the last (the loop's bits may differ from a ``component_epoch``'s, or
-    only the objective crossed the threshold).  Overflow raises no
-    warnings.  ``wall_ms`` is the block's clock.  A step of -0.0 runs as
-    +0.0, the sign ``component_epoch`` assumes.
-
-    Returns, per row, its :class:`TrajectoryRecord`, built from the
-    metric table of the engine loop :func:`_run_table`, or the
-    :class:`DivergenceError` that ended it.
-    """
-    table, reached, final, average, diverged = _run_table(problem, config, rows, step_sizes)
-    has_dist = problem.optimum_point is not None
-    outcomes = []
-    for r, epochs in enumerate(reached.tolist()):
-        record = _record(table, r, epochs, problem.n, final[r],
-                         None if average is None else average[r], has_dist)
-        outcomes.append(DivergenceError(*diverged[r], record) if r in diverged else record)
-    return outcomes
-
-
-def _solo(outcomes: list) -> TrajectoryRecord:
-    (outcome,) = outcomes
-    if isinstance(outcome, DivergenceError):
-        raise outcome
-    return outcome
+def _run_one(problem, config: RunConfig, row) -> TrajectoryRecord:
+    """The record of a run of one order row, a block of one; raises the
+    :class:`DivergenceError` that ends it."""
+    table, reached, final, average, diverged = _run_table(problem, config, [row],
+                                                          [config.step_size])
+    record = _record(table[:, 0, :reached[0]], problem.n, final[0],
+                     None if average is None else average[0], problem.optimum_point is not None)
+    if diverged:
+        raise DivergenceError(*diverged[0], record)
+    return record
 
 
 def run_shuffling(problem, scheme: Scheme, config: RunConfig) -> TrajectoryRecord:
@@ -302,8 +294,7 @@ def run_shuffling(problem, scheme: Scheme, config: RunConfig) -> TrajectoryRecor
     """
     if scheme.n != problem.n:
         raise ValueError(f"scheme is for n = {scheme.n}, problem has n = {problem.n}")
-    row = (scheme.kind, scheme.seed, scheme.order)
-    return _solo(run_block(problem, config, [row], [config.step_size]))
+    return _run_one(problem, config, (scheme.kind, scheme.seed, scheme.order))
 
 
 def run_sgd(problem, config: RunConfig, seed: int = 0) -> TrajectoryRecord:
@@ -315,8 +306,7 @@ def run_sgd(problem, config: RunConfig, seed: int = 0) -> TrajectoryRecord:
     It consumes them in the same batch pattern as the shuffling runner, so
     a row again covers n evaluations.
     """
-    row = ("sgd", _nonnegative_int(seed, "seed"), None)
-    return _solo(run_block(problem, config, [row], [config.step_size]))
+    return _run_one(problem, config, ("sgd", _nonnegative_int(seed, "seed"), None))
 
 
 def averaged_iterate(record: TrajectoryRecord) -> np.ndarray:

@@ -63,7 +63,7 @@ class FiniteSumProblem:
     one-row cases, so the scalar and batched forms cannot drift apart;
     ``_component_gradient`` is a separate scalar formula, the reference
     ``component_gradients`` is tested against.  The public component
-    accessors validate inputs.  :func:`shufflegrad.optimize.run_block`
+    accessors validate inputs.  :func:`shufflegrad.optimize._epoch_pass`
     steps an epoch with a kernel bound to the epoch's block.
 
     A problem may also set ``component_epoch(W, orders, steps)``: the
@@ -546,6 +546,8 @@ class TinyQuadraticProblem(FiniteSumProblem):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise ValueError("centers must be a non-empty (n, dim) array")
+        if not np.isfinite(centers).all():
+            raise ValueError(f"centers must be finite, got {centers.tolist()}")
         self.centers = centers
         self.n, self.dim = centers.shape
         self._tables = (centers,)
@@ -555,6 +557,8 @@ class TinyQuadraticProblem(FiniteSumProblem):
         self._initial = np.asarray(initial_point, dtype=float)
         if self._initial.shape != (self.dim,):
             raise ValueError("initial_point dimension mismatch")
+        if not np.isfinite(self._initial).all():
+            raise ValueError(f"initial_point must be finite, got {self._initial.tolist()}")
         self._optimum_point = self._mean_center.copy()
         self.optimum_value = self.full_value(self._mean_center)
         self.strong_convexity = 1.0

@@ -174,18 +174,15 @@ def _indices(keys: np.ndarray) -> np.ndarray:
 def permutation_for_epoch(scheme: Scheme, epoch: int) -> np.ndarray:
     """Visiting order for the given epoch (1-based), as 0-based indices.
 
-    Deterministic in ``(scheme.kind, scheme.seed, epoch)``.
+    Deterministic in ``(scheme.kind, scheme.seed, epoch)``: the one-row
+    case of :class:`_Orders`.
     """
     epoch = _nonnegative_int(epoch, "epoch")
     if epoch < 1:
         raise ValueError(f"epoch is 1-based, got {epoch}")
-    if scheme.kind == "fixed":
-        if scheme.order is not None:
-            return np.asarray(scheme.order, dtype=np.int64)
-        return np.arange(scheme.n, dtype=np.int64)
-    if scheme.kind == "shuffle_once":
-        epoch = 1
-    return _permutations(_epoch_keys(_row_keys([scheme.seed], [_PERM_STREAM]), epoch, scheme.n))[0]
+    orders = _Orders([(scheme.kind, scheme.seed, scheme.order)], scheme.n)
+    orders.draw(epoch)
+    return orders.block[0]
 
 
 class _Orders:

@@ -534,6 +534,14 @@ class TestRunCommand:
          "problem 'dro': csv dataset drop_columns entry must be a string, got 7"),
         ("problem", {"id": "tiny_quadratic", "centers": [[1, 2], [3]]},
          "problem 'tiny_quadratic': centers rows must have one length, got lengths [2, 1]"),
+        ("metrics", ["objective", "grad_norm_sq", "objective"],
+         "metric 'objective' is repeated in metrics"),
+        ("problem", {"id": "tiny_quadratic", "initial_point": [float("nan"), 1]},
+         "problem 'tiny_quadratic': initial_point must be finite, got [nan, 1.0]"),
+        ("problem", {"id": "tiny_quadratic", "initial_point": ["inf", 1]},
+         "problem 'tiny_quadratic': initial_point must be finite, got [inf, 1.0]"),
+        ("problem", {"id": "tiny_quadratic", "centers": [[float("inf"), 0], [1, 0]]},
+         "problem 'tiny_quadratic': centers must be finite, got [[inf, 0.0], [1.0, 0.0]]"),
     ])
     def test_malformed_config_field_is_refused(self, tmp_path, capsys, key, value, message):
         config = _run_config(tmp_path)

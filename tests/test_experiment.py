@@ -19,7 +19,7 @@ from shufflegrad.experiment import (
     derive_seed,
     run_experiment,
 )
-from shufflegrad.optimize import DivergenceError, RunConfig, run_block, run_sgd, run_shuffling
+from shufflegrad.optimize import DivergenceError, RunConfig, _run_table, run_sgd, run_shuffling
 from shufflegrad.problems import build_problem
 from shufflegrad.shuffling import KINDS, Scheme
 
@@ -167,7 +167,7 @@ def _reference_aggregate(raw_path: Path, metrics) -> str:
 
 
 def _record_path_csvs(config: ExperimentConfig, out: Path):
-    """raw.csv and aggregate.csv text built from the run_block records of
+    """raw.csv and aggregate.csv text built from the _run_table output of
     the config's runs, one ``f"{x:.17g}"`` per float, with the
     ((arm, seed), (epoch, inner step)) of each divergence."""
     problem = build_problem(config.problem)
@@ -184,16 +184,16 @@ def _record_path_csvs(config: ExperimentConfig, out: Path):
             steps.append(arm.step_size)
     run_config = RunConfig(step_size=0.0, epochs=config.epochs, batch_size=config.batch_size,
                            divergence_threshold=config.divergence_threshold, track_average=False)
+    table, reached, _, _, divergences = _run_table(problem, run_config, rows, steps)
     lines, diverged = [RAW_HEADER], []
-    for (name, rep, seed), record in zip(runs, run_block(problem, run_config, rows, steps)):
-        if isinstance(record, DivergenceError):
-            diverged.append(((name, seed), (record.epoch, record.step_index)))
-            record = record.record
-        for i in range(record.completed_epochs):
-            cells = ",".join(f"{getattr(record, m)[i]:.17g}" if m in metrics else ""
-                             for m in METRIC_NAMES)
-            lines.append(f"{name},{rep},{record.epoch[i]},{cells},{record.evals[i]},"
-                         f"{record.wall_ms[i]:.17g}")
+    for r, (name, rep, seed) in enumerate(runs):
+        if r in divergences:
+            diverged.append(((name, seed), divergences[r][:2]))
+        for i in range(reached[r]):
+            cells = ",".join(f"{table[j, r, i]:.17g}" if m in metrics else ""
+                             for j, m in enumerate(METRIC_NAMES))
+            lines.append(f"{name},{rep},{i + 1},{cells},{(i + 1) * problem.n},"
+                         f"{table[3, r, i]:.17g}")
     raw_path = out / "record_raw.csv"
     raw_path.write_text("\n".join(lines) + "\n")
     return raw_path, _reference_aggregate(raw_path, metrics), diverged

@@ -150,6 +150,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-finite target"):
             load_csv(path, drop_columns=())
 
+    def test_error_nonfinite_feature(self, tmp_path):
+        # named like an unparsable cell, not left to preprocess as an
+        # all-NaN column
+        path = _write(tmp_path, "a,b,target\n1,0,1\n inf ,1,2\n2,0,3\n4,1,4\n")
+        with pytest.raises(DataFormatError, match=r"line 3, column 'a': 'inf' is not finite"):
+            load_csv(path, drop_columns=())
+        path2 = _write(tmp_path, "a,b,target\n1,0,1\n2,-1e999,2\n-inf,1,3\n", name="d2.csv")
+        with pytest.raises(DataFormatError, match=r"line 3, column 'b': '-1e999' is not finite"):
+            load_csv(path2, drop_columns=())
+
 
 def _reference_load(path, drop_columns, max_rows, noise_seed):
     """load_csv by the pre-change rules: every cell of every non-blank

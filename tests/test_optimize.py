@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -9,9 +11,10 @@ from shufflegrad.cli import _CHECK_PROBLEMS
 from shufflegrad.optimize import (
     DivergenceError,
     RunConfig,
+    TrajectoryRecord,
     _epoch_pass,
+    _run_table,
     averaged_iterate,
-    run_block,
     run_sgd,
     run_shuffling,
 )
@@ -197,6 +200,21 @@ def test_run_config_validation():
 
 
 class TestDivergence:
+    def test_error_survives_pickling(self):
+        # __reduce__ lets a caller's own process pool return one
+        problem = TinyQuadraticProblem()
+        with pytest.raises(DivergenceError) as err:
+            run_shuffling(problem, Scheme.random_reshuffle(problem.n, 14),
+                          RunConfig(step_size=2.2, epochs=70, divergence_threshold=1e4))
+        want = err.value
+        got = pickle.loads(pickle.dumps(want))
+        assert want.record.completed_epochs == 4 and want.record.averaged_point is not None
+        assert (got.epoch, got.step_index, got.last_value, str(got)) == (
+            want.epoch, want.step_index, want.last_value, str(want))
+        for field in dataclasses.fields(TrajectoryRecord):
+            np.testing.assert_array_equal(getattr(got.record, field.name),
+                                          getattr(want.record, field.name))
+
     def test_error_carries_partial_record(self):
         problem = QuarticProblem()
         with pytest.raises(DivergenceError) as err:
@@ -466,28 +484,28 @@ def test_quartic_epoch_serves_single_component_steps(problem_id, batch_size, ste
     def run():  # a shuffling row, a with-replacement row, a reversed fixed row
         rows = [("random_reshuffle", 1, None), ("sgd", 2, None),
                 ("fixed", 0, tuple(range(problem.n))[::-1])]
-        return run_block(problem, config, rows, [step] * 3)
+        return _run_table(problem, config, rows, [step] * 3)
 
-    outcomes = run()
+    table, reached, final, _, diverged = run()
     assert len(single) == calls and len(seen) == (calls if epoch else 0)
     monkeypatch.setattr(optimize, "_epoch_pass", _reference_pass)
-    reference = run()
+    want_table, want_reached, want_final, _, want_diverged = run()
     # the runs are the reference loop's bit for bit, but where exp_strong's
     # lane epoch agrees to rounding
     # (test_exp_strong_epoch_is_the_step_loop_to_rounding)
     exact = problem_id != "exp_strong" or calls == 0
-    for got, want in zip(outcomes, reference):
-        if isinstance(want, DivergenceError):
-            assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
-            got, want = got.record, want.record
+    assert {r: at[:2] for r, at in diverged.items()} == {
+        r: at[:2] for r, at in want_diverged.items()}
+    np.testing.assert_array_equal(reached, want_reached)
+    for r, k in enumerate(want_reached):
+        got, want = table[0, r, :k], want_table[0, r, :k]
         if exact:
-            np.testing.assert_array_equal(got.objective, want.objective)
-            np.testing.assert_array_equal(got.final_point.view(np.int64),
-                                          want.final_point.view(np.int64))
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(final[r].view(np.int64), want_final[r].view(np.int64))
         else:
-            np.testing.assert_allclose(got.objective, want.objective, rtol=1e-12)
-            np.testing.assert_allclose(got.final_point, want.final_point, rtol=0,
-                                       atol=1e-12 * np.abs(want.final_point).max())
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+            np.testing.assert_allclose(final[r], want_final[r], rtol=0,
+                                       atol=1e-12 * np.abs(want_final[r]).max())
     # a row on component 0 alone, one epoch straight through the pass; a
     # diverging one as the replay takes it, through the step loop
     W = np.atleast_2d(problem.initial_point if start is None else start)
@@ -516,18 +534,18 @@ def test_exp_strong_divergence_is_located_by_the_step_loop(problem_id, step, mon
     config = RunConfig(step_size=0.0, epochs=3)
     problem = build_problem(_SPECS[problem_id])
 
-    def run():
-        return run_block(problem, config, [("random_reshuffle", 4, None), ("sgd", 5, None)],
-                         [step] * 2)
+    def run():  # each row's (epoch, step_index)
+        diverged = _run_table(problem, config, [("random_reshuffle", 4, None), ("sgd", 5, None)],
+                              [step] * 2)[-1]
+        return {r: at[:2] for r, at in diverged.items()}
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = run()
+        got = run()
     monkeypatch.setattr(optimize, "_epoch_pass", _reference_pass)
-    reference = run()
-    for got, want in zip(outcomes, reference):
-        assert isinstance(want, DivergenceError)
-        assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
+    want = run()
+    assert sorted(want) == [0, 1]
+    assert got == want
 
 
 def _definition(kind, seed, order, n):
@@ -536,7 +554,7 @@ def _definition(kind, seed, order, n):
 
 
 def _epoch_orders(problem, rows, epochs, monkeypatch):
-    """The (R, n) order block of each epoch of a run_block call whose
+    """The (R, n) order block of each epoch of a _run_table call whose
     epoch passes leave the iterates unchanged."""
     seen = []
 
@@ -546,7 +564,7 @@ def _epoch_orders(problem, rows, epochs, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(optimize, "_epoch_pass", recorded)
-        run_block(problem, RunConfig(step_size=0.0, epochs=epochs), rows, [0.0] * len(rows))
+        _run_table(problem, RunConfig(step_size=0.0, epochs=epochs), rows, [0.0] * len(rows))
     return np.stack(seen)
 
 
@@ -566,23 +584,24 @@ def test_block_rows_get_their_solo_orders_and_bits(monkeypatch):
         definition = _definition(*row, n)
         np.testing.assert_array_equal(orders[:, r], [definition(t) for t in range(1, 71)])
 
-    outcomes = run_block(problem, config, rows, [step for *_, step in runs])
-    for (kind, seed, order, step), got in zip(runs, outcomes):
+    table, reached, final, _, diverged = _run_table(problem, config, rows,
+                                                    [step for *_, step in runs])
+    for r, (kind, seed, order, step) in enumerate(runs):
         solo = RunConfig(step_size=step, epochs=70, divergence_threshold=1e4)
         try:
             if kind == "sgd":
                 want = run_sgd(problem, solo, seed)
             else:
                 want = run_shuffling(problem, Scheme(kind, n, seed, order), solo)
+            assert r not in diverged
         except DivergenceError as err:
-            assert (got.epoch, got.step_index) == (err.epoch, err.step_index)
-            got, want = got.record, err.record
-        np.testing.assert_array_equal(got.objective, want.objective)
-        np.testing.assert_array_equal(got.final_point, want.final_point)
+            assert diverged[r][:2] == (err.epoch, err.step_index)
+            want = err.record
+        np.testing.assert_array_equal(table[0, r, :reached[r]], want.objective)
+        np.testing.assert_array_equal(final[r], want.final_point)
     # the step-2.008 row grows (objective 5.4e3 entering epoch 70) but
     # stays inside the threshold
-    diverged = [o.epoch for o in outcomes if isinstance(o, DivergenceError)]
-    assert diverged == [5]
+    assert [epoch for epoch, _, _ in diverged.values()] == [5]
 
 
 def test_untracked_average_leaves_every_other_bit():
@@ -590,17 +609,21 @@ def test_untracked_average_leaves_every_other_bit():
     # their divergences and every metric keep the tracked run's bits
     problem = TinyQuadraticProblem()
     rows = [("random_reshuffle", 11, None), ("sgd", 13, None), ("random_reshuffle", 14, None)]
-    outcomes = [run_block(problem, RunConfig(step_size=0.0, epochs=70, divergence_threshold=1e4,
-                                             track_average=track), rows, [0.3, 0.3, 2.2])
-                for track in (False, True)]
-    assert sum(isinstance(o, DivergenceError) for o in outcomes[0]) == 1
-    for got, want in zip(*outcomes):
-        if isinstance(want, DivergenceError):
-            assert (got.epoch, got.step_index) == (want.epoch, want.step_index)
-            got, want = got.record, want.record
-        assert got.averaged_point is None and want.averaged_point is not None
-        for field in ("objective", "grad_norm_sq", "dist_sq", "evals", "final_point"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    (table, reached, final, average, diverged), want = [
+        _run_table(problem, RunConfig(step_size=0.0, epochs=70, divergence_threshold=1e4,
+                                      track_average=track), rows, [0.3, 0.3, 2.2])
+        for track in (False, True)]
+    want_table, want_reached, want_final, want_average, want_diverged = want
+    assert len(diverged) == 1
+    assert {r: at[:2] for r, at in diverged.items()} == {
+        r: at[:2] for r, at in want_diverged.items()}
+    assert average is None and want_average is not None
+    # the completed epochs (so the evals), each row's objective, grad_norm_sq
+    # and dist_sq, and its final point
+    np.testing.assert_array_equal(reached, want_reached)
+    for r, k in enumerate(want_reached):
+        np.testing.assert_array_equal(table[:3, r, :k], want_table[:3, r, :k])
+    np.testing.assert_array_equal(final, want_final)
 
 
 def _mixed_rows(n):
@@ -639,8 +662,8 @@ def test_order_table_writes_repeating_rows_once():
 
 def test_unknown_order_kind_is_refused():
     with pytest.raises(ValueError, match="unknown order kind 'callable'"):
-        run_block(TinyQuadraticProblem(), RunConfig(step_size=0.1, epochs=1),
-                  [("callable", 0, None)], [0.1])
+        _run_table(TinyQuadraticProblem(), RunConfig(step_size=0.1, epochs=1),
+                   [("callable", 0, None)], [0.1])
 
 
 def test_sgd_seed_must_be_an_integer():
