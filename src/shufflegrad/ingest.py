@@ -1,24 +1,24 @@
 """Regression dataset loading and preprocessing for the robust arm.
 
 A dataset is an immutable (features, targets) pair with a provenance
-tag.  CSV loading drops named categorical columns, truncates to a row
-budget, median-fills missing cells, winsorizes each column, z-scores
-it, and perturbs the target with seeded unit Gaussian noise.  The
-winsorization bounds are the 1st/99th percentiles as order statistics
-(interpolation 'lower'/'higher'), which makes the whole preprocessing
-pipeline idempotent apart from the noise step; a flag on the dataset
-guards the noise so it is applied exactly once.  The median fill has
-the bits of ``np.median``, taken by its own partition and mean in
-``_median`` because ``np.median`` loads numpy.ma, which nothing else in
-a ``run`` or ``load_csv`` process needs.  A seeded synthetic generator
-stands in when no file is available, so nothing here touches the
-network.
+tag.  ``load_csv`` reads a CSV in one pass and holds only the kept cells
+of the first ``max_rows`` rows, as floats, so its memory does not grow
+with the file's length.  Preprocessing median-fills missing cells,
+winsorizes each column at the 1st/99th percentiles as order statistics
+(so it is idempotent apart from the noise step), z-scores it, and
+perturbs the target once with seeded unit Gaussian noise, which a flag
+on the dataset guards.  The median fill has the bits of ``np.median``,
+taken by its own partition and mean in ``_median`` because
+``np.median`` loads numpy.ma.  A seeded synthetic generator stands in
+when no file is available, so nothing here touches the network.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -82,87 +82,91 @@ def _parses(cell: str) -> bool:
         return False
 
 
-def _parse_csv(path) -> tuple[list[str], list[int], list[list[str]]]:
-    """Header, line number of each non-blank data row, and its raw cells.
-
-    A row's line number is the file's physical line on which the row
-    ends, so comment lines, blank rows and quoted line breaks count.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh]
-    skip = 0
-    while skip < len(lines) and lines[skip].startswith("#"):
-        skip += 1
-    reader = csv.reader(lines[skip:])
-    header = next(reader, None)
-    if header is None:
-        raise DataFormatError(f"{path}: no header row")
-    header = [h.strip() for h in header]
-    if header and all(_parses(c) for c in header if c != ""):
-        raise DataFormatError(f"{path}: first row looks numeric; header row required")
-    line_nos, data = [], []
-    for row in reader:
-        if not row:
-            continue
-        line = skip + reader.line_num
-        if len(row) != len(header):
-            raise DataFormatError(f"{path}: line {line} has {len(row)} cells, header has {len(header)}")
-        line_nos.append(line)
-        data.append(row)
-    if not data:
-        raise DataFormatError(f"{path}: no data rows")
-    return header, line_nos, data
+def _rows(fh):
+    """The count of leading '#' lines of ``fh`` and a csv reader over the rest: a row
+    ends on line ``skip + reader.line_num``, counting comments and quoted line breaks."""
+    skip, first = 0, fh.readline()
+    while first.startswith("#"):
+        skip, first = skip + 1, fh.readline()
+    return skip, csv.reader(chain((first,) if first else (), fh))
 
 
 def load_csv(path, *, target_column: str = "target",
-             drop_columns: tuple[str, ...] = ("country", "status"),
-             max_rows: int = 2000, noise_seed: int = 0,
-             normalize: bool = True) -> RegressionDataset:
-    """Load and preprocess a regression CSV.
+             drop_columns: tuple[str, ...] = ("country", "status"), max_rows: int = 2000,
+             noise_seed: int = 0, normalize: bool = True) -> RegressionDataset:
+    """Load and preprocess a regression CSV in one pass.
 
-    Comma-separated, UTF-8, header row required, empty cells are
-    missing values, leading '#' lines are comments.  Columns named in
-    ``drop_columns`` are removed (categorical features); the rest must
-    be numeric.  Keeps the first ``max_rows`` rows, then median-fills,
-    winsorizes, normalizes, and adds seeded unit noise to the target.
+    Comma-separated, UTF-8 with or without a byte-order mark, header row
+    required, empty cells missing, leading '#' lines comments.  Columns in
+    ``drop_columns`` are removed (categorical features); the rest must be
+    numeric.  Every row's cell count is checked; the first ``max_rows`` rows
+    are kept, then preprocessed by :func:`preprocess`.
     """
     if max_rows < 1:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
-    header, line_nos, data = _parse_csv(path)
-    for col in (target_column, *drop_columns):
-        if col not in header:
-            raise DataFormatError(f"{path}: missing column {col!r}")
-    keep = [i for i, h in enumerate(header) if h not in drop_columns and h != target_column]
-    target_idx = header.index(target_column)
-    data = data[:max_rows]
-    # Only the kept cells of the kept rows are converted, a column at a
-    # time; an empty cell is missing.  A failed conversion falls back to
-    # a scan in row order that names the first unparsable cell.
-    values = np.empty((len(data), len(keep) + 1))
+    if isinstance(drop_columns, str):
+        raise ValueError(f"drop_columns must be column names, not the string {drop_columns!r}")
+    # a missing column or unparsable cell waits for the pass: a ragged row anywhere comes first
+    values, rows = array("d"), 0
     try:
-        for j, i in enumerate((*keep, target_idx)):
-            values[:, j] = [float(row[i].strip() or "nan") for row in data]
-    except ValueError:
-        for line, row in zip(line_nos, data):
-            for i in (*keep, target_idx):
-                if not _parses(row[i].strip() or "nan"):
-                    raise DataFormatError(
-                        f"{path}: line {line}, column {header[i]!r}: "
-                        f"cannot parse {row[i].strip()!r} as a number") from None
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            skip, reader = _rows(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: no header row")
+            header = [h.strip() for h in header]
+            if header and all(_parses(c) for c in header if c != ""):
+                raise DataFormatError(f"{path}: first row looks numeric; header row required")
+            missing = [c for c in (target_column, *drop_columns) if c not in header]
+            error = DataFormatError(f"{path}: missing column {missing[0]!r}") if missing else None
+            keep = [i for i, h in enumerate(header) if h not in drop_columns and h != target_column]
+            cols, limit = ((), 0) if missing else ((*keep, header.index(target_column)), max_rows)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataFormatError(f"{path}: line {skip + reader.line_num} has "
+                                          f"{len(row)} cells, header has {len(header)}")
+                if rows < limit:
+                    try:  # an empty cell is missing
+                        values.extend([float(row[i].strip() or "nan") for i in cols])
+                    except ValueError:
+                        i = next(i for i in cols if not _parses(row[i].strip() or "nan"))
+                        error, limit = DataFormatError(
+                            f"{path}: line {skip + reader.line_num}, column {header[i]!r}: "
+                            f"cannot parse {row[i].strip()!r} as a number"), 0
+                rows += 1
+    except UnicodeDecodeError:  # its position is within a chunk: find the byte in the file
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise DataFormatError(f"{path}: byte {data[err.start]:#04x} at offset {err.start} "
+                                  f"is not UTF-8") from None
         raise
+    if not rows or error is not None:
+        raise error if rows else DataFormatError(f"{path}: no data rows")
+    values = np.frombuffer(values).reshape(min(rows, max_rows), len(cols))
     features, targets = values[:, :-1], values[:, -1]
     infinite = np.argwhere(np.isinf(features))  # row-major, so the first cell in row order
-    if infinite.size:
+    if infinite.size:  # read the file again for the cell's line and text
         r, j = infinite[0]
-        raise DataFormatError(f"{path}: line {line_nos[r]}, column {header[keep[j]]!r}: "
-                              f"{data[r][keep[j]].strip()!r} is not finite")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            skip, reader = _rows(fh)
+            row = next(islice((row for row in islice(reader, 1, None) if row), r, None))
+        raise DataFormatError(f"{path}: line {skip + reader.line_num}, column "
+                              f"{header[keep[j]]!r}: {row[keep[j]].strip()!r} is not finite")
     if np.isnan(targets).all():
         raise DataFormatError(f"{path}: column {target_column!r} has no values")
     if not np.isfinite(targets[~np.isnan(targets)]).all():
         raise DataFormatError(f"{path}: non-finite target value")
     raw = RegressionDataset(features, targets, provenance=str(path),
                             feature_names=tuple(header[i] for i in keep))
-    return preprocess(raw, noise_seed=noise_seed, normalize=normalize)
+    try:
+        return preprocess(raw, noise_seed=noise_seed, normalize=normalize)
+    except DataFormatError as err:  # an all-empty feature column
+        raise DataFormatError(f"{path}: {err}") from None
 
 
 def _median(x: np.ndarray) -> float:
@@ -186,8 +190,7 @@ def preprocess(dataset: RegressionDataset, *, noise_seed: int = 0,
     and never re-applies the target noise.
     """
     noise_seed = _nonnegative_int(noise_seed, "noise_seed")
-    features = dataset.features.copy()
-    targets = dataset.targets.copy()
+    features, targets = dataset.features.copy(), dataset.targets.copy()
     for j in range(features.shape[1]):
         col = features[:, j]
         missing = np.isnan(col)
@@ -204,18 +207,15 @@ def preprocess(dataset: RegressionDataset, *, noise_seed: int = 0,
     if np.isnan(targets).any():
         targets[np.isnan(targets)] = _median(targets[~np.isnan(targets)])
     if normalize:
-        mean = features.mean(axis=0)
         std = features.std(axis=0)
         std[std == 0.0] = 1.0
-        features = (features - mean) / std
-    noise_applied = dataset.noise_applied
-    if not noise_applied:
+        features -= features.mean(axis=0)
+        features /= std
+    if not dataset.noise_applied:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=noise_seed, spawn_key=_NOISE_STREAM))
-        targets = targets + rng.standard_normal(targets.shape)
-        noise_applied = True
-    return replace(dataset, features=features, targets=targets,
-                   noise_applied=noise_applied)
+        targets += rng.standard_normal(targets.shape)
+    return replace(dataset, features=features, targets=targets, noise_applied=True)
 
 
 _SYNTH_STREAM = (0x1D,)

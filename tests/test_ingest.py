@@ -1,5 +1,7 @@
 import csv
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +141,8 @@ class TestLoadCsv:
 
     def test_error_all_missing_column(self, tmp_path):
         path = _write(tmp_path, "a,b,target\n1,,2\n3,,4\n")
-        with pytest.raises(ValueError, match="'b' has no values"):
+        message = f"^{re.escape(str(path))}: column 'b' has no values$"
+        with pytest.raises(DataFormatError, match=message):
             load_csv(path, drop_columns=())
         path2 = _write(tmp_path, "a,target\n1,\n2,\n3,\n", name="d2.csv")
         with pytest.raises(DataFormatError, match="column 'target' has no values"):
@@ -159,23 +162,89 @@ class TestLoadCsv:
         path2 = _write(tmp_path, "a,b,target\n1,0,1\n2,-1e999,2\n-inf,1,3\n", name="d2.csv")
         with pytest.raises(DataFormatError, match=r"line 3, column 'b': '-1e999' is not finite"):
             load_csv(path2, drop_columns=())
+        # the cell is found again past comments, blank rows and quoted line breaks
+        path3 = _write(tmp_path, '# c\na,target\n1,"2\n"\n\n-inf,3\n', name="d3.csv")
+        with pytest.raises(DataFormatError, match=r"line 6, column 'a': '-inf' is not finite"):
+            load_csv(path3, drop_columns=())
+
+    def test_drop_columns_string_is_refused(self, tmp_path):
+        # a bare string would be read as its characters: missing column 'c'
+        path = _write(tmp_path, "country,a,target\nUS,1,2\nFR,3,4\n")
+        with pytest.raises(ValueError, match=r"^drop_columns must be column names, "
+                                             r"not the string 'country'$"):
+            load_csv(path, drop_columns="country")
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts with a BOM; here before the target's name
+        for text in ("target,a,country\n1,2,US\n3,4,FR\n5,,DE\n",
+                     "# source\ntarget,a,country\n1,2,US\n\n3,x,DE\n"):
+            plain = _write(tmp_path, text, name="plain.csv")
+            marked = _write(tmp_path, "\ufeff" + text, name="marked.csv")
+            got = _outcome(lambda: load_csv(marked, drop_columns=("country",)))
+            want = _outcome(lambda: load_csv(plain, drop_columns=("country",)))
+            if isinstance(want, str):
+                assert got == want.replace("plain.csv", "marked.csv")
+            else:
+                assert got == want and want[1] == ("a",)
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert got == f"{marked}: line 5, column 'a': cannot parse 'x' as a number"
+
+    def test_error_not_utf8_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,target\n1,2\n\xff,3\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: byte 0xff at "
+                                                  f"offset 13 is not UTF-8$"):
+            load_csv(path, drop_columns=())
+        # far past the reader's first chunk, and counting the byte-order mark
+        head = b"\xef\xbb\xbfa,target\n" + b"1,2\n" * 5000
+        path.write_bytes(head + b"3,\xe2\x82\n")  # a cut-off three-byte sequence
+        with pytest.raises(DataFormatError,
+                           match=f"byte 0xe2 at offset {len(head) + 2} is not UTF-8$"):
+            load_csv(path, drop_columns=())
+
+    def test_memory_does_not_grow_with_file_length(self, tmp_path):
+        # ten times max_rows rows: only the kept rows are held, as floats,
+        # so the peak stays within a few copies of the returned arrays
+        rng = np.random.default_rng(0)
+        cells = rng.standard_normal((10_000, 21))
+        lines = [",".join([f"x{j}" for j in range(20)] + ["target"])]
+        lines += [",".join(f"{v:.9g}" for v in row) for row in cells]
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            data = load_csv(path, drop_columns=(), max_rows=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.row_count == 1000
+        assert peak < 5 * (data.features.nbytes + data.targets.nbytes)
+
+    def test_huge_max_rows_sizes_nothing_by_it(self, tmp_path):
+        path = _write(tmp_path, "a,target\n1,2\n3,4\n5,6\n")
+        data = load_csv(path, drop_columns=(), normalize=False, max_rows=10**12)
+        np.testing.assert_array_equal(data.features, [[1.0], [3.0], [5.0]])
 
 
 def _reference_load(path, drop_columns, max_rows, noise_seed):
-    """load_csv by the pre-change rules: every cell of every non-blank
-    row parsed on its own with csv and float, then the kept cells of the
-    first max_rows rows checked in row order.  Files are well formed."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """load_csv by the rules of a two-pass reader: the whole file read as
+    lines, every cell of every non-blank row parsed on its own with csv and
+    float, a ragged row anywhere refused, then the kept cells of the first
+    max_rows rows checked in row order.  Files have their header and columns."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = list(fh)
     skip = 0
     while lines[skip].startswith("#"):
         skip += 1
-    rows = list(csv.reader(lines[skip:]))
-    header = [h.strip() for h in rows[0]]
+    reader = csv.reader(lines[skip:])
+    header = [h.strip() for h in next(reader)]
     parsed = []
-    for line, row in enumerate(rows[1:], start=skip + 2):
+    for row in reader:
         if not row:
             continue
+        line = skip + reader.line_num
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}: line {line} has {len(row)} cells, "
+                                  f"header has {len(header)}")
         cells = []
         for cell in row:
             cell = cell.strip()
@@ -195,7 +264,10 @@ def _reference_load(path, drop_columns, max_rows, noise_seed):
     raw = RegressionDataset(np.array([[cells[i] for i in keep] for _, cells in parsed]),
                             np.array([cells[target] for _, cells in parsed]),
                             provenance=str(path), feature_names=tuple(header[i] for i in keep))
-    return preprocess(raw, noise_seed=noise_seed)
+    try:
+        return preprocess(raw, noise_seed=noise_seed)
+    except DataFormatError as err:  # an all-empty feature column
+        raise DataFormatError(f"{path}: {err}") from None
 
 
 _FINITE = st.one_of(
@@ -206,13 +278,17 @@ _FINITE = st.one_of(
 )
 _CELL = st.one_of(_FINITE, st.sampled_from(("", "nan", "NaN")))
 _PAD = st.sampled_from(("", " ", "  ", "\t"))
-_TEXT = st.text(alphabet="abcdefxyz.-", min_size=1, max_size=6)  # never a number
+_TEXT = st.text(alphabet='abcdefxyz.-"', min_size=1, max_size=6)  # never a number
+_BREAK = st.sampled_from(("\n", "\r\n"))
 
 
 @st.composite
 def _csv_files(draw):
     """(text, max_rows) of a file with comments, blank rows, padded and
-    missing cells, categorical columns, and a few unparsable cells."""
+    missing cells, categorical columns, and a few unparsable cells.  Cells
+    may be quoted, with doubled quotes and line breaks inside; lines may end
+    in CRLF; the file may start with a byte-order mark and may have one
+    ragged row anywhere, before or past max_rows."""
     names = [f"x{j}" for j in range(draw(st.integers(1, 3)))] + ["country", "status", "target"]
     header = draw(st.permutations(names))
     rows = []
@@ -228,10 +304,21 @@ def _csv_files(draw):
     for _ in range(draw(st.integers(0, 3))):
         row = draw(st.sampled_from(rows))
         row[draw(st.integers(0, len(row) - 1))] = draw(_PAD) + draw(_TEXT)
+    if draw(st.integers(0, 3)) == 0:
+        ragged = ["1"] * (len(header) + draw(st.sampled_from((-1, 1))))
+        rows.insert(draw(st.integers(0, len(rows))), ragged)
+    for cells in rows:
+        for k, cell in enumerate(cells):
+            if '"' in cell or draw(st.integers(0, 3)) == 0:
+                if draw(st.booleans()):
+                    cell = draw(st.sampled_from((cell + draw(_BREAK), draw(_BREAK) + cell)))
+                cells[k] = '"' + cell.replace('"', '""') + '"'
+    newline = draw(_BREAK)
     lines = ["# comment"] * draw(st.integers(0, 2)) + [",".join(header)]
     for cells in rows:
         lines += [""] * draw(st.integers(0, 1)) + [",".join(cells)]
-    return "\n".join(lines) + "\n", draw(st.integers(1, 8))
+    bom = "\ufeff" * draw(st.integers(0, 1))
+    return bom + newline.join(lines) + newline, draw(st.integers(1, 8))
 
 
 def _outcome(load):
@@ -245,11 +332,12 @@ def _outcome(load):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_csv_files(), noise_seed=st.integers(0, 100))
+@example(case=("x0,country,status,target\n1,US,a,2\n3,FR,b,4\n5,6\n", 1), noise_seed=0)
 def test_load_csv_matches_per_cell_reference(case, noise_seed):
     text, max_rows = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         got = _outcome(lambda: load_csv(path, max_rows=max_rows, noise_seed=noise_seed))
         want = _outcome(lambda: _reference_load(path, ("country", "status"), max_rows,
                                                 noise_seed))
