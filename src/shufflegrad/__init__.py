@@ -5,86 +5,21 @@ supporting machinery needed to study it under generalized smoothness:
 benchmark problems, permutation schemes, stepsize/epoch planning from
 declared smoothness moduli, assumption diagnostics, dataset ingest and
 a config-driven experiment runner.
+
+The root exports each module's ``__all__``; ``cli`` stays out of it.
 """
 
-from .shuffling import (
-    Scheme,
-    permutation_for_epoch,
-    without_replacement_variance_factor,
-)
-from .problems import (
-    FiniteSumProblem,
-    QuarticProblem,
-    ExpStrongProblem,
-    PhaseRetrievalProblem,
-    DROProblem,
-    TinyQuadraticProblem,
-    build_problem,
-)
-from .smoothness import (
-    EllFunction,
-    ConstantsBundle,
-    StepsizePlan,
-    solve_gradient_bound,
-    component_gradient_bound,
-    constants_for_recipe,
-    stepsize_plan,
-    reevaluate_plan,
-    estimate_sublevel_gradient_bound,
-)
-from .optimize import (
-    RunConfig,
-    TrajectoryRecord,
-    DivergenceError,
-    run_shuffling,
-    run_sgd,
-    averaged_iterate,
-)
-from .diagnostics import (
-    VarianceFit,
-    estimate_variance_constants,
-    probe_ell_envelope,
-    brute_force_partial_average_variance,
-)
-from .ingest import RegressionDataset, load_csv, synthesize
-from .experiment import ExperimentConfig, AggregateSeries, run_experiment
+from .shuffling import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .smoothness import *  # noqa: F401,F403
+from .optimize import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .ingest import *  # noqa: F401,F403
+from .experiment import *  # noqa: F401,F403
+
+from . import shuffling, problems, smoothness, optimize, diagnostics, ingest, experiment
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Scheme",
-    "permutation_for_epoch",
-    "without_replacement_variance_factor",
-    "FiniteSumProblem",
-    "QuarticProblem",
-    "ExpStrongProblem",
-    "PhaseRetrievalProblem",
-    "DROProblem",
-    "TinyQuadraticProblem",
-    "build_problem",
-    "EllFunction",
-    "ConstantsBundle",
-    "StepsizePlan",
-    "solve_gradient_bound",
-    "component_gradient_bound",
-    "constants_for_recipe",
-    "stepsize_plan",
-    "reevaluate_plan",
-    "estimate_sublevel_gradient_bound",
-    "RunConfig",
-    "TrajectoryRecord",
-    "DivergenceError",
-    "run_shuffling",
-    "run_sgd",
-    "averaged_iterate",
-    "VarianceFit",
-    "estimate_variance_constants",
-    "probe_ell_envelope",
-    "brute_force_partial_average_variance",
-    "RegressionDataset",
-    "load_csv",
-    "synthesize",
-    "ExperimentConfig",
-    "AggregateSeries",
-    "run_experiment",
-]
+__all__ = [name for module in (shuffling, problems, smoothness, optimize, diagnostics, ingest,
+                               experiment) for name in module.__all__]

@@ -44,6 +44,9 @@ from .smoothness import (
 
 SUITES = ("gradients", "variance", "ell-envelope", "permutation-oracle")
 
+# the flags a suite takes besides --seed; passing another is a usage error
+_SUITE_FLAGS = {"gradients": ("--problem",), "ell-envelope": ("--problem", "--ell-constant")}
+
 # Small problem instances for the check suites; the full-size ones are
 # needlessly slow for finite differences.
 _CHECK_PROBLEMS = (
@@ -195,6 +198,8 @@ def _cmd_plan(args) -> int:
     recipe = args.theorem
     hint = f"recipe {recipe}"
     problem = build_problem({"id": args.problem}) if args.problem else None
+    if problem is not None and args.n is not None and args.n != problem.n:
+        raise ValueError(f"--n {args.n} does not match n = {problem.n} of problem {args.problem}")
 
     if args.ell_constant is not None:
         ell = EllFunction.constant(args.ell_constant)
@@ -203,8 +208,7 @@ def _cmd_plan(args) -> int:
     else:
         raise ValueError("no smoothness modulus: pass --problem with a declared one or --ell-constant")
 
-    n = args.n if args.n is not None else (problem.n if problem is not None else None)
-    _require(hint, n, "--n or --problem")
+    n = _require(hint, problem.n if problem is not None else args.n, "--n or --problem")
 
     if args.initial_gap is not None:
         gap = args.initial_gap
@@ -276,6 +280,9 @@ def _report(lines: list[str], ok: bool, label: str, detail: str) -> bool:
 
 
 def _cmd_check(args) -> int:
+    for flag, value in (("--problem", args.problem), ("--ell-constant", args.ell_constant)):
+        if value is not None and flag not in _SUITE_FLAGS.get(args.suite, ()):
+            build_parser().error(f"check --suite {args.suite} does not take {flag}")
     lines: list[str] = []
     ok = {"gradients": _suite_gradients, "variance": _suite_variance,
           "ell-envelope": _suite_ell_envelope,

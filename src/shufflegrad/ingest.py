@@ -27,6 +27,7 @@ from .shuffling import _nonnegative_int
 
 __all__ = [
     "RegressionDataset",
+    "DataFormatError",
     "load_csv",
     "synthesize",
     "preprocess",
@@ -60,18 +61,9 @@ class RegressionDataset:
     def row_count(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    def names(self) -> tuple[str, ...]:
-        if self.feature_names is not None:
-            return self.feature_names
-        return tuple(f"f{i}" for i in range(self.dim))
-
 
 class DataFormatError(ValueError):
-    pass
+    """A CSV file, or a dataset column, that cannot become a dataset."""
 
 
 def _parses(cell: str) -> bool:
@@ -195,7 +187,8 @@ def preprocess(dataset: RegressionDataset, *, noise_seed: int = 0,
         col = features[:, j]
         missing = np.isnan(col)
         if missing.all():
-            raise DataFormatError(f"column {dataset.names()[j]!r} has no values")
+            name = dataset.feature_names[j] if dataset.feature_names is not None else f"f{j}"
+            raise DataFormatError(f"column {name!r} has no values")
         if missing.any():
             col[missing] = _median(col[~missing])
     # order-statistic bounds, so a second pass moves nothing; clipped a

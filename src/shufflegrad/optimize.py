@@ -33,7 +33,6 @@ __all__ = [
     "DivergenceError",
     "run_shuffling",
     "run_sgd",
-    "averaged_iterate",
 ]
 
 
@@ -77,8 +76,8 @@ class TrajectoryRecord:
     Row t records the iterate entering epoch t; ``evals[t-1] = t * n``
     counts component-gradient evaluations completed through epoch t.
     ``dist_sq`` is None when the problem has no known optimum.
-    ``averaged_point`` is the mean of the entering iterates, the
-    quantity the convex recipes bound.
+    ``averaged_point`` is the mean of the entering iterates (None under
+    ``track_average=False``), the quantity the convex recipes bound.
     """
 
     epoch: np.ndarray
@@ -307,10 +306,3 @@ def run_sgd(problem, config: RunConfig, seed: int = 0) -> TrajectoryRecord:
     a row again covers n evaluations.
     """
     return _run_one(problem, config, ("sgd", _nonnegative_int(seed, "seed"), None))
-
-
-def averaged_iterate(record: TrajectoryRecord) -> np.ndarray:
-    """Mean of the iterates entering epochs 1..T."""
-    if record.averaged_point is None:
-        raise ValueError("run was configured with track_average=False")
-    return record.averaged_point.copy()

@@ -58,13 +58,13 @@ class FiniteSumProblem:
     reductions, so a row's bits do not depend on R.  The base class
     derives ``component_gradients(W, idx)``, a new kernel on the rows
     ``idx``, so a new array, and from it ``max_component_gradient_norms(W)``,
-    the (R,) largest component gradient norms.  ``full_value(w)``,
-    ``full_gradient(w)`` and ``max_component_gradient_norm(w)`` are the
-    one-row cases, so the scalar and batched forms cannot drift apart;
-    ``_component_gradient`` is a separate scalar formula, the reference
-    ``component_gradients`` is tested against.  The public component
-    accessors validate inputs.  :func:`shufflegrad.optimize._epoch_pass`
-    steps an epoch with a kernel bound to the epoch's block.
+    the (R,) largest component gradient norms.  ``full_value(w)`` and
+    ``full_gradient(w)`` are the one-row cases, so the scalar and batched
+    forms cannot drift apart; ``_component_gradient`` is a separate scalar
+    formula, the reference ``component_gradients`` is tested against.
+    The public component accessors validate inputs.
+    :func:`shufflegrad.optimize._epoch_pass` steps an epoch with a kernel
+    bound to the epoch's block.
 
     A problem may also set ``component_epoch(W, orders, steps)``: the
     block after one epoch of single-component steps, computed another
@@ -135,9 +135,6 @@ class FiniteSumProblem:
 
     def full_gradient(self, w) -> np.ndarray:
         return self.full_gradients(np.asarray(w, dtype=float)[None])[0]
-
-    def max_component_gradient_norm(self, w) -> float:
-        return float(self.max_component_gradient_norms(np.asarray(w, dtype=float)[None])[0])
 
     @property
     def initial_point(self) -> np.ndarray:
@@ -445,10 +442,6 @@ class DROProblem(FiniteSumProblem):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xD0,)))
         self._initial = np.concatenate([rng.standard_normal(self.feature_dim), [0.1]])
 
-    def split(self, v: np.ndarray):
-        """Split the joint variable into (weights, shift)."""
-        return v[:-1], float(v[-1])
-
     def _regularizer(self, w):
         return self.REG_WEIGHT * float(np.sum(np.log1p(np.abs(w))))
 
@@ -459,13 +452,13 @@ class DROProblem(FiniteSumProblem):
         return r, 0.5 * r * r + self._regularizer(w)
 
     def _component_value(self, v, i):
-        w, theta = self.split(v)
+        w, theta = v[:-1], float(v[-1])
         r = self.targets[i] - float(self.features[i] @ w)
         loss = 0.5 * r * r + self._regularizer(w)
         return float(_psi_star((loss - theta) / self.lam) + theta)
 
     def _component_gradient(self, v, i):
-        w, theta = self.split(v)
+        w, theta = v[:-1], float(v[-1])
         x = self.features[i]
         r = self.targets[i] - float(x @ w)
         loss = 0.5 * r * r + self._regularizer(w)

@@ -117,6 +117,18 @@ class TestPlanCommand:
         assert plan["n"] == 4
         assert plan["epochs"] >= 100
 
+    def test_n_must_match_the_problem(self, tmp_path, capsys):
+        args = ["plan", "--theorem", "4", "--eps", "0.1", "--problem", "tiny_quadratic",
+                "--out", str(tmp_path / "plan.json")]
+        assert main(args + ["--n", "1000"]) == 1
+        assert capsys.readouterr().err == ("error: --n 1000 does not match n = 4 "
+                                           "of problem tiny_quadratic\n")
+        assert not (tmp_path / "plan.json").exists()
+        assert main(args + ["--n", "4"]) == 0
+        with_n = (tmp_path / "plan.json").read_bytes()
+        assert main(args) == 0
+        assert (tmp_path / "plan.json").read_bytes() == with_n
+
     def test_delta_outside_unit_interval_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(_plan_args(tmp_path, "--delta", "1.5"))
@@ -269,6 +281,21 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as err:
             main(["check", "--suite", "everything"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("suite,flag,value", [
+        ("variance", "--problem", "dro"),
+        ("permutation-oracle", "--problem", "quartic"),
+        ("gradients", "--ell-constant", "3"),
+        ("variance", "--ell-constant", "3"),
+        ("permutation-oracle", "--ell-constant", "3"),
+    ])
+    def test_flag_the_suite_ignores_is_usage_error(self, capsys, suite, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--suite", suite, flag, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: check --suite {suite} does not take {flag}\n")
 
 
 class TestRunCommand:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import shufflegrad
 from shufflegrad import ingest
 from shufflegrad.ingest import (
     DataFormatError,
@@ -40,7 +41,7 @@ class TestLoadCsv:
                                       np.array([1.0, 2.0, 3.0]) + _noise(5, 3))
         assert data.noise_applied
         assert data.feature_names == ("a",)
-        assert data.row_count == 3 and data.dim == 1
+        assert data.row_count == 3 and data.features.shape[1] == 1
 
     def test_missing_target_median_filled(self, tmp_path):
         path = _write(tmp_path, "a,target\n1,10\n2,30\n3,\n")
@@ -147,6 +148,11 @@ class TestLoadCsv:
         path2 = _write(tmp_path, "a,target\n1,\n2,\n3,\n", name="d2.csv")
         with pytest.raises(DataFormatError, match="column 'target' has no values"):
             load_csv(path2, drop_columns=())
+
+    def test_error_is_the_root_data_format_error(self, tmp_path):
+        path = _write(tmp_path, "a,b\n1,2\n")
+        with pytest.raises(shufflegrad.DataFormatError, match="missing column 'target'"):
+            load_csv(path, drop_columns=())
 
     def test_error_nonfinite_target(self, tmp_path):
         path = _write(tmp_path, "a,target\n1,inf\n2,3\n")
@@ -390,6 +396,14 @@ class TestPreprocess:
         got = preprocess(data, normalize=False).features
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_all_empty_column_is_named(self):
+        features = np.array([[1.0, np.nan], [2.0, np.nan]])
+        for names, name in ((("a", "b"), "b"), (None, "f1")):
+            data = RegressionDataset(features, np.zeros(2), provenance="test",
+                                     feature_names=names)
+            with pytest.raises(DataFormatError, match=f"^column '{name}' has no values$"):
+                preprocess(data)
+
     def test_normalized_columns(self):
         data = synthesize(4, rows=80, dim=3)
         out = preprocess(data)
@@ -441,7 +455,7 @@ class TestSynthesize:
 class TestDatasetConfig:
     def test_synthetic_route(self):
         data = dataset_from_config({"synthetic": {"seed": 6, "rows": 40, "dim": 3}})
-        assert data.row_count == 40 and data.dim == 3
+        assert data.row_count == 40 and data.features.shape[1] == 3
         np.testing.assert_allclose(data.features.mean(axis=0), 0.0, atol=1e-12)
 
     def test_csv_route(self, tmp_path):

@@ -14,7 +14,6 @@ from shufflegrad.optimize import (
     TrajectoryRecord,
     _epoch_pass,
     _run_table,
-    averaged_iterate,
     run_sgd,
     run_shuffling,
 )
@@ -53,7 +52,7 @@ class TestHandTrace:
     def test_final_and_averaged_points(self):
         rec = self.run()
         np.testing.assert_allclose(rec.final_point, [-0.09765625, 0.0], rtol=0, atol=0)
-        np.testing.assert_allclose(averaged_iterate(rec), [-0.03125, 0.0], rtol=0, atol=0)
+        np.testing.assert_allclose(rec.averaged_point, [-0.03125, 0.0], rtol=0, atol=0)
 
     def test_wall_clock_monotone(self):
         rec = self.run()
@@ -680,11 +679,3 @@ def test_one_full_value_per_epoch():
     # the start point, then the iterate leaving each epoch
     assert rows == [1] * 6
     assert rec.completed_epochs == 5
-
-
-def test_averaged_iterate_requires_tracking():
-    problem = TinyQuadraticProblem()
-    rec = run_shuffling(problem, Scheme.fixed(4),
-                        RunConfig(step_size=0.1, epochs=2, track_average=False))
-    with pytest.raises(ValueError):
-        averaged_iterate(rec)

@@ -56,7 +56,7 @@ def test_max_component_gradient_hook(problem, _):
         brute = max(
             float(np.linalg.norm(problem.component_gradient(w, i))) for i in range(problem.n)
         )
-        assert problem.max_component_gradient_norm(w) == pytest.approx(brute, rel=1e-12)
+        assert problem.max_component_gradient_norms(w[None])[0] == pytest.approx(brute, rel=1e-12)
 
 
 _ORACLE_PROBLEMS = [problem for problem, _ in _problems_for_consistency()]
@@ -257,7 +257,7 @@ def test_max_norms_rows_are_one_row_calls_and_brute_force(quartic, scale, seed):
     norms = problem.max_component_gradient_norms(W)
     edges = {0, per_call - 1, min(per_call, len(W) - 1), len(W) - 1}
     for r in edges | set(rng.choice(len(W), size=3, replace=False).tolist()):
-        assert norms[r] == problem.max_component_gradient_norm(W[r])  # bit for bit
+        assert norms[r] == problem.max_component_gradient_norms(W[r][None])[0]  # bit for bit
         brute = max(float(np.linalg.norm(problem.component_gradient(W[r], i)))
                     for i in range(problem.n))
         assert abs(norms[r] - brute) <= 1e-12 * brute, (r, norms[r], brute)
@@ -373,7 +373,7 @@ class TestDRO:
         p = self._problem()
         assert p.dim == p.feature_dim + 1
         v = p.initial_point
-        w, theta = p.split(v)
+        w, theta = v[:-1], float(v[-1])
         assert w.shape == (p.feature_dim,)
         assert theta == pytest.approx(0.1)
 

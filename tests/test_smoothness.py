@@ -930,8 +930,7 @@ class TestSublevelEstimate:
         else:
             radius = 2.0 * max(float(np.linalg.norm(w0 - center)), 1.0)
         radius = max(radius, 1e-12)
-        best = max(problem.max_component_gradient_norm(w0),
-                   problem.max_component_gradient_norm(center))
+        best = max(float(problem.max_component_gradient_norms(w[None])[0]) for w in (w0, center))
         directions, uniforms = (
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
             for key in (0x6E, 0x6F))
@@ -943,7 +942,7 @@ class TestSublevelEstimate:
             w = center + r * direction
             if problem.full_value(w) <= f0 + abs(f0) * 1e-12 + 1e-12:
                 accepted += 1
-                best = max(best, problem.max_component_gradient_norm(w))
+                best = max(best, float(problem.max_component_gradient_norms(w[None])[0]))
             prefixes.append((best, accepted))
         return prefixes
 
