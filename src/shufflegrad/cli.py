@@ -79,6 +79,17 @@ def _seed(text: str) -> int:
     return val
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``, refused with the flag named."""
+    def parse(text: str) -> int:
+        val = int(text)
+        if val < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return val
+    parse.__name__ = "int"  # so a non-integer reads "invalid int value", as before
+    return parse
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -89,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment config")
     run.add_argument("--config", required=True, help="experiment config JSON file")
     run.add_argument("--out", required=True, help="output directory for CSVs")
-    run.add_argument("--jobs", type=int, default=None,
+    run.add_argument("--jobs", type=_int_at_least(1), default=None,
                      help="most worker processes to fork; runs too small to split stay "
                           "in this process (default: available parallelism)")
     run.add_argument("--seed", type=_seed, default=None,
@@ -106,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--out", default="plan.json", help="plan file to write")
     plan.add_argument("--target-epochs", type=int, default=None,
                       help="validate/complete a plan at this epoch count")
-    plan.add_argument("--samples", type=int, default=8,
+    plan.add_argument("--samples", type=_int_at_least(0), default=8,
                       help="sample points for the variance fit")
-    plan.add_argument("--budget", type=int, default=4000,
+    plan.add_argument("--budget", type=_int_at_least(1), default=4000,
                       help="sampling budget for the component-gradient bound")
     plan.add_argument("--n", type=int, default=None, help="component count (manual stats mode)")
     plan.add_argument("--ell-constant", type=_positive, default=None,

@@ -3,25 +3,29 @@
 An experiment is a problem, a list of algorithm arms, and a repetition
 count.  Every (arm, repetition) pair gets its own derived seed
 (sha256 of the packed (base_seed, arm_index, repetition) triple, first
-8 little-endian bytes), so no two runs ever share randomness and the
-assignment is stable across versions.  All (arm, repetition) runs
-advance in lockstep as one iterate block.  ``jobs`` caps the worker
-count: the run list is split into at most ``jobs`` contiguous blocks of
-at least ``_FORK_ENTRIES`` iterate entries (runs x dim) each, and a lone
-block runs in this process, with no pool.  Results are merged in (arm,
-repetition) order.  The problem and its dataset are built once and sent
-to the workers, so a CSV dataset is read once.  A run's rows do not
-depend on its block, so the output never depends on ``jobs``.
+8 little-endian bytes), so no two random runs ever share randomness and
+the assignment is stable across versions.  A run is its (kind, seed,
+order, step); a ``fixed`` row ignores its seed, so all repetitions of a
+``fixed`` arm, and ``fixed`` arms with the same order and step, are one
+distinct run, stepped, measured and formatted once and written once per
+repetition.  All distinct runs advance in lockstep as one iterate block.
+``jobs`` caps the worker count: the distinct runs are split into at most
+``jobs`` contiguous blocks of at least ``_FORK_ENTRIES`` iterate entries
+(distinct runs x dim) each, and a lone block runs in this process, with
+no pool.  Results are read back in (arm, repetition) order through each
+run's distinct-run index.  The problem and its dataset are built once
+and sent to the workers, so a CSV dataset is read once.  A run's rows do
+not depend on its block, so the output never depends on ``jobs``.
 
 Two CSV files are written: a raw per-run file with one row per epoch,
 and an aggregate with mean and 5%/95% percentiles per (arm, epoch,
 metric); the percentiles have the bits of numpy's default ('linear')
 ``np.percentile``, taken by its own steps in ``_p05_p95`` because the
 call itself loads numpy.ma, which nothing else in a ``run`` process
-needs.  Both files are written from the (4, runs, epochs) metric table
-of the engine loop (:func:`shufflegrad.optimize._run_table`), the blocks'
-tables joined along the run axis, so the aggregate holds the same
-numbers as the raw file; diverged repetitions leave partial rows, an
+needs.  Both files are written from the (4, distinct runs, epochs)
+metric table of the engine loop (:func:`shufflegrad.optimize._run_table`),
+the blocks' tables joined along the run axis, so the aggregate holds the
+same numbers as the raw file; diverged repetitions leave partial rows, an
 arm's repetitions with no row are not counted, and aggregate rows are
 only emitted for epochs that every counted repetition reached.
 """
@@ -32,6 +36,7 @@ import functools
 import hashlib
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -249,22 +254,34 @@ def _run_runs(problem, run_config: RunConfig, rows, steps) -> tuple:
     return table, reached, diverged
 
 
-def _raw_rows(arm_name: str, block: np.ndarray, reached, metrics, n: int,
-              wall_text="%.17g".__mod__):
-    """One arm's raw.csv rows, one string per repetition: one %-template over
-    the first ``reached[rep]`` columns of ``block``, the arm's (4, reps,
-    epochs) slice of the metric table, read one run at a time.  ``"%.17g" %
-    x`` has the bytes of ``f"{x:.17g}"``; a metric not in ``metrics`` leaves
-    an empty field; ``n`` is the evaluations per epoch; ``wall_text``
-    formats a wall_ms."""
+def _raw_rows(arm_name: str, table: np.ndarray, reached, metrics, n: int,
+              wall_text="%.17g".__mod__, columns=None, shared=None):
+    """One arm's raw.csv rows, one string per repetition.  Repetition rep
+    has the first ``reached[rep]`` epochs of column ``columns[rep]`` (default
+    rep) of ``table``, a (4, runs, epochs) metric table.  A column's epoch
+    lines come from one %-template over its columns, read one run at a
+    time, and a repetition's text is its ``arm,rep,`` prefix joined onto
+    them.  A column that is a key of ``shared`` (the columns that several
+    repetitions read, mapped to their lines, None before first use) is
+    formatted once.  ``"%.17g" % x`` has the bytes of ``f"{x:.17g}"``; a
+    metric not in ``metrics`` leaves an empty field; ``n`` is the
+    evaluations per epoch; ``wall_text`` formats a wall_ms."""
     cells = ",".join("%.17g" if m in metrics else "" for m in METRIC_NAMES)
-    template = f"{arm_name.replace('%', '%%')},%d,%d,{cells},%d,%s\n".__mod__
+    template = f"%d,{cells},%d,%s\n".__mod__
     picked = [i for i, m in enumerate(METRIC_NAMES) if m in metrics]
-    for rep, k in enumerate(reached):
-        run = block[:, rep, :k]
-        columns = [run[i].tolist() for i in picked]
-        yield "".join(map(template, zip(repeat(rep), range(1, k + 1), *columns,
-                                        range(n, n * k + 1, n), map(wall_text, run[3].tolist()))))
+    shared = {} if shared is None else shared
+    columns = range(len(reached)) if columns is None else columns
+    for rep, (column, k) in enumerate(zip(columns, reached)):
+        lines = shared.get(column)
+        if lines is None:
+            run = table[:, column, :k]
+            lines = list(map(template, zip(range(1, k + 1), *[run[i].tolist() for i in picked],
+                                           range(n, n * k + 1, n),
+                                           map(wall_text, run[3].tolist()))))
+            if column in shared:
+                shared[column] = lines
+        prefix = f"{arm_name},{rep},"
+        yield prefix + prefix.join(lines) if k else ""
 
 
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> ExperimentResult:
@@ -295,8 +312,15 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
         for arm_index in range(len(config.arms))
         for rep in range(config.repetitions)
     ]
-    rows = [(arm_orders[a][0], seed, arm_orders[a][1]) for a, _, seed in tasks]
-    steps = [arm_steps[a] for a, _, _ in tasks]
+    # a run is its (kind, seed, order, step), and a fixed row ignores its
+    # seed: each run's index into the distinct runs, in first-seen order
+    distinct, index = {}, []
+    for a, _, seed in tasks:
+        kind, order = arm_orders[a]
+        key = (kind, 0 if kind == "fixed" else seed, order, arm_steps[a])
+        index.append(distinct.setdefault(key, len(distinct)))
+    rows = [key[:3] for key in distinct]
+    steps = [key[3] for key in distinct]
     out_dir = Path(out_dir)  # made once the problem, plan files, orders and run config pass
     out_dir.mkdir(parents=True, exist_ok=True)
     n_blocks = max(1, min(jobs, len(rows), len(rows) * problem.dim // _FORK_ENTRIES))
@@ -316,36 +340,40 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Experime
         table = np.concatenate(tables, axis=1)
         reached = np.concatenate(counts)
         diverged = {i + r: at for (i, _), part in zip(spans, maps) for r, at in part.items()}
+    reached = reached[index]  # per run, in (arm, repetition) order
 
     diverged_pairs, diverged_at = [], []
-    for r in sorted(diverged):
-        arm_index, _, seed = tasks[r]
-        diverged_pairs.append((config.arms[arm_index].name, seed))
-        diverged_at.append(diverged[r][:2])
+    for (arm_index, _, seed), d in zip(tasks, index):
+        if d in diverged:
+            diverged_pairs.append((config.arms[arm_index].name, seed))
+            diverged_at.append(diverged[d][:2])
 
     raw_path = out_dir / "raw.csv"
     wall_text = functools.cache("%.17g".__mod__)  # a wall_ms is never -0.0
+    # the epoch lines of each distinct run that several runs share
+    shared = {d: None for d, uses in Counter(index).items() if uses > 1}
     reps = config.repetitions
     with open(raw_path, "w", newline="") as fh:
         fh.write(RAW_HEADER + "\n")
         for a, arm in enumerate(config.arms):
             span = slice(a * reps, (a + 1) * reps)
-            fh.writelines(_raw_rows(arm.name, table[:, span], reached[span].tolist(), metrics,
-                                    problem.n, wall_text))
+            fh.writelines(_raw_rows(arm.name, table, reached[span].tolist(), metrics, problem.n,
+                                    wall_text, index[span], shared))
 
-    aggregate = _aggregate(config, table, reached, metrics)
+    aggregate = _aggregate(config, table, np.array(index), reached, metrics)
     aggregate_path = out_dir / "aggregate.csv"
     aggregate.to_csv(aggregate_path)
     return ExperimentResult(aggregate, raw_path, aggregate_path, tuple(diverged_pairs),
                             tuple(diverged_at))
 
 
-def _aggregate(config: ExperimentConfig, table: np.ndarray, reached: np.ndarray,
-               metrics) -> AggregateSeries:
+def _aggregate(config: ExperimentConfig, table: np.ndarray, index: np.ndarray,
+               reached: np.ndarray, metrics) -> AggregateSeries:
     """Mean, 5%/95% percentiles and count per (arm, epoch, metric).
 
-    ``table`` is the (4, runs, epochs) metric table and ``reached`` each
-    run's completed epoch count, runs in (arm, repetition) order.  An arm
+    ``table`` is the (4, distinct runs, epochs) metric table; ``index``
+    holds each run's column of it and ``reached`` each run's completed
+    epoch count, runs in (arm, repetition) order.  An arm
     counts the repetitions with at least one row and covers the epochs
     all of them reached; rows follow arm order, then epoch, then
     ``metrics`` order.
@@ -360,7 +388,8 @@ def _aggregate(config: ExperimentConfig, table: np.ndarray, reached: np.ndarray,
         for metric in metrics:
             # (epochs, reps), C-contiguous: reducing the contiguous axis gives
             # the bits of one np.mean / np.percentile call per epoch
-            M = np.ascontiguousarray(table[METRIC_NAMES.index(metric)][present, :epochs].T)
+            M = np.ascontiguousarray(
+                table[METRIC_NAMES.index(metric)][index[present], :epochs].T)
             cells.append(list(zip(M.mean(axis=1).tolist(), *_p05_p95(M).T.tolist())))
         for e in range(epochs):
             rows.extend(AggregateRow(arm.name, e + 1, metric, *cell[e], len(present))

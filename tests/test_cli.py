@@ -247,6 +247,23 @@ class TestPlanCommand:
         assert capsys.readouterr().out == fresh[1]
 
 
+    @pytest.mark.parametrize("flag,value,low", [("--samples", "-3", 0), ("--budget", "0", 1),
+                                                ("--budget", "-5", 1)])
+    def test_out_of_range_count_is_usage_error(self, tmp_path, capsys, flag, value, low):
+        with pytest.raises(SystemExit) as err:
+            main(["plan", "--theorem", "6", "--eps", "0.1", "--problem", "tiny_quadratic",
+                  "--out", str(tmp_path / "plan.json"), flag, value])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: expected an integer >= {low}, got {value!r}\n")
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_zero_samples_fits_the_anchors(self, tmp_path, capsys):
+        args = ["plan", "--theorem", "2", "--eps", "0.1", "--problem", "tiny_quadratic",
+                "--out", str(tmp_path / "plan.json"), "--samples", "0"]
+        assert main(args) == 0
+        assert "(2 samples)" in capsys.readouterr().out
+
 class TestCheckCommand:
     def test_suite_names(self):
         assert SUITES == ("gradients", "variance", "ell-envelope",
@@ -365,6 +382,31 @@ class TestRunCommand:
         assert code == 3
         assert "diverged runs:" in capsys.readouterr().err
         assert (tmp_path / "out" / "raw.csv").exists()
+
+    def test_out_of_range_jobs_is_usage_error(self, tmp_path, capsys):
+        # refused while parsing: the config, which does not exist, is never read
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", str(tmp_path / "missing.json"), "--out",
+                  str(tmp_path / "out"), "--jobs", "0"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --jobs: expected an integer >= 1, got '0'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_diverging_fixed_arm_names_every_repetition(self, tmp_path, capsys):
+        reps = 4
+        cfg = {"problem": {"id": "tiny_quadratic"},
+               "arms": [{"name": "explode", "scheme": "fixed", "step_size": 3.0}],
+               "epochs": 60, "repetitions": reps, "base_seed": 9, "divergence_threshold": 1e6}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--jobs", "1"]) == 3
+        named = re.findall(r"arm=(\S+) seed=(\d+) epoch=(\d+) step=(\d+)",
+                           capsys.readouterr().err)
+        assert [(arm, int(seed)) for arm, seed, _, _ in named] == \
+            [("explode", derive_seed(9, 0, rep)) for rep in range(reps)]
+        assert len({(epoch, step) for _, _, epoch, step in named}) == 1
 
     def test_divergence_detail_without_warnings(self, tmp_path, capsys):
         step = 0.01

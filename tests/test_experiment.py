@@ -257,6 +257,83 @@ def test_outputs_need_no_trajectory_record(tmp_path, monkeypatch):
     assert got.aggregate_path.read_bytes() == want.aggregate_path.read_bytes()
 
 
+class TestDistinctRuns:
+    """A fixed row ignores its seed, so runs with one (kind, order, step)
+    share a trajectory: each distinct run is stepped once and written once
+    per repetition, with the bytes of running every repetition."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fixed=st.lists(st.tuples(st.sampled_from((None, (0, 1, 2, 3), (3, 1, 0, 2))),
+                                    st.integers(0, 3)), min_size=1, max_size=2),
+           others=st.lists(st.tuples(st.sampled_from(("shuffle_once", "random_reshuffle",
+                                                      "sgd")), st.integers(0, 3)), max_size=2),
+           wild_kind=st.sampled_from(KINDS + ("sgd",)),
+           u=st.tuples(*[st.floats(0, 1)] * 3), epochs=st.integers(1, 5),
+           reps=st.integers(1, 5), batch_size=st.sampled_from((1, 3)),
+           base_seed=st.integers(0, 2**32 - 1),
+           metrics=st.sampled_from((None, ("objective",), ("dist_sq", "grad_norm_sq"))))
+    # two fixed arms on one run: one at +0.0, one at -0.0
+    @example(fixed=[(None, 0), (None, 1)], others=[], wild_kind="fixed", u=(0.5, 0.5, 0.5),
+             epochs=3, reps=3, batch_size=1, base_seed=0, metrics=None)
+    def test_csvs_and_engine_calls(self, fixed, others, wild_kind, u, epochs, reps, batch_size,
+                                   base_seed, metrics):
+        # steps drawn from one pool, so arms share them; the "wild" arm's
+        # step diverges in some draws
+        step, wild, threshold = (lo * (hi / lo) ** x
+                                 for (lo, hi), x in zip(((0.05, 0.5), (2.5, 3.0), (5.0, 20.0)), u))
+        pool = (0.0, -0.0, step, wild)
+        arms = [ArmSpec(name=f"fixed{i}", scheme="fixed", order=order, step_size=pool[s])
+                for i, (order, s) in enumerate(fixed)]
+        arms += [ArmSpec(name=f"{kind}{i}", method="sgd", step_size=pool[s]) if kind == "sgd"
+                 else ArmSpec(name=f"{kind}{i}", scheme=kind, step_size=pool[s])
+                 for i, (kind, s) in enumerate(others)]
+        arms.append(ArmSpec(name="wild", method="sgd", step_size=wild) if wild_kind == "sgd"
+                    else ArmSpec(name="wild", scheme=wild_kind, step_size=wild))
+        config = _config(arms=tuple(arms), epochs=epochs, repetitions=reps,
+                         base_seed=base_seed, batch_size=batch_size, metrics=metrics,
+                         divergence_threshold=threshold)
+        calls = []
+
+        def logged(problem, run_config, rows, steps):
+            calls.extend(zip(rows, steps))
+            return _run_table(problem, run_config, rows, steps)
+        with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "_run_table", logged)
+            result = run_experiment(config, Path(out) / "run")
+            raw_path, aggregate, diverged = _record_path_csvs(config, Path(out))
+            assert _strip_wall(result.raw_path) == _strip_wall(raw_path)
+            assert result.aggregate_path.read_bytes() == aggregate.encode()
+        assert list(zip(result.diverged, result.diverged_at)) == diverged
+        # each distinct (kind, seed, order, step) reached the engine once;
+        # a fixed row's seed is not part of its run
+        n = build_problem(TINY).n
+        want = set()
+        for a, arm in enumerate(arms):
+            kind, order = (("sgd", None) if arm.method == "sgd"
+                           else (arm.scheme, Scheme(arm.scheme, n, order=arm.order).order))
+            want.update((kind, 0 if kind == "fixed" else derive_seed(base_seed, a, rep), order,
+                         arm.step_size) for rep in range(reps))
+        got = [((kind, 0 if kind == "fixed" else seed, order), s)
+               for (kind, seed, order), s in calls]
+        assert len(got) == len(want) == len({(*row, s) for row, s in got})
+        assert {(*row, s) for row, s in got} == want
+
+    def test_diverging_fixed_arm_lists_every_repetition(self, tmp_path):
+        reps = 5
+        config = _config(arms=(ArmSpec(name="stable", scheme="fixed", step_size=0.05),
+                               ArmSpec(name="explode", scheme="fixed", step_size=3.0)),
+                         epochs=40, repetitions=reps, divergence_threshold=1e6)
+        result = run_experiment(config, tmp_path / "out")
+        assert result.diverged == tuple(("explode", derive_seed(11, 1, rep))
+                                        for rep in range(reps))
+        assert len(result.diverged_at) == reps and len(set(result.diverged_at)) == 1
+        with open(result.raw_path, newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["arm"] == "explode"]
+        epoch, _ = result.diverged_at[0]
+        assert sorted({row["rep"] for row in rows}) == [str(rep) for rep in range(reps)]
+        assert len(rows) == reps * (epoch - 1)
+
+
 class TestMetricsSelection:
     def test_distance_included_when_optimum_known(self, tmp_path):
         result = run_experiment(_config(epochs=2), tmp_path / "out")
